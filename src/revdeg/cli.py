@@ -8,7 +8,6 @@ run without certificates, 20 hypotheses failed, 30+ internal errors.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from pathlib import Path
 
@@ -18,7 +17,7 @@ from .degrees import DegreeEngine
 from .geometry import FIGURE_HEADER, check_conditions, figure_data
 from .groups import direct_product, make_cyclic, make_dihedral, subgroup_classes
 from .names import names_for_gamma_z2
-from .report import run_analyze
+from .report import default_base_level, run_analyze
 
 EXIT_OK = 0
 EXIT_NO_CERTIFICATES = 10
@@ -32,12 +31,17 @@ def _load_config(args) -> AnalysisConfig:
     return parse_config(Path(args.config).read_text())
 
 
-def _engine(cfg: AnalysisConfig, args) -> DegreeEngine:
-    base = getattr(args, "truncation", None) or cfg.truncation_base
-    if base:
-        return DegreeEngine(cfg.group_kind, cfg.group_n, base_level=base)
-    return DegreeEngine(cfg.group_kind, cfg.group_n,
-                        base_level=4 * math.lcm(cfg.group_n, 2))
+def _engine(cfg: AnalysisConfig, args, modes=()) -> DegreeEngine:
+    """Engine at the --truncation or configured level, else at the default
+    level for the Fourier modes the command computes."""
+    base = (getattr(args, "truncation", None) or cfg.truncation_base
+            or default_base_level(cfg.group_n, modes))
+    return DegreeEngine(cfg.group_kind, cfg.group_n, base_level=base)
+
+
+def _token_mode(token: str) -> int | None:
+    """The mode k of a deg:k token; None for a class label."""
+    return int(token.split(":")[1]) if token.startswith("deg:") else None
 
 
 def _emit(text: str, args) -> None:
@@ -80,8 +84,8 @@ def _default_component(engine: DegreeEngine) -> int:
 
 
 def _element_for_token(engine: DegreeEngine, cfg: AnalysisConfig, token: str):
-    if token.startswith("deg:"):
-        k = int(token.split(":")[1])
+    k = _token_mode(token)
+    if k is not None:
         return engine.basic_degree(k, _default_component(engine))
     if token not in engine.lattice._by_label:
         # populate the working set from the low modes before label lookup
@@ -97,7 +101,7 @@ def _element_for_token(engine: DegreeEngine, cfg: AnalysisConfig, token: str):
 
 def cmd_basic_degree(args) -> int:
     cfg = _load_config(args)
-    engine = _engine(cfg, args)
+    engine = _engine(cfg, args, [args.mode])
     l = _default_component(engine)
     e = engine.basic_degree(args.mode, l)
     _emit(f"deg[V({args.mode},{l})] = {e.render()}\n", args)
@@ -106,7 +110,8 @@ def cmd_basic_degree(args) -> int:
 
 def cmd_burnside_mul(args) -> int:
     cfg = _load_config(args)
-    engine = _engine(cfg, args)
+    modes = [k for k in map(_token_mode, (args.left, args.right)) if k is not None]
+    engine = _engine(cfg, args, modes)
     left = _element_for_token(engine, cfg, args.left)
     right = _element_for_token(engine, cfg, args.right)
     _emit(f"{left.multiply(right).render()}\n", args)

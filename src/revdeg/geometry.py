@@ -1,18 +1,23 @@
 """Planar symmetric domains D = eta^-1(-inf, 0): evaluation, curvature,
 Hartman-Nagumo condition checks, and the a-priori derivative bounds.
 
-eta is a polar trigonometric polynomial sum of c * r^p * cos/sin(q*theta).
+eta is a polar trigonometric polynomial sum of c * r^p * cos/sin(q*theta);
+PolarTrigPolynomial.derivative(a, b, r, theta) evaluates d^a_r d^b_theta eta.
 Cartesian derivatives come from the polar chain rule; the boundary is
 parameterized by angle through the unique positive root of eta(. , theta)
-(star-shaped domains).  Strict inequalities over grids are certified with an
-explicit Lipschitz padding derived from term coefficients, and checks that
-cannot be certified report an inconclusive status rather than a pass.
+(star-shaped domains).  boundary_radius, grad_norm_on_boundary and curvature
+take a float angle and return a float, or an array of angles and return an
+array of its shape, solved in one vectorized bisection and Newton pass;
+passing the radii already solved (r=...) lets a grid check solve once.
+Strict inequalities over grids are certified with an explicit Lipschitz
+padding derived from term coefficients, and checks that cannot be certified
+report an inconclusive status rather than a pass.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,12 +41,6 @@ class Term:
     q: int          # angular multiple
     kind: str       # "cos" or "sin"
 
-    def trig(self, qt: np.ndarray) -> np.ndarray:
-        return np.cos(qt) if self.kind == "cos" else np.sin(qt)
-
-    def dtrig(self, qt: np.ndarray) -> np.ndarray:
-        return -np.sin(qt) if self.kind == "cos" else np.cos(qt)
-
 
 @dataclass(frozen=True)
 class PolarTrigPolynomial:
@@ -52,52 +51,24 @@ class PolarTrigPolynomial:
         return PolarTrigPolynomial(tuple(
             Term(float(c), int(p), int(q), str(kind)) for c, p, q, kind in entries))
 
+    def derivative(self, a: int, b: int, r, theta):
+        """d^a/dr^a d^b/dtheta^b eta at (r, theta), broadcast over arrays."""
+        r, theta = np.asarray(r, float), np.asarray(theta, float)
+        total = np.zeros(np.broadcast(r, theta).shape)
+        for t in self.terms:
+            if t.p < a or (b and not t.q):
+                continue
+            # the b-th theta-derivative of cos walks cos, -sin, -cos, sin;
+            # sin enters that cycle at its last step
+            step = (b + (3 if t.kind == "sin" else 0)) % 4
+            sign = -1 if step in (1, 2) else 1
+            trig = np.cos if step in (0, 2) else np.sin
+            coef = sign * t.coef * math.perm(t.p, a) * t.q ** b
+            total = total + coef * r ** (t.p - a) * trig(t.q * theta)
+        return total
+
     def eval_polar(self, r, theta):
-        r, theta = np.asarray(r, float), np.asarray(theta, float)
-        total = np.zeros(np.broadcast(r, theta).shape)
-        for t in self.terms:
-            total = total + t.coef * r ** t.p * t.trig(t.q * theta)
-        return total
-
-    def d_r(self, r, theta):
-        r, theta = np.asarray(r, float), np.asarray(theta, float)
-        total = np.zeros(np.broadcast(r, theta).shape)
-        for t in self.terms:
-            if t.p:
-                total = total + t.coef * t.p * r ** (t.p - 1) * t.trig(t.q * theta)
-        return total
-
-    def d_theta(self, r, theta):
-        r, theta = np.asarray(r, float), np.asarray(theta, float)
-        total = np.zeros(np.broadcast(r, theta).shape)
-        for t in self.terms:
-            if t.q:
-                total = total + t.coef * t.q * r ** t.p * t.dtrig(t.q * theta)
-        return total
-
-    def d_rr(self, r, theta):
-        r, theta = np.asarray(r, float), np.asarray(theta, float)
-        total = np.zeros(np.broadcast(r, theta).shape)
-        for t in self.terms:
-            if t.p >= 2:
-                total = total + t.coef * t.p * (t.p - 1) * r ** (t.p - 2) * t.trig(t.q * theta)
-        return total
-
-    def d_rtheta(self, r, theta):
-        r, theta = np.asarray(r, float), np.asarray(theta, float)
-        total = np.zeros(np.broadcast(r, theta).shape)
-        for t in self.terms:
-            if t.p and t.q:
-                total = total + t.coef * t.p * t.q * r ** (t.p - 1) * t.dtrig(t.q * theta)
-        return total
-
-    def d_thetatheta(self, r, theta):
-        r, theta = np.asarray(r, float), np.asarray(theta, float)
-        total = np.zeros(np.broadcast(r, theta).shape)
-        for t in self.terms:
-            if t.q:
-                total = total - t.coef * t.q * t.q * r ** t.p * t.trig(t.q * theta)
-        return total
+        return self.derivative(0, 0, r, theta)
 
     def grad_coef_bound(self, radius: float) -> tuple[float, float]:
         """(sum |c| p R^{p-1}, sum |c| q R^{p-1}): certified bounds for |eta_r|
@@ -190,11 +161,7 @@ def grad_eta(spec: DomainSpec, x: float, y: float) -> tuple[float, float]:
         if any(t.p == 1 for t in spec.eta.terms):
             raise OriginSingularity("gradient at the origin undefined: degree-1 terms")
         return (0.0, 0.0)
-    th = math.atan2(y, x)
-    fr = float(spec.eta.d_r(r, th))
-    ft = float(spec.eta.d_theta(r, th))
-    c, s = math.cos(th), math.sin(th)
-    return (c * fr - s * ft / r, s * fr + c * ft / r)
+    return tuple(float(v) for v in _grad_xy(spec.eta, x, y))
 
 
 def hess_eta(spec: DomainSpec, x: float, y: float) -> tuple[float, float, float]:
@@ -216,13 +183,24 @@ def hess_eta(spec: DomainSpec, x: float, y: float) -> tuple[float, float, float]
             elif t.q == 2 and t.kind == "sin":
                 xy += 2 * t.coef
         return (xx, xy, yy)
-    th = math.atan2(y, x)
-    fr = float(spec.eta.d_r(r, th))
-    ft = float(spec.eta.d_theta(r, th))
-    frr = float(spec.eta.d_rr(r, th))
-    frt = float(spec.eta.d_rtheta(r, th))
-    ftt = float(spec.eta.d_thetatheta(r, th))
-    c, s = math.cos(th), math.sin(th)
+    return tuple(float(v) for v in _hess_xy(spec.eta, x, y))
+
+
+def _grad_xy(eta: PolarTrigPolynomial, x, y):
+    """(eta_x, eta_y) away from the origin by the polar chain rule; arrays
+    broadcast."""
+    r, th = np.hypot(x, y), np.arctan2(y, x)
+    fr, ft = eta.derivative(1, 0, r, th), eta.derivative(0, 1, r, th)
+    c, s = np.cos(th), np.sin(th)
+    return (c * fr - s * ft / r, s * fr + c * ft / r)
+
+
+def _hess_xy(eta: PolarTrigPolynomial, x, y):
+    """(eta_xx, eta_xy, eta_yy) away from the origin, as _grad_xy."""
+    r, th = np.hypot(x, y), np.arctan2(y, x)
+    fr, ft, frr, frt, ftt = (eta.derivative(a, b, r, th)
+                             for a, b in ((1, 0), (0, 1), (2, 0), (1, 1), (0, 2)))
+    c, s = np.cos(th), np.sin(th)
     xx = (c * c * frr - 2 * c * s * (frt / r - ft / r ** 2)
           + s * s * (fr / r + ftt / r ** 2))
     yy = (s * s * frr + 2 * c * s * (frt / r - ft / r ** 2)
@@ -235,60 +213,75 @@ def hess_eta(spec: DomainSpec, x: float, y: float) -> tuple[float, float, float]
 # -- boundary geometry ----------------------------------------------------------
 
 
-def boundary_radius(spec: DomainSpec, theta: float, tol: float = 1e-12) -> float:
-    """Unique positive root of eta(., theta), by bisection plus Newton polish."""
+def _angles(theta) -> np.ndarray:
+    return np.asarray(theta, float).ravel()
+
+
+def _shaped(values: np.ndarray, theta):
+    """One value per angle: a float for a scalar theta, else theta's shape."""
+    return float(values[0]) if np.ndim(theta) == 0 else values.reshape(np.shape(theta))
+
+
+def boundary_radius(spec: DomainSpec, theta, tol: float = 1e-12):
+    """Unique positive root of eta(., theta), by bisection plus Newton polish,
+    solved for all angles at once; each angle stops bisecting when its own
+    bracket is narrower than 1e-15."""
     if not spec.star_shaped:
         raise NotStarShaped("boundary_radius requires a star-shaped domain")
-    lo, hi = 0.0, spec.bound_radius * (1 + 1e-9)
-    flo = float(spec.eta.eval_polar(lo, theta))
-    fhi = float(spec.eta.eval_polar(hi, theta))
-    if flo >= 0 or fhi <= 0:
-        raise NotStarShaped(f"no sign change along theta = {theta}")
+    eta, th = spec.eta, _angles(theta)
+    lo = np.zeros(th.shape)
+    hi = np.full(th.shape, spec.bound_radius * (1 + 1e-9))
+    bad = (eta.eval_polar(lo, th) >= 0) | (eta.eval_polar(hi, th) <= 0)
+    if bad.any():
+        raise NotStarShaped(f"no sign change along theta = {th[bad][0]}")
+    bisecting = np.ones(th.shape, bool)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        fm = float(spec.eta.eval_polar(mid, theta))
-        if fm < 0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-15:
+        below = eta.eval_polar(mid, th) < 0
+        lo = np.where(bisecting & below, mid, lo)
+        hi = np.where(bisecting & ~below, mid, hi)
+        bisecting &= hi - lo >= 1e-15
+        if not bisecting.any():
             break
     r = 0.5 * (lo + hi)
+    polishing = np.ones(th.shape, bool)     # a zero slope ends an angle's Newton steps
     for _ in range(8):
-        f = float(spec.eta.eval_polar(r, theta))
-        df = float(spec.eta.d_r(r, theta))
-        if df == 0:
-            break
-        r -= f / df
-    if abs(float(spec.eta.eval_polar(r, theta))) > tol:
-        raise NotStarShaped(f"root polish failed at theta = {theta}")
-    return float(r)
+        f, df = eta.eval_polar(r, th), eta.derivative(1, 0, r, th)
+        polishing &= df != 0
+        r[polishing] -= f[polishing] / df[polishing]
+    bad = np.abs(eta.eval_polar(r, th)) > tol
+    if bad.any():
+        raise NotStarShaped(f"root polish failed at theta = {th[bad][0]}")
+    return _shaped(r, theta)
 
 
-def boundary_point(spec: DomainSpec, theta: float) -> tuple[float, float]:
-    r = boundary_radius(spec, theta)
-    return (r * math.cos(theta), r * math.sin(theta))
+def _boundary_gradient(spec: DomainSpec, theta, r):
+    """Boundary points (x, y), the gradient (gx, gy) there and its norm, as
+    flat arrays; r=None solves the radii."""
+    th = _angles(theta)
+    r = boundary_radius(spec, th) if r is None else _angles(r)
+    x, y = r * np.cos(th), r * np.sin(th)
+    gx, gy = _grad_xy(spec.eta, x, y)
+    n = np.hypot(gx, gy)
+    flat = n < 1e-12
+    if flat.any():
+        raise BoundaryGradientVanishes(f"|grad eta| = 0 at theta = {th[flat][0]}")
+    return x, y, gx, gy, n
 
 
-def grad_norm_on_boundary(spec: DomainSpec, theta: float) -> float:
-    x, y = boundary_point(spec, theta)
-    gx, gy = grad_eta(spec, x, y)
-    n = math.hypot(gx, gy)
-    if n < 1e-12:
-        raise BoundaryGradientVanishes(f"|grad eta| = 0 at theta = {theta}")
-    return n
+def grad_norm_on_boundary(spec: DomainSpec, theta, r=None):
+    """|grad eta| at the boundary point at angle theta; r, when given, holds
+    the boundary radii at theta (as boundary_radius returns them)."""
+    return _shaped(_boundary_gradient(spec, theta, r)[4], theta)
 
 
-def curvature(spec: DomainSpec, theta: float) -> float:
+def curvature(spec: DomainSpec, theta, r=None):
     """Gauss curvature of the boundary at angle theta; positive where the
-    domain is locally convex (outward normal grad eta / |grad eta|)."""
-    x, y = boundary_point(spec, theta)
-    gx, gy = grad_eta(spec, x, y)
-    n = math.hypot(gx, gy)
-    if n < 1e-12:
-        raise BoundaryGradientVanishes(f"|grad eta| = 0 at theta = {theta}")
-    xx, xy, yy = hess_eta(spec, x, y)
-    return (xx * gy * gy - 2 * xy * gx * gy + yy * gx * gx) / n ** 3
+    domain is locally convex (outward normal grad eta / |grad eta|).  r as in
+    grad_norm_on_boundary."""
+    x, y, gx, gy, n = _boundary_gradient(spec, theta, r)
+    xx, xy, yy = _hess_xy(spec.eta, x, y)
+    return _shaped((xx * gy * gy - 2 * xy * gx * gy + yy * gx * gx) / n ** 3, theta)
 
 
 def second_fundamental(spec: DomainSpec, theta: float, z: float) -> float:
@@ -344,8 +337,9 @@ def check_conditions(fam: FFamilySpec, grid: int = 4096) -> ConditionReport:
     """
     dom, notes = fam.domain, []
     thetas = np.linspace(0.0, 2 * np.pi, grid, endpoint=False)
-    gn = np.array([grad_norm_on_boundary(dom, t) for t in thetas])
-    ka = np.array([curvature(dom, t) for t in thetas])
+    r = boundary_radius(dom, thetas)
+    gn = grad_norm_on_boundary(dom, thetas, r)
+    ka = curvature(dom, thetas, r)
     # crude theta-Lipschitz padding from successive differences
     pad_g = 2.0 * float(np.max(np.abs(np.diff(gn)))) + 1e-9
     pad_k = 2.0 * float(np.max(np.abs(np.diff(ka)))) + 1e-9
@@ -404,8 +398,8 @@ def check_a4_prime(fam: FFamilySpec, grid: int = 2048) -> str:
     min_C(|grad eta| + kappa) - R * sum|mu| >= 0 (pass/fail/inconclusive)."""
     dom = fam.domain
     thetas = np.linspace(0.0, 2 * np.pi, grid, endpoint=False)
-    vals = np.array([grad_norm_on_boundary(dom, float(t)) + curvature(dom, float(t))
-                     for t in thetas])
+    r = boundary_radius(dom, thetas)
+    vals = grad_norm_on_boundary(dom, thetas, r) + curvature(dom, thetas, r)
     pad = 2.0 * float(np.max(np.abs(np.diff(vals)))) + 1e-9
     margin = float(np.min(vals)) - dom.bound_radius * fam.mu_abs_sum
     if margin > pad:
@@ -459,12 +453,10 @@ def apriori_n(fam: FFamilySpec, m_bound: float, grad_max: float) -> float:
 
 def figure_data(spec: DomainSpec, grid: int = 1024) -> list[tuple[float, ...]]:
     """Rows (theta, boundary r, kappa, |grad eta|, |grad eta| + kappa)."""
-    out = []
-    for theta in np.linspace(0.0, 2 * np.pi, grid, endpoint=False):
-        r = boundary_radius(spec, float(theta))
-        k = curvature(spec, float(theta))
-        g = grad_norm_on_boundary(spec, float(theta))
-        out.append((float(theta), r, k, g, g + k))
-    return out
+    thetas = np.linspace(0.0, 2 * np.pi, grid, endpoint=False)
+    r = boundary_radius(spec, thetas)
+    k = curvature(spec, thetas, r)
+    g = grad_norm_on_boundary(spec, thetas, r)
+    return list(zip(*(col.tolist() for col in (thetas, r, k, g, g + k))))
 
 FIGURE_HEADER = "theta,boundary_r,kappa,grad_norm,grad_norm_plus_kappa"

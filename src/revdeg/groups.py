@@ -201,12 +201,6 @@ def normalizer(g: FiniteGroup, h: SubgroupHandle) -> SubgroupHandle:
     return SubgroupHandle(g, tuple(int(x) for x in np.nonzero(mask)[0]))
 
 
-def centralizer(g: FiniteGroup, elems) -> SubgroupHandle:
-    m = np.asarray(list(elems), dtype=np.int64)
-    ok = np.all(g.table[:, m] == g.table[m, np.arange(g.order)[:, None]].T, axis=1)
-    return SubgroupHandle(g, tuple(int(x) for x in np.nonzero(ok)[0]))
-
-
 def weyl_order(g: FiniteGroup, h: SubgroupHandle) -> int:
     n = normalizer(g, h)
     q, r = divmod(len(n), len(h))

@@ -179,11 +179,6 @@ def default_base_level(n: int, active_modes) -> int:
     return 4 * math.lcm(*folds)
 
 
-def build_engine(cfg: AnalysisConfig, summary_modes) -> DegreeEngine:
-    base = cfg.truncation_base or default_base_level(cfg.group_n, summary_modes)
-    return DegreeEngine(cfg.group_kind, cfg.group_n, base_level=base)
-
-
 def run_analyze(cfg: AnalysisConfig, skip_geometry: bool = False,
                 engine: DegreeEngine | None = None) -> ReportDocument:
     notes: list[str] = []

@@ -370,8 +370,9 @@ def test_criterion_8_finite_group_oracle():
 def test_criterion_9_geometry_golden():
     dom = octagon_domain()
     thetas = np.linspace(0.0, 2 * np.pi, 10_000, endpoint=False)
-    kappas = np.array([curvature(dom, float(t)) for t in thetas])
-    grads = np.array([grad_norm_on_boundary(dom, float(t)) for t in thetas])
+    radii = boundary_radius(dom, thetas)
+    kappas = curvature(dom, thetas, radii)
+    grads = grad_norm_on_boundary(dom, thetas, radii)
     disp_k = np.array([octagon_published_curvature(float(t)) for t in thetas])
     disp_g = np.array([octagon_published_gradient(float(t)) for t in thetas])
 

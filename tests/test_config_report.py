@@ -102,6 +102,16 @@ def test_cli_burnside_mul():
     assert r.stdout.strip() == "(G)"
 
 
+def test_cli_basic_degree_sizes_level_by_mode():
+    # mode 2 of the D8 example has fold 16, too close to level 32 of modes 0/1
+    default = _cli("basic-degree", "--mode", "2")
+    explicit = _cli("basic-degree", "--mode", "2", "--truncation", "64")
+    assert default.returncode == 0, default.stderr
+    assert explicit.returncode == 0, explicit.stderr
+    assert default.stdout.startswith("deg[V(2,")
+    assert default.stdout == explicit.stdout
+
+
 def test_cli_bad_config(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text("{not json")

@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from revdeg.config import family_spec, load_example
 from revdeg.geometry import (
+    BoundaryGradientVanishes,
     FFamilySpec,
     NotStarShaped,
     OriginSingularity,
@@ -149,6 +151,15 @@ def test_not_star_shaped_error():
     dom = DomainSpec(eta, 1, 1.0)
     with pytest.raises(NotStarShaped):
         boundary_radius(dom, 0.0)
+    # r^2 (1 - cos(theta) / 2) = 1 crosses r = 1.4 only where cos(theta) < 0.9796:
+    # of 16 grid angles, theta = 0 alone has no sign change inside the ball
+    eta = PolarTrigPolynomial.from_list(
+        [(1.0, 2, 0, "cos"), (-0.5, 2, 1, "cos"), (-1.0, 0, 0, "cos")])
+    dom = DomainSpec(eta, 1, 1.4)
+    grid = np.linspace(0.0, 2 * np.pi, 16, endpoint=False)
+    assert np.all(boundary_radius(dom, grid[1:]) < 1.4)
+    with pytest.raises(NotStarShaped, match="theta = 0.0$"):
+        boundary_radius(dom, grid)
 
 
 def test_check_conditions_pass_and_fail(octagon):
@@ -229,11 +240,66 @@ def test_a4_prime_checker(octagon):
 
 
 def test_boundary_gradient_vanishes_error():
-    from revdeg.geometry import BoundaryGradientVanishes
     # eta = (r^2 - 1)^2 - small: gradient vanishes where r^2 = 1 coincides
     # with the double root; build a profile with zero slope at its root
     eta = PolarTrigPolynomial.from_list(
         [(1.0, 4, 0, "cos"), (-2.0, 2, 0, "cos"), (0.999999999, 0, 0, "cos")])
     dom = DomainSpec(eta, 1, 2.5)
-    with pytest.raises((BoundaryGradientVanishes, NotStarShaped)):
-        curvature(dom, 0.0)
+    for fn in (curvature, grad_norm_on_boundary):
+        for theta in (0.0, np.linspace(0.0, 2 * np.pi, 8, endpoint=False)):
+            with pytest.raises((BoundaryGradientVanishes, NotStarShaped)):
+                fn(dom, theta)
+
+
+def _scalar_boundary_radius(spec, theta):
+    """Reference: the one-angle bisection and Newton polish that
+    boundary_radius runs for every angle of an array at once."""
+    lo, hi = 0.0, spec.bound_radius * (1 + 1e-9)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if float(spec.eta.eval_polar(mid, theta)) < 0:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo < 1e-15:
+            break
+    r = 0.5 * (lo + hi)
+    for _ in range(8):
+        df = float(spec.eta.derivative(1, 0, r, theta))
+        if df == 0:
+            break
+        r -= float(spec.eta.eval_polar(r, theta)) / df
+    return r
+
+
+@pytest.mark.parametrize("dom", [octagon_domain(), circle_domain(1.0)],
+                         ids=["octagon", "circle"])
+def test_array_calls_match_scalar_calls(dom):
+    thetas = np.linspace(0.0, 2 * np.pi, 128, endpoint=False)
+    r = boundary_radius(dom, thetas)
+    assert r.shape == thetas.shape
+    assert r.tolist() == [_scalar_boundary_radius(dom, float(t)) for t in thetas]
+    assert r.tolist() == [boundary_radius(dom, float(t)) for t in thetas]
+    assert boundary_radius(dom, thetas.reshape(8, 16)).shape == (8, 16)
+    for fn in (curvature, grad_norm_on_boundary):
+        assert type(fn(dom, 0.3)) is float
+        scalar = np.array([fn(dom, float(t)) for t in thetas])
+        np.testing.assert_allclose(fn(dom, thetas), scalar, rtol=1e-13, atol=0)
+        np.testing.assert_array_equal(fn(dom, thetas, r), fn(dom, thetas))
+
+
+def test_example_geometry_verdict():
+    # the machine report of the shipped example at its 4096-angle grid; the
+    # eight minima of |grad eta| + kappa at pi/8 + k pi/4 tie mathematically,
+    # rounding picks 7 pi/8 (grid index 1792)
+    rep = check_conditions(family_spec(load_example()))
+    grid = np.linspace(0.0, 2 * np.pi, 4096, endpoint=False)
+    assert rep.witnesses == {"A4_grad_minus_mu": 0.0, "A4_grad_plus_kappa": grid[1792]}
+    assert grid[1792] == pytest.approx(7 * math.pi / 8, abs=1e-15)
+    assert {k: rep.status[k] for k in ("A4", "A4_grad_minus_mu", "A4_grad_plus_kappa")} == \
+        {"A4": "fail", "A4_grad_minus_mu": "pass", "A4_grad_plus_kappa": "fail"}
+    assert {k: round(v, 12) for k, v in rep.constants.items()} == {
+        "A": 24.0, "B": 21, "K": 370.132922444543, "alpha": 14.422205101856,
+        "grad_max": 21, "grad_min_boundary": 4.0,
+        "grad_plus_kappa_min": -0.438691337651, "kappa_max": 17.0,
+        "kappa_min": -5.702987389461, "margin_A4": 1.0, "mu_abs_sum": 3.0}
