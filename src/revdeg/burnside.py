@@ -149,9 +149,9 @@ def finite_product(g: FiniteGroup, classes: list[SubgroupClass],
     k = np.asarray(classes[j].representative.members, dtype=np.int64)
     hset = frozenset(int(v) for v in h)
     out: dict[int, int] = {}
-    for x, _ in double_cosets(g, h, k):
+    for x in double_cosets(g, h, k):
         kc = conjugate_members(g, x, k)
-        inter = tuple(sorted(hset.intersection(int(v) for v in kc)))
+        inter = tuple(sorted(hset.intersection(kc.tolist())))
         cid = _classify(g, classes, inter)
         out[cid] = out.get(cid, 0) + 1
     return out

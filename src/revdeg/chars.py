@@ -168,6 +168,16 @@ def minus_irreps(t: CharacterTable) -> list[int]:
     return trivial + rest
 
 
+def natural_component(t: CharacterTable) -> int:
+    """Index l, into minus_irreps(t), of the 2-dimensional faithful-rotation
+    component (the standard plane for dihedral/cyclic Gamma), when present."""
+    for l, i in enumerate(minus_irreps(t)):
+        ir = t.irreps[i]
+        if ir.dim == 2 and ir.name.startswith(("rho1", "rot1")):
+            return l
+    raise ValueError("group has no 2-dimensional natural component")
+
+
 def multiplicity(t: CharacterTable, values: np.ndarray, irrep_index: int) -> int:
     """Multiplicity of an irrep in a real character, exact-integer checked."""
     ir = t.irreps[irrep_index]

@@ -39,6 +39,16 @@ def _engine(cfg: AnalysisConfig, args, modes=()) -> DegreeEngine:
     return DegreeEngine(cfg.group_kind, cfg.group_n, base_level=base)
 
 
+def _out_path(text: str) -> Path:
+    """--out target, refused at parse time, before any work, when its
+    directory does not exist."""
+    path = Path(text)
+    if not path.parent.is_dir():
+        raise argparse.ArgumentTypeError(
+            f"cannot write {text!r}: directory {str(path.parent)!r} does not exist")
+    return path
+
+
 def _token_mode(token: str) -> int | None:
     """The mode k of a deg:k token; None for a class label."""
     return int(token.split(":")[1]) if token.startswith("deg:") else None
@@ -46,7 +56,7 @@ def _token_mode(token: str) -> int | None:
 
 def _emit(text: str, args) -> None:
     if getattr(args, "out", None):
-        Path(args.out).write_text(text)
+        args.out.write_text(text)
     else:
         sys.stdout.write(text)
 
@@ -181,7 +191,7 @@ def main(argv=None) -> int:
     def common(p, grid=False, trunc=True):
         p.add_argument("--config", default="example",
                        help="path to a JSON configuration, or 'example'")
-        p.add_argument("--out", help="write output to this path")
+        p.add_argument("--out", type=_out_path, help="write output to this path")
         if trunc:
             p.add_argument("--truncation", type=int,
                            help="override the base truncation level")

@@ -9,10 +9,11 @@ violation rather than stopping at the first.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
+from .chars import CharacterTable, natural_component
 from .geometry import DomainSpec, FFamilySpec, PolarTrigPolynomial
 from .spectra import LinearizationSpec
 
@@ -144,21 +145,22 @@ def parse_config(text: str) -> AnalysisConfig:
     return cfg
 
 
-def resolve_components(cfg: AnalysisConfig, engine) -> dict[str, int]:
-    """Map user labels to internal minus-component indices."""
+def resolve_components(cfg: AnalysisConfig, table: CharacterTable) -> dict[str, int]:
+    """Map user labels to internal minus-component indices (the order of
+    chars.minus_irreps, which DegreeEngine shares)."""
     out = {}
     for a in cfg.assignments:
         if a.selector == "gamma_trivial":
             out[a.label] = 0
         elif a.selector == "natural":
-            out[a.label] = engine.natural_component()
+            out[a.label] = natural_component(table)
         else:
             out[a.label] = int(a.selector.split(":", 1)[1])
     return out
 
 
-def linearization_spec(cfg: AnalysisConfig, engine) -> LinearizationSpec:
-    comp = resolve_components(cfg, engine)
+def linearization_spec(cfg: AnalysisConfig, table: CharacterTable) -> LinearizationSpec:
+    comp = resolve_components(cfg, table)
     mu = {comp[a.label]: cfg.mu[a.label] for a in cfg.assignments}
     mult = {comp[a.label]: a.multiplicity for a in cfg.assignments}
     return LinearizationSpec(cfg.delays_m, mu, mult)

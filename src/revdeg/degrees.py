@@ -18,7 +18,7 @@ import numpy as np
 
 from . import burnside as br
 from .burnside import BurnsideElement, recurrence, unit
-from .chars import CharacterTable, as_int, character_table, minus_irreps
+from .chars import CharacterTable, as_int, character_table, minus_irreps, natural_component
 from .groups import closure, make_cyclic, make_dihedral
 from .lattice import ClassLattice, O2Desc
 from .spectra import (
@@ -95,13 +95,8 @@ class DegreeEngine:
         return self.table.irreps[self.minus[l]].name
 
     def natural_component(self) -> int:
-        """Index l of the 2-dimensional faithful-rotation component (the
-        standard plane for dihedral/cyclic Gamma), when present."""
-        for l in range(len(self.minus)):
-            ir = self.table.irreps[self.minus[l]]
-            if ir.dim == 2 and ir.name.startswith(("rho1", "rot1")):
-                return l
-        raise ValueError("group has no 2-dimensional natural component")
+        """chars.natural_component of this engine's character table."""
+        return natural_component(self.table)
 
     # -- representation matrices over the truncation ---------------------------
 
@@ -341,8 +336,12 @@ class DegreeEngine:
         contains_o2 = (0 in data.rot_all) and (0 in data.refl_all)
         return not contains_o2
 
-    def existence_analysis(self, spec: LinearizationSpec) -> DegreeReport:
-        summary = spectral_summary(spec)
+    def existence_analysis(self, spec: LinearizationSpec,
+                           summary: SpectralSummary | None = None) -> DegreeReport:
+        """Degrees, maximal orbit types and certificates for spec; summary,
+        when given, is spectral_summary(spec) already computed."""
+        if summary is None:
+            summary = spectral_summary(spec)
         notes: list[str] = []
         basic = {}
         parities: dict[tuple[int, int], int] = {}

@@ -9,9 +9,10 @@ parameterized by angle through the unique positive root of eta(. , theta)
 take a float angle and return a float, or an array of angles and return an
 array of its shape, solved in one vectorized bisection and Newton pass;
 passing the radii already solved (r=...) lets a grid check solve once.
-Strict inequalities over grids are certified with an explicit Lipschitz
-padding derived from term coefficients, and checks that cannot be certified
-report an inconclusive status rather than a pass.
+Strict inequalities over grids are checked against a padding of twice the
+largest difference between neighbouring grid samples, a heuristic and not a
+proven bound between grid points; a margin inside the padding reports an
+inconclusive status rather than a pass.
 """
 
 from __future__ import annotations
@@ -332,8 +333,9 @@ def check_conditions(fam: FFamilySpec, grid: int = 4096) -> ConditionReport:
     """Verify the touching condition and produce growth constants.
 
     Sufficient chain for the touching condition: min_C |grad eta| - R * sum|mu| > 0
-    and min_C(|grad eta| + kappa) > 0.  Strict inequalities are certified with a
-    Lipschitz-in-theta padding; too-coarse grids yield "inconclusive".
+    and min_C(|grad eta| + kappa) > 0.  Strict inequalities are checked against
+    the heuristic grid padding of the module docstring; a margin inside it
+    yields "inconclusive".
     """
     dom, notes = fam.domain, []
     thetas = np.linspace(0.0, 2 * np.pi, grid, endpoint=False)

@@ -8,8 +8,7 @@ arrays, so the heavy paths vectorize with numpy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -174,31 +173,60 @@ def conjugate_members(g: FiniteGroup, x: int, members) -> np.ndarray:
     return np.sort(g.table[g.table[x, m], g.inverse[x]])
 
 
-def subgroup_conjugates(g: FiniteGroup, h: SubgroupHandle) -> list[tuple[int, ...]]:
-    """All distinct conjugates of h, as sorted member tuples (BFS by generators)."""
+def orbit_walk(g: FiniteGroup, starts):
+    """Distinct conjugates under g of the sorted member tuples ``starts``,
+    breadth first by g's generators, each yielded when first reached.  Lazy,
+    so ``target in orbit_walk(...)`` stops at the first match."""
     gens = g.generators if g.generators else (0,)
-    start = tuple(h.members)
-    seen = {start}
-    frontier = [start]
+    frontier = list(dict.fromkeys(starts))
+    seen = set(frontier)
+    yield from frontier
     while frontier:
         nxt = []
         for mem in frontier:
             for x in gens:
-                c = tuple(int(v) for v in conjugate_members(g, x, mem))
+                c = tuple(conjugate_members(g, x, mem).tolist())
                 if c not in seen:
                     seen.add(c)
                     nxt.append(c)
+                    yield c
         frontier = nxt
-    return sorted(seen)
+
+
+def subgroup_conjugates(g: FiniteGroup, h: SubgroupHandle) -> list[tuple[int, ...]]:
+    """All distinct conjugates of h, as sorted member tuples."""
+    return sorted(orbit_walk(g, [tuple(h.members)]))
+
+
+def _right_coset_least(g: FiniteGroup, h_members) -> np.ndarray:
+    """least[y] = the least element of the right coset Hy, for every y in g."""
+    h = np.asarray(h_members, dtype=np.int64)
+    if len(h) ** 2 <= g.order:
+        # few rows: a running minimum of the rows h*y, one per element of H
+        least = g.table[h[0]].copy()
+        for a in h[1:]:
+            np.minimum(least, g.table[a], out=least)
+        return least
+    # few cosets: fill each coset from its least element
+    least = np.full(g.order, -1, dtype=np.int64)
+    for y in range(g.order):
+        if least[y] < 0:
+            least[g.table[h, y]] = y
+    return least
 
 
 def normalizer(g: FiniteGroup, h: SubgroupHandle) -> SubgroupHandle:
+    """{x : xHx^-1 = H}.  N(H) is a union of right cosets Hx, so one x per
+    coset is tested; xHx^-1 has |H| elements, so inside H means equal to H."""
     m = np.asarray(h.members, dtype=np.int64)
-    target = np.sort(m)
-    conj = g.table[g.table[:, m], g.inverse[:, None]]
-    conj.sort(axis=1)
-    mask = np.all(conj == target[None, :], axis=1)
-    return SubgroupHandle(g, tuple(int(x) for x in np.nonzero(mask)[0]))
+    in_h = np.zeros(g.order, dtype=bool)
+    in_h[m] = True
+    least = _right_coset_least(g, m)
+    reps = np.flatnonzero(least == np.arange(g.order))
+    conj = g.table[g.table[reps[:, None], m], g.inverse[reps][:, None]]
+    normal = np.zeros(g.order, dtype=bool)
+    normal[reps[in_h[conj].all(axis=1)]] = True
+    return SubgroupHandle(g, tuple(np.flatnonzero(normal[least]).tolist()))
 
 
 def weyl_order(g: FiniteGroup, h: SubgroupHandle) -> int:
@@ -211,24 +239,7 @@ def weyl_order(g: FiniteGroup, h: SubgroupHandle) -> int:
 def is_conjugate(g: FiniteGroup, h1: SubgroupHandle, h2: SubgroupHandle) -> bool:
     if len(h1) != len(h2):
         return False
-    if h1.members == h2.members:
-        return True
-    target = tuple(h2.members)
-    gens = g.generators if g.generators else (0,)
-    seen = {tuple(h1.members)}
-    frontier = [tuple(h1.members)]
-    while frontier:
-        nxt = []
-        for mem in frontier:
-            for x in gens:
-                c = tuple(int(v) for v in conjugate_members(g, x, mem))
-                if c == target:
-                    return True
-                if c not in seen:
-                    seen.add(c)
-                    nxt.append(c)
-        frontier = nxt
-    return False
+    return tuple(h2.members) in orbit_walk(g, [tuple(h1.members)])
 
 
 def containment_count(g: FiniteGroup, h: SubgroupHandle, kclass: SubgroupClass) -> int:
@@ -291,17 +302,16 @@ def subgroup_classes(g: FiniteGroup, cap: int = DEFAULT_ENUMERATION_CAP,
 # -- double cosets -----------------------------------------------------------
 
 
-def double_cosets(g: FiniteGroup, h_members, k_members) -> list[tuple[int, np.ndarray]]:
-    """Partition of g into H\\g/K; returns (representative, coset elements)."""
-    h = np.asarray(h_members, dtype=np.int64)
+def double_cosets(g: FiniteGroup, h_members, k_members) -> list[int]:
+    """Representatives of H\\g/K, each the least element of its double coset,
+    in increasing order.  HxK is the union of the right cosets Hy, y in xK,
+    so right cosets (by their least elements) are marked, not elements."""
     k = np.asarray(k_members, dtype=np.int64)
-    assigned = np.zeros(g.order, dtype=bool)
-    out = []
-    for x in range(g.order):
-        if assigned[x]:
-            continue
-        hx = g.table[h, x]
-        coset = np.unique(g.table[np.ix_(hx, k)])
-        assigned[coset] = True
-        out.append((x, coset))
-    return out
+    least = _right_coset_least(g, h_members)
+    done = np.zeros(g.order, dtype=bool)
+    reps = []
+    for x in np.flatnonzero(least == np.arange(g.order)).tolist():
+        if not done[x]:
+            done[least[g.table[x, k]]] = True
+            reps.append(x)
+    return reps

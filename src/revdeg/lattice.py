@@ -23,13 +23,14 @@ import numpy as np
 from .groups import (
     FiniteGroup,
     SubgroupHandle,
-    closure,
     conjugate_members,
     direct_product,
     double_cosets,
+    is_conjugate,
     make_cyclic,
     make_dihedral,
     normalizer,
+    orbit_walk,
     subgroup_classes,
     subgroup_conjugates,
 )
@@ -126,7 +127,10 @@ class ClassLattice:
         self._reps: dict[int, list[tuple[int, ...]]] = {self.m_lo: [], self.m_hi: []}
         self._weyl: list[int | None] = []   # None marks infinite
         self._by_label: dict[str, int] = {}
-        self._sig_index: dict[tuple, list[int]] = {}
+        # every conjugate of every interned class -> class id, per level; its
+        # keys are the tuples of the orbits in _conj_cache, not copies
+        self._class_of: dict[int, dict[tuple[int, ...], int]] = {
+            self.m_lo: {}, self.m_hi: {}}
         self._n_cache: dict[tuple[int, int], int] = {}
         self._conj_cache: dict[tuple[int, int], list[tuple[int, ...]]] = {}
         self._mul_cache: dict[tuple[int, int], dict[int, int]] = {}
@@ -222,61 +226,28 @@ class ClassLattice:
             out.append(self.encode(t + 1 if refl else t, refl, ge, level))
         return tuple(sorted(out))
 
+    def _full_orbit(self, members, level: int):
+        """Lazy orbit walk under O(2) x Gamma x Z2: the truncation's inner
+        orbit, seeded with the members and their half twist."""
+        start = tuple(int(v) for v in sorted(members))
+        return orbit_walk(self.group_at(level), [start, self.half_twist(start, level)])
+
     def conjugates_full(self, members, level: int) -> list[tuple[int, ...]]:
-        """All conjugates under O(2) x Gamma x Z2: inner orbit plus its half twist."""
-        g = self.group_at(level)
-        gens = g.generators
-        seen = set()
-        start = [tuple(int(v) for v in sorted(members))]
-        start.append(self.half_twist(start[0], level))
-        frontier = [s for s in start if not (s in seen or seen.add(s))]
-        while frontier:
-            nxt = []
-            for mem in frontier:
-                for x in gens:
-                    c = tuple(int(v) for v in conjugate_members(g, x, mem))
-                    if c not in seen:
-                        seen.add(c)
-                        nxt.append(c)
-            frontier = nxt
-        return sorted(seen)
+        """All conjugates under O(2) x Gamma x Z2, sorted."""
+        return sorted(self._full_orbit(members, level))
 
     def is_conjugate_full(self, a, b, level: int) -> bool:
-        a = tuple(int(v) for v in sorted(a))
-        b = tuple(int(v) for v in sorted(b))
         if len(a) != len(b):
             return False
-        if a == b:
-            return True
-        g = self.group_at(level)
-        gens = g.generators
-        targets = {b, self.half_twist(b, level)}
-        seen = {a, self.half_twist(a, level)}
-        if seen & targets:
-            return True
-        frontier = list(seen)
-        while frontier:
-            nxt = []
-            for mem in frontier:
-                for x in gens:
-                    c = tuple(int(v) for v in conjugate_members(g, x, mem))
-                    if c in targets:
-                        return True
-                    if c not in seen:
-                        seen.add(c)
-                        nxt.append(c)
-            frontier = nxt
-        return False
+        return tuple(int(v) for v in sorted(b)) in self._full_orbit(a, level)
 
     # -- class interning -----------------------------------------------------
 
     def _finite_class_id(self, mem: tuple[int, ...]) -> int:
         for c in self._finite_classes:
-            if len(c.representative.members) == len(mem):
-                from .groups import is_conjugate as fin_conj
-                if fin_conj(self.gamma_z2, SubgroupHandle(self.gamma_z2, mem),
+            if is_conjugate(self.gamma_z2, SubgroupHandle(self.gamma_z2, mem),
                             c.representative):
-                    return c.class_id
+                return c.class_id
         raise RuntimeError("projection is not a subgroup of Gamma x Z2")
 
     def finite_class_name(self, mem) -> str:
@@ -287,20 +258,23 @@ class ClassLattice:
 
     def ensure_handle(self, members, level: int) -> int:
         """Intern the class of a truncated subgroup; returns its class id."""
-        data = self.lift(members, level)
-        sig = (data.truncated_order(self.m_lo), data.o2)
-        for cid in self._sig_index.get(sig, []):
-            if self.is_conjugate_full(self._rep_at(cid, level), members, level):
-                return cid
+        self.lift(members, level)  # refuses unstable truncations first
+        cid = self._find_class(members, level)
+        if cid is not None:
+            return cid
         # new class: canonical representative = lex-min conjugate at each level
         cid = len(self.classes)
-        rep_this = min(self.conjugates_full(members, level))
-        data = self.lift(rep_this, level)
+        orbit = self.conjugates_full(members, level)
+        data = self.lift(orbit[0], level)
         other = self.m_hi if level == self.m_lo else self.m_lo
-        rep_other = min(self.conjugates_full(self.truncate(data, other), other))
+        orbit_other = self.conjugates_full(self.truncate(data, other), other)
         self.classes.append(data)
-        self._reps[level].append(rep_this)
-        self._reps[other].append(rep_other)
+        for lv, conjs in ((level, orbit), (other, orbit_other)):
+            self._reps[lv].append(conjs[0])
+            self._conj_cache[(cid, lv)] = conjs
+            index = self._class_of[lv]
+            for c in conjs:
+                index.setdefault(c, cid)  # an earlier class keeps a shared member set
         self._weyl.append(self._weyl_stable(cid))
         label = self._format(cid)
         base, k = label, 2
@@ -311,7 +285,6 @@ class ClassLattice:
             self.escape_log.append(f"label collision: {base}")
         self.labels.append(label)
         self._by_label[label] = cid
-        self._sig_index.setdefault(sig, []).append(cid)
         return cid
 
     def _rep_at(self, cid: int, level: int) -> tuple[int, ...]:
@@ -436,10 +409,7 @@ class ClassLattice:
         return counts[0]
 
     def _class_conjugates(self, cid: int, level: int) -> list[tuple[int, ...]]:
-        key = (cid, level)
-        if key not in self._conj_cache:
-            self._conj_cache[key] = self.conjugates_full(self._rep_at(cid, level), level)
-        return self._conj_cache[key]
+        return self._conj_cache[(cid, level)]
 
     def leq(self, i: int, j: int) -> bool:
         return i == j or self.n_count(i, j) > 0
@@ -467,9 +437,9 @@ class ClassLattice:
             k = np.asarray(self._rep_at(j, level), dtype=np.int64)
             hset = frozenset(int(v) for v in h)
             coeffs: dict[int, int] = {}
-            for x, _ in double_cosets(g, h, k):
+            for x in double_cosets(g, h, k):
                 kc = conjugate_members(g, x, k)
-                inter = sorted(hset.intersection(int(v) for v in kc))
+                inter = tuple(sorted(hset.intersection(kc.tolist())))
                 data = self.lift(inter, level)
                 if data.o2.kind == "Z":
                     continue  # infinite Weyl group: dropped from the product
@@ -488,13 +458,11 @@ class ClassLattice:
         self._mul_cache[key] = results[0]
         return dict(results[0])
 
-    def _find_class(self, members, level: int):
-        data = self.lift(members, level)
-        sig = (data.truncated_order(self.m_lo), data.o2)
-        for cid in self._sig_index.get(sig, []):
-            if self.is_conjugate_full(self._rep_at(cid, level), members, level):
-                return cid
-        return None
+    def _find_class(self, members, level: int) -> int | None:
+        """Id of the interned class whose orbit at level holds the members."""
+        if level not in self._class_of:
+            raise InadmissibleLevel(f"unsupported level {level}")
+        return self._class_of[level].get(tuple(int(v) for v in sorted(members)))
 
     def _describe(self, members, level: int) -> str:
         data = self.lift(members, level)

@@ -11,15 +11,15 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
-from . import burnside as br
 from .burnside import BurnsideElement
-from .config import AnalysisConfig, family_spec, linearization_spec, resolve_components
+from .chars import character_table
+from .config import AnalysisConfig, family_spec, linearization_spec
 from .degrees import DegreeEngine, DegreeReport
 from .geometry import ConditionReport, check_conditions
-from .spectra import SpectralSummary, spectral_summary, xi_published_form
+from .spectra import SpectralSummary, spectral_summary
 
 PUBLISHED_FORM_NOTES = [
     "mode eigenvalues are computed from the full delay sum; the published "
@@ -208,10 +208,8 @@ def run_analyze(cfg: AnalysisConfig, skip_geometry: bool = False,
     if not geometry_ok:
         watermark = "hypotheses unverified"
 
-    # spectral summary to size the truncation, then degrees
-    probe_engine = engine or DegreeEngine(cfg.group_kind, cfg.group_n,
-                                          base_level=4 * math.lcm(cfg.group_n, 2))
-    spec = linearization_spec(cfg, probe_engine)
+    # the spectrum needs only the character table; it sizes the one engine
+    spec = linearization_spec(cfg, character_table(cfg.group_kind, cfg.group_n))
     summary = spectral_summary(spec)
     modes = list(summary.active_modes)
     if not summary.nondegenerate:
@@ -221,16 +219,12 @@ def run_analyze(cfg: AnalysisConfig, skip_geometry: bool = False,
             modes += list(range(s_fold, summary.kstar + 1, 2 * s_fold))
     if engine is None:
         base = cfg.truncation_base or default_base_level(cfg.group_n, modes)
-        if base != probe_engine.lattice.m_lo:
-            engine = DegreeEngine(cfg.group_kind, cfg.group_n, base_level=base)
-        else:
-            engine = probe_engine
-    spec = linearization_spec(cfg, engine)
-    degrees = engine.existence_analysis(spec)
+        engine = DegreeEngine(cfg.group_kind, cfg.group_n, base_level=base)
+    degrees = engine.existence_analysis(spec, summary)
     notes.extend(degrees.notes)
     notes.extend(sorted(set(engine.lattice.escape_log)))
     exit_code = 0 if degrees.certificates else 10
-    return ReportDocument(config_echo, conditions, spectral_summary(spec), degrees,
+    return ReportDocument(config_echo, conditions, summary, degrees,
                           watermark, notes,
                           (engine.lattice.m_lo, engine.lattice.m_hi), exit_code)
 

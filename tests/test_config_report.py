@@ -123,3 +123,20 @@ def test_cli_oracle_stability():
     r = _cli("oracle-stability", "--truncation", "32")
     assert r.returncode == 0
     assert "stability diff empty" in r.stdout
+
+
+def test_cli_out_directory_checked_before_work(tmp_path, monkeypatch, capsys):
+    from revdeg import cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("analyze ran before --out was checked")
+
+    monkeypatch.setattr(cli, "run_analyze", no_work)
+    missing = tmp_path / "missing"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["analyze", "--format", "machine", "--out", str(missing / "x.json")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage: revdeg analyze" in err
+    assert str(missing) in err
+    assert not missing.exists()

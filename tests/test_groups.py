@@ -7,6 +7,7 @@ from revdeg.groups import (
     EnumerationTooLarge,
     InvalidGroupParameter,
     SubgroupHandle,
+    _right_coset_least,
     all_subgroups,
     check_group_axioms,
     closure,
@@ -184,12 +185,21 @@ def test_d8xz2_specific_names():
 
 
 def test_double_cosets_partition():
-    g = make_dihedral(8)
-    h = closure(g, [8]).members
-    k = closure(g, [4, 8]).members
-    cosets = double_cosets(g, h, k)
-    total = np.concatenate([c for _, c in cosets])
-    assert sorted(total.tolist()) == list(range(16))
+    # cosets rebuilt from the returned representatives: they partition G and
+    # each representative is the least element of its double coset
+    d8, gz = make_dihedral(8), d8xz2()
+    cases = [(d8, closure(d8, [8]).members, closure(d8, [4, 8]).members),
+             (gz, closure(gz, [2 * 8]).members, closure(gz, [2 * 2, 2 * 9 + 1]).members),
+             (gz, closure(gz, [1]).members, (0,)),
+             (gz, closure(gz, [2]).members, closure(gz, [2 * 8, 1]).members),
+             (gz, closure(gz, [2 * 4, 2 * 8, 1]).members, closure(gz, [2 * 9]).members)]
+    for g, h, k in cases:
+        h, k = np.asarray(h), np.asarray(k)
+        reps = double_cosets(g, h, k)
+        cosets = [np.unique(g.table[np.ix_(g.table[h, x], k)]) for x in reps]
+        total = np.concatenate(cosets)
+        assert sorted(total.tolist()) == list(range(g.order))
+        assert [int(c[0]) for c in cosets] == reps
 
 
 from hypothesis import given, settings
@@ -204,3 +214,27 @@ def test_closure_is_idempotent_and_lagrange(n, seed):
     h = closure(g, seed)
     assert closure(g, h.members).members == h.members
     assert g.order % len(h) == 0
+
+
+@given(st.integers(1, 8), st.lists(st.integers(0, 31), max_size=3))
+@settings(max_examples=40, deadline=None)
+def test_normalizer_matches_brute_force(n, seed):
+    g = direct_product(make_dihedral(n), make_cyclic(2))
+    h = closure(g, [s % g.order for s in seed])
+    brute = tuple(x for x in range(g.order)
+                  if tuple(sorted(g.conjugate(x, a) for a in h.members)) == h.members)
+    assert normalizer(g, h).members == brute
+    least = [min(g.mul(a, y) for a in h.members) for y in range(g.order)]
+    assert _right_coset_least(g, h.members).tolist() == least
+
+
+def test_normalizer_and_right_cosets_on_every_subgroup():
+    # both ways of labelling right cosets (|H|^2 <= |G| and above) on every
+    # subgroup of D8 x Z2, normal or not, against the definitions
+    g = d8xz2()
+    for mem in all_subgroups(g):
+        least = [min(g.mul(a, y) for a in mem) for y in range(g.order)]
+        assert _right_coset_least(g, mem).tolist() == least
+        brute = tuple(x for x in range(g.order)
+                      if tuple(sorted(g.conjugate(x, a) for a in mem)) == mem)
+        assert normalizer(g, SubgroupHandle(g, mem)).members == brute

@@ -2,10 +2,11 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from revdeg.groups import make_dihedral
-from revdeg.lattice import ClassLattice, InadmissibleLevel, O2Desc
+from revdeg.groups import conjugate_members, make_dihedral
+from revdeg.lattice import ClassLattice, InadmissibleLevel, O2Desc, TruncationInstability
 
 
 @pytest.fixture(scope="module")
@@ -133,3 +134,43 @@ def test_half_twist_identifies_axis_parity(lat):
     h1 = (0, lat.m_lo * lat.ng)          # identity and reflection sigma_0
     h2 = (0, (lat.m_lo + 1) * lat.ng)    # identity and reflection sigma_1
     assert lat.is_conjugate_full(h1, h2, lat.m_lo)
+
+
+def test_orbit_lookup_matches_conjugacy(engine8, natural):
+    # the working set of the example's mode-0 and mode-1 basic degrees
+    engine8.basic_degree(0, natural)
+    engine8.basic_degree(1, natural)
+    lat = engine8.lattice
+    n_classes = len(lat.classes)
+    rng = np.random.default_rng(11)
+    for level in (lat.m_lo, lat.m_hi):
+        g = lat.group_at(level)
+        reps = [lat._rep_at(cid, level) for cid in range(n_classes)]
+        for cid, rep in enumerate(reps):
+            assert lat._find_class(rep, level) == cid
+            for x in rng.integers(0, g.order, size=4):
+                conj = conjugate_members(g, int(x), rep)
+                assert lat.ensure_handle(conj, level) == cid
+                assert lat.ensure_handle(lat.half_twist(conj, level), level) == cid
+            assert lat.ensure_handle(lat.half_twist(rep, level), level) == cid
+        assert len(lat.classes) == n_classes
+        for i, a in enumerate(reps):
+            for j, b in enumerate(reps):
+                assert lat.is_conjugate_full(a, b, level) == (i == j)
+
+
+def test_ensure_handle_refuses_before_lookup():
+    # Z16 (every fourth rotation) is fine at level 64 but too close to
+    # level 32; interned at 64, its level-32 truncation is in the orbit
+    # index and must still be refused, as must the same group uninterned
+    lat = ClassLattice(make_dihedral(8), 32, gamma_param=8)
+    z16_lo = tuple(lat.encode(2 * t, False, 0, lat.m_lo) for t in range(16))
+    with pytest.raises(TruncationInstability):
+        lat.ensure_handle(z16_lo, lat.m_lo)
+    cid = lat.ensure_handle(
+        tuple(lat.encode(4 * t, False, 0, lat.m_hi) for t in range(16)), lat.m_hi)
+    assert lat._find_class(z16_lo, lat.m_lo) == cid
+    n_classes = len(lat.classes)
+    with pytest.raises(TruncationInstability):
+        lat.ensure_handle(z16_lo, lat.m_lo)
+    assert len(lat.classes) == n_classes
