@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .chars import CharacterTable, natural_component
 from .geometry import DomainSpec, FFamilySpec, PolarTrigPolynomial
-from .spectra import LinearizationSpec
+from .spectra import FOLD_SEARCH_BOUND, LinearizationSpec
 
 
 class ConfigError(ValueError):
@@ -134,7 +134,7 @@ def parse_config(text: str) -> AnalysisConfig:
             domain=domain,
             family=bool(raw.get("family", True)),
             safe_side=bool(raw.get("safe_side", True)),
-            degenerate_search_bound=int(raw.get("degenerate_search_bound", 64)),
+            degenerate_search_bound=int(raw.get("degenerate_search_bound", FOLD_SEARCH_BOUND)),
             truncation_base=raw.get("truncation_base"),
             boundary_grid=int(raw.get("boundary_grid", 4096)),
             tolerances={str(k): float(v)

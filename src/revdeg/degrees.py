@@ -22,6 +22,7 @@ from .chars import CharacterTable, as_int, character_table, minus_irreps, natura
 from .groups import closure, make_cyclic, make_dihedral
 from .lattice import ClassLattice, O2Desc
 from .spectra import (
+    FOLD_SEARCH_BOUND,
     LinearizationSpec,
     SpectralSummary,
     degenerate_fold_search,
@@ -337,9 +338,11 @@ class DegreeEngine:
         return not contains_o2
 
     def existence_analysis(self, spec: LinearizationSpec,
-                           summary: SpectralSummary | None = None) -> DegreeReport:
+                           summary: SpectralSummary | None = None,
+                           fold_search_bound: int = FOLD_SEARCH_BOUND) -> DegreeReport:
         """Degrees, maximal orbit types and certificates for spec; summary,
-        when given, is spectral_summary(spec) already computed."""
+        when given, is spectral_summary(spec) already computed.  On a
+        degenerate spectrum the fold s is searched up to fold_search_bound."""
         if summary is None:
             summary = spectral_summary(spec)
         notes: list[str] = []
@@ -359,7 +362,7 @@ class DegreeEngine:
         else:
             degA = None
             om = None
-            s_fold = degenerate_fold_search(summary)
+            s_fold = degenerate_fold_search(summary, fold_search_bound)
             if s_fold is None:
                 notes.append("degenerate spectrum: no admissible fold s found "
                              "within the search bound")

@@ -1,14 +1,26 @@
 """Finite group machinery: dihedral/cyclic groups, direct products, subgroups.
 
-Groups are stored as explicit multiplication tables over elements indexed
-0..order-1 with the identity at index 0.  Everything downstream (conjugacy
-classes of subgroups, normalizers, double cosets) works on integer index
-arrays, so the heavy paths vectorize with numpy.
+Elements are indexed 0..order-1 with the identity at index 0.  Two kinds of
+group share one interface: ``mul``, ``inv`` and ``conjugate`` on ints or
+index arrays (broadcast like numpy), ``prepare`` for an operand used in many
+products, an ``inverse`` array and ``generators``.
+
+- ``FiniteGroup`` keeps an explicit multiplication table.  The small groups
+  (Gamma, Gamma x Z2, the groups of the tests) are built this way.
+- ``ProductGroup`` is a direct product a x b with no |G|^2 table: it splits
+  each index into its two factor parts and multiplies through the factors'
+  tables.  The truncation groups D_M x (Gamma x Z2) are built this way, so
+  their memory grows with |G| and (2M)^2, not |G|^2.
+
+Everything downstream (conjugacy classes of subgroups, normalizers, double
+cosets) works on integer index arrays through that interface, so the heavy
+paths vectorize with numpy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,25 +49,20 @@ class FiniteGroup:
     inverse: np.ndarray
     generators: tuple[int, ...]
 
-    def mul(self, a: int, b: int) -> int:
-        return int(self.table[a, b])
+    def mul(self, a, b):
+        """a*b for element indices or index arrays."""
+        return self.table[a, b]
 
-    def inv(self, a: int) -> int:
-        return int(self.inverse[a])
+    def inv(self, a):
+        return self.inverse[a]
 
-    def conjugate(self, x: int, a: int) -> int:
+    def conjugate(self, x, a):
         """x * a * x^-1."""
-        return int(self.table[self.table[x, a], self.inverse[x]])
+        return self.table[self.table[x, a], self.inverse[x]]
 
-    def element_orders(self) -> np.ndarray:
-        orders = np.zeros(self.order, dtype=np.int64)
-        for a in range(self.order):
-            k, cur = 1, a
-            while cur != 0:
-                cur = int(self.table[cur, a])
-                k += 1
-            orders[a] = k
-        return orders
+    def prepare(self, a):
+        """An operand of many ``mul`` calls; the table reads indices as they are."""
+        return np.asarray(a)
 
 
 def _finish(name: str, table: np.ndarray, generators: tuple[int, ...]) -> FiniteGroup:
@@ -82,47 +89,99 @@ def make_dihedral(n: int) -> FiniteGroup:
     if n < 1:
         raise InvalidGroupParameter(f"dihedral parameter must be >= 1, got {n}")
     order = 2 * n
-    idx = np.arange(order)
+    idx = np.arange(order, dtype=np.int32)
     rot = idx % n
     is_refl = idx >= n
-    table = np.zeros((order, order), dtype=np.int32)
     a_rot, a_ref = rot[:, None], is_refl[:, None]
     b_rot, b_ref = rot[None, :], is_refl[None, :]
     # r^a r^b = r^{a+b}; r^a (r^b s) = r^{a+b} s; (r^a s) r^b = r^{a-b} s;
     # (r^a s)(r^b s) = r^{a-b}
     signed = np.where(a_ref, (a_rot - b_rot) % n, (a_rot + b_rot) % n)
-    refl_out = a_ref ^ b_ref
-    table = signed + np.where(refl_out, n, 0)
+    table = np.where(a_ref ^ b_ref, signed + n, signed)
     gens = (1, n) if n > 1 else (n,)
-    return _finish(f"D{n}", table.astype(np.int32), gens)
+    return _finish(f"D{n}", table, gens)
 
 
 def direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
     """Componentwise product; element index = index(a-part)*|b| + index(b-part)."""
     nb = b.order
-    order = a.order * nb
-    ia = np.arange(order) // nb
-    ib = np.arange(order) % nb
-    table = np.empty((order, order), dtype=np.int32)
-    bt = b.table[ib].astype(np.int32)  # (order, nb)
-    for row in range(order):
-        table[row] = a.table[ia[row], ia].astype(np.int32) * nb + bt[row, ib]
+    ia, ib = np.divmod(np.arange(a.order * nb), nb)
+    table = a.table[ia[:, None], ia] * nb + b.table[ib[:, None], ib]
     gens = tuple(g * nb for g in a.generators) + tuple(b.generators)
-    return _finish(f"{a.name}x{b.name}", table, gens)
+    return _finish(f"{a.name}x{b.name}", table.astype(np.int32), gens)
 
 
-def check_group_axioms(g: FiniteGroup) -> None:
-    """Raise AssertionError unless the table is a group with identity 0."""
-    assert g.table.shape == (g.order, g.order)
-    assert np.array_equal(g.table[0], np.arange(g.order))
-    assert np.array_equal(g.table[:, 0], np.arange(g.order))
-    assert np.all(g.table[np.arange(g.order), g.inverse] == 0)
+class _Parts(NamedTuple):
+    """An index array split into its a- and b-parts (ProductGroup.prepare)."""
+
+    a: np.ndarray
+    b: np.ndarray
+
+
+class ProductGroup:
+    """The direct product a x b with direct_product's indexing and
+    generators, but no |G|^2 table: an index splits into its a- and b-parts,
+    and products and conjugates go through the factors' tables.  Conjugation
+    by each generator is precomputed as a permutation of the elements
+    (``gen_conjugations``), since orbit walks conjugate by generators over
+    and over.  Instances are compared by identity."""
+
+    def __init__(self, a: FiniteGroup, b: FiniteGroup):
+        nb = b.order
+        self.name = f"{a.name}x{b.name}"
+        self.order = a.order * nb
+        self.generators = tuple(g * nb for g in a.generators) + tuple(b.generators)
+        self._nb = nb
+        # a's tables are kept premultiplied by |b|: a product's index is then
+        # the sum of two table reads
+        ea, eb = np.arange(a.order), np.arange(nb)
+        self._mul_a, self._mul_b = a.table * nb, b.table
+        self._conj_a = a.conjugate(ea[:, None], ea) * nb
+        self._conj_b = b.conjugate(eb[:, None], eb)
+        ia, ib = np.divmod(np.arange(self.order), nb)
+        self.inverse = a.inverse[ia] * nb + b.inverse[ib]
+        # conjugate() looks generators up here, so the table starts empty
+        self.gen_conjugations: dict[int, np.ndarray] = {}
+        self.gen_conjugations = {x: self.conjugate(x, np.arange(self.order))
+                                 for x in self.generators}
+
+    def _split(self, a):
+        return a if isinstance(a, _Parts) else divmod(a, self._nb)
+
+    def prepare(self, a):
+        """An operand of many ``mul`` calls, split into its parts once."""
+        return _Parts(*divmod(np.asarray(a, dtype=np.int64), self._nb))
+
+    def mul(self, a, b):
+        """a*b for element indices, index arrays or prepared operands."""
+        (a1, a2), (b1, b2) = self._split(a), self._split(b)
+        return self._mul_a[a1, b1] + self._mul_b[a2, b2]
+
+    def inv(self, a):
+        return self.inverse[a]
+
+    def conjugate(self, x, a):
+        """x * a * x^-1; a generator x reads its precomputed permutation."""
+        if isinstance(x, (int, np.integer)) and x in self.gen_conjugations:
+            return self.gen_conjugations[x][a]
+        (x1, x2), (a1, a2) = self._split(x), self._split(a)
+        return self._conj_a[x1, a1] + self._conj_b[x2, a2]
+
+
+Group = FiniteGroup | ProductGroup
+
+
+def check_group_axioms(g: Group) -> None:
+    """Raise AssertionError unless ``mul`` and ``inverse`` make a group with
+    identity 0."""
+    idx = np.arange(g.order)
+    assert np.array_equal(g.mul(0, idx), idx)
+    assert np.array_equal(g.mul(idx, 0), idx)
+    assert np.all(g.mul(idx, g.inverse) == 0)
     # associativity on a random sample (full check is cubic)
     rng = np.random.default_rng(0)
-    triples = rng.integers(0, g.order, size=(min(4096, g.order ** 2), 3))
-    lhs = g.table[g.table[triples[:, 0], triples[:, 1]], triples[:, 2]]
-    rhs = g.table[triples[:, 0], g.table[triples[:, 1], triples[:, 2]]]
-    assert np.array_equal(lhs, rhs)
+    x, y, z = rng.integers(0, g.order, size=(min(4096, g.order ** 2), 3)).T
+    assert np.array_equal(g.mul(g.mul(x, y), z), g.mul(x, g.mul(y, z)))
 
 
 # -- subgroups ---------------------------------------------------------------
@@ -132,7 +191,7 @@ def check_group_axioms(g: FiniteGroup) -> None:
 class SubgroupHandle:
     """A subgroup of ``group`` as a sorted tuple of element indices."""
 
-    group: FiniteGroup
+    group: Group
     members: tuple[int, ...]
 
     def __len__(self) -> int:
@@ -157,23 +216,49 @@ class SubgroupClass:
     name: str
 
 
-def closure(g: FiniteGroup, seed) -> SubgroupHandle:
-    """Subgroup generated by ``seed`` (iterable of element indices)."""
-    members = np.unique(np.asarray(list(seed) + [0], dtype=np.int64))
-    while True:
-        prods = np.unique(g.table[np.ix_(members, members)])
-        if prods.size == len(members):
-            break
-        members = prods
-    return SubgroupHandle(g, tuple(int(x) for x in members))
+def closure(g: Group, seed) -> SubgroupHandle:
+    """Subgroup generated by ``seed`` (iterable of element indices).
+
+    A dense group already holds |G|^2 table entries, so its seed set is
+    squared until it closes, in a few rounds.  A ProductGroup must stay
+    O(|G|): the least seed element outside the subgroup so far joins the
+    generators with its repeated squares (so every power of it is a product
+    of at most log2 of its order of them), and the subgroup grows by right
+    products with the generators until it closes, for |<seed>| times the
+    number of generators products."""
+    if isinstance(g, FiniteGroup):
+        members = np.unique(np.asarray(list(seed) + [0], dtype=np.int64))
+        while (prods := np.unique(g.mul(members[:, None], members))).size > members.size:
+            members = prods
+        return SubgroupHandle(g, tuple(members.tolist()))
+    seed = np.asarray(list(seed), dtype=np.int64)
+    in_h = np.zeros(g.order, dtype=bool)
+    in_h[0] = True
+    gens: list[int] = []
+    while (rest := seed[~in_h[seed]]).size:
+        new = [int(rest[0])]
+        while True:
+            sq = int(g.mul(new[-1], new[-1]))
+            if in_h[sq] or sq in new:
+                break
+            new.append(sq)
+        gens += new
+        # the subgroup so far is closed under the earlier generators
+        frontier, ops = np.flatnonzero(in_h), g.prepare(new)
+        while frontier.size:
+            fresh = np.zeros(g.order, dtype=bool)
+            fresh[g.mul(frontier[:, None], ops)] = True
+            fresh &= ~in_h
+            in_h |= fresh
+            frontier, ops = np.flatnonzero(fresh), g.prepare(gens)
+    return SubgroupHandle(g, tuple(np.flatnonzero(in_h).tolist()))
 
 
-def conjugate_members(g: FiniteGroup, x: int, members) -> np.ndarray:
-    m = np.asarray(members, dtype=np.int64)
-    return np.sort(g.table[g.table[x, m], g.inverse[x]])
+def conjugate_members(g: Group, x: int, members) -> np.ndarray:
+    return np.sort(g.conjugate(x, np.asarray(members, dtype=np.int64)))
 
 
-def orbit_walk(g: FiniteGroup, starts):
+def orbit_walk(g: Group, starts):
     """Distinct conjugates under g of the sorted member tuples ``starts``,
     breadth first by g's generators, each yielded when first reached.  Lazy,
     so ``target in orbit_walk(...)`` stops at the first match."""
@@ -193,29 +278,31 @@ def orbit_walk(g: FiniteGroup, starts):
         frontier = nxt
 
 
-def subgroup_conjugates(g: FiniteGroup, h: SubgroupHandle) -> list[tuple[int, ...]]:
+def subgroup_conjugates(g: Group, h: SubgroupHandle) -> list[tuple[int, ...]]:
     """All distinct conjugates of h, as sorted member tuples."""
     return sorted(orbit_walk(g, [tuple(h.members)]))
 
 
-def _right_coset_least(g: FiniteGroup, h_members) -> np.ndarray:
+def _right_coset_least(g: Group, h_members) -> np.ndarray:
     """least[y] = the least element of the right coset Hy, for every y in g."""
     h = np.asarray(h_members, dtype=np.int64)
     if len(h) ** 2 <= g.order:
         # few rows: a running minimum of the rows h*y, one per element of H
-        least = g.table[h[0]].copy()
-        for a in h[1:]:
-            np.minimum(least, g.table[a], out=least)
+        ys = g.prepare(np.arange(g.order))
+        least = np.array(g.mul(int(h[0]), ys), dtype=np.int64)
+        for a in h[1:].tolist():
+            np.minimum(least, g.mul(a, ys), out=least)
         return least
     # few cosets: fill each coset from its least element
+    hs = g.prepare(h)
     least = np.full(g.order, -1, dtype=np.int64)
     for y in range(g.order):
         if least[y] < 0:
-            least[g.table[h, y]] = y
+            least[g.mul(hs, y)] = y
     return least
 
 
-def normalizer(g: FiniteGroup, h: SubgroupHandle) -> SubgroupHandle:
+def normalizer(g: Group, h: SubgroupHandle) -> SubgroupHandle:
     """{x : xHx^-1 = H}.  N(H) is a union of right cosets Hx, so one x per
     coset is tested; xHx^-1 has |H| elements, so inside H means equal to H."""
     m = np.asarray(h.members, dtype=np.int64)
@@ -223,33 +310,26 @@ def normalizer(g: FiniteGroup, h: SubgroupHandle) -> SubgroupHandle:
     in_h[m] = True
     least = _right_coset_least(g, m)
     reps = np.flatnonzero(least == np.arange(g.order))
-    conj = g.table[g.table[reps[:, None], m], g.inverse[reps][:, None]]
+    conj = g.conjugate(reps[:, None], m)
     normal = np.zeros(g.order, dtype=bool)
     normal[reps[in_h[conj].all(axis=1)]] = True
     return SubgroupHandle(g, tuple(np.flatnonzero(normal[least]).tolist()))
 
 
-def weyl_order(g: FiniteGroup, h: SubgroupHandle) -> int:
+def weyl_order(g: Group, h: SubgroupHandle) -> int:
     n = normalizer(g, h)
     q, r = divmod(len(n), len(h))
     assert r == 0
     return q
 
 
-def is_conjugate(g: FiniteGroup, h1: SubgroupHandle, h2: SubgroupHandle) -> bool:
+def is_conjugate(g: Group, h1: SubgroupHandle, h2: SubgroupHandle) -> bool:
     if len(h1) != len(h2):
         return False
     return tuple(h2.members) in orbit_walk(g, [tuple(h1.members)])
 
 
-def containment_count(g: FiniteGroup, h: SubgroupHandle, kclass: SubgroupClass) -> int:
-    """Number of conjugates of kclass's representative that contain h."""
-    hset = set(h.members)
-    return sum(1 for c in subgroup_conjugates(g, kclass.representative)
-               if hset <= set(c))
-
-
-def all_subgroups(g: FiniteGroup, cap: int = DEFAULT_ENUMERATION_CAP) -> list[tuple[int, ...]]:
+def all_subgroups(g: Group, cap: int = DEFAULT_ENUMERATION_CAP) -> list[tuple[int, ...]]:
     """Every subgroup of g, by bottom-up closure from cyclic subgroups."""
     if g.order > cap:
         raise EnumerationTooLarge(
@@ -275,7 +355,7 @@ def all_subgroups(g: FiniteGroup, cap: int = DEFAULT_ENUMERATION_CAP) -> list[tu
     return sorted(found, key=lambda m: (len(m), m))
 
 
-def subgroup_classes(g: FiniteGroup, cap: int = DEFAULT_ENUMERATION_CAP,
+def subgroup_classes(g: Group, cap: int = DEFAULT_ENUMERATION_CAP,
                      names: dict[tuple[int, ...], str] | None = None) -> list[SubgroupClass]:
     """Conjugacy classes of subgroups, ordered by (order, lex-min representative)."""
     subs = all_subgroups(g, cap)
@@ -302,16 +382,16 @@ def subgroup_classes(g: FiniteGroup, cap: int = DEFAULT_ENUMERATION_CAP,
 # -- double cosets -----------------------------------------------------------
 
 
-def double_cosets(g: FiniteGroup, h_members, k_members) -> list[int]:
+def double_cosets(g: Group, h_members, k_members) -> list[int]:
     """Representatives of H\\g/K, each the least element of its double coset,
     in increasing order.  HxK is the union of the right cosets Hy, y in xK,
     so right cosets (by their least elements) are marked, not elements."""
-    k = np.asarray(k_members, dtype=np.int64)
+    k = g.prepare(k_members)
     least = _right_coset_least(g, h_members)
     done = np.zeros(g.order, dtype=bool)
     reps = []
     for x in np.flatnonzero(least == np.arange(g.order)).tolist():
         if not done[x]:
-            done[least[g.table[x, k]]] = True
+            done[least[g.mul(x, k)]] = True
             reps.append(x)
     return reps

@@ -22,6 +22,7 @@ import numpy as np
 
 from .groups import (
     FiniteGroup,
+    ProductGroup,
     SubgroupHandle,
     conjugate_members,
     direct_product,
@@ -94,9 +95,10 @@ class AmalgamData:
         return n + len(self.rot_fin) + len(self.refl_fin)
 
 
-def trunc_group(gamma_z2: FiniteGroup, m: int) -> FiniteGroup:
-    """D_M x (Gamma x Z2); o2 index = idx // |Gamma x Z2| (rotations < M)."""
-    return direct_product(make_dihedral(m), gamma_z2)
+def trunc_group(gamma_z2: FiniteGroup, m: int) -> ProductGroup:
+    """D_M x (Gamma x Z2); o2 index = idx // |Gamma x Z2| (rotations < M).
+    Multiplied by index arithmetic, so no |G|^2 table is built."""
+    return ProductGroup(make_dihedral(m), gamma_z2)
 
 
 class ClassLattice:
@@ -140,7 +142,7 @@ class ClassLattice:
 
     # -- element decoding ----------------------------------------------------
 
-    def group_at(self, level: int) -> FiniteGroup:
+    def group_at(self, level: int) -> ProductGroup:
         if level == self.m_lo:
             return self.group_lo
         if level == self.m_hi:
@@ -435,14 +437,16 @@ class ClassLattice:
             g = self.group_at(level)
             h = np.asarray(self._rep_at(i, level), dtype=np.int64)
             k = np.asarray(self._rep_at(j, level), dtype=np.int64)
-            hset = frozenset(int(v) for v in h)
+            in_h = np.zeros(g.order, dtype=bool)
+            in_h[h] = True
             coeffs: dict[int, int] = {}
             for x in double_cosets(g, h, k):
                 kc = conjugate_members(g, x, k)
-                inter = tuple(sorted(hset.intersection(kc.tolist())))
-                data = self.lift(inter, level)
-                if data.o2.kind == "Z":
+                members = kc[in_h[kc]]  # sorted, as kc is
+                if self._cyclic_fold(members, level):
                     continue  # infinite Weyl group: dropped from the product
+                inter = tuple(members.tolist())
+                self.lift(inter, level)  # refuses unstable truncations first
                 cid = self._find_class(inter, level)
                 if cid is None:
                     if not extend:
@@ -457,6 +461,13 @@ class ClassLattice:
                 f"product ({self.labels[i]})*({self.labels[j]}) differs between levels")
         self._mul_cache[key] = results[0]
         return dict(results[0])
+
+    def _cyclic_fold(self, members: np.ndarray, level: int) -> bool:
+        """Whether lift would return a cyclic fold, without raising, for these
+        sorted truncated members: no reflection and at most level // 4
+        distinct rotation indices.  Needs no Python decode of the members."""
+        o2 = members // self.ng  # sorted, so reflections come last
+        return o2[-1] < level and np.count_nonzero(o2[1:] != o2[:-1]) < level // 4
 
     def _find_class(self, members, level: int) -> int | None:
         """Id of the interned class whose orbit at level holds the members."""

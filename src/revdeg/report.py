@@ -220,7 +220,7 @@ def run_analyze(cfg: AnalysisConfig, skip_geometry: bool = False,
     if engine is None:
         base = cfg.truncation_base or default_base_level(cfg.group_n, modes)
         engine = DegreeEngine(cfg.group_kind, cfg.group_n, base_level=base)
-    degrees = engine.existence_analysis(spec, summary)
+    degrees = engine.existence_analysis(spec, summary, cfg.degenerate_search_bound)
     notes.extend(degrees.notes)
     notes.extend(sorted(set(engine.lattice.escape_log)))
     exit_code = 0 if degrees.certificates else 10

@@ -193,7 +193,11 @@ def spectral_summary(spec: LinearizationSpec) -> SpectralSummary:
         tuple(sorted(degenerate)), nondegenerate=not degenerate)
 
 
-def degenerate_fold_search(summary: SpectralSummary, bound: int = 64) -> int | None:
+FOLD_SEARCH_BOUND = 64  # default largest fold s tried on a degenerate spectrum
+
+
+def degenerate_fold_search(summary: SpectralSummary,
+                           bound: int = FOLD_SEARCH_BOUND) -> int | None:
     """Smallest s >= 1 with no odd multiple of s in the degenerate mode set."""
     bad = set(summary.degenerate_modes)
     if not bad:

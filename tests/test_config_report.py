@@ -112,6 +112,30 @@ def test_cli_basic_degree_sizes_level_by_mode():
     assert default.stdout == explicit.stdout
 
 
+def test_cli_basic_degree_mode4():
+    # D8 mode 4 sizes the level to 128; its truncation groups keep no
+    # |G|^2 table
+    r = _cli("basic-degree", "--config", "example", "--mode", "4")
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.startswith("deg[V(4,")
+
+
+def test_configured_fold_search_bound_reaches_existence_analysis():
+    # mu = -1 makes xi_1 = 0 exactly, so the least admissible fold is s = 2,
+    # above a configured search bound of 1
+    raw = json.loads(example_config_text())
+    raw["mu"]["plane"] = ["-1"]
+    raw["degenerate_search_bound"] = 1
+    doc = run_analyze(parse_config(json.dumps(raw)), skip_geometry=True)
+    assert doc.degrees.degenerate and doc.degrees.degenerate_fold is None
+    assert ("degenerate spectrum: no admissible fold s found within the "
+            "search bound") in doc.notes
+    raw["degenerate_search_bound"] = 2
+    doc = run_analyze(parse_config(json.dumps(raw)), skip_geometry=True)
+    assert doc.degrees.degenerate_fold == 2
+    assert "degenerate spectrum: using fold s = 2" in doc.notes
+
+
 def test_cli_bad_config(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text("{not json")

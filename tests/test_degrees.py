@@ -1,5 +1,7 @@
 """Degree pipeline: basic degrees, maximal orbit types, existence analysis."""
 
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -49,6 +51,23 @@ def test_basic_degrees_square_to_unit(engine8, natural):
     for k in (0, 1):
         d = engine8.basic_degree(k, natural)
         assert d.multiply(d).labeled() == [("(G)", 1)]
+
+
+def test_mode4_basic_degrees_square_to_unit_at_level_384():
+    # |G| = 49,152 at level 2M = 768: a dense int32 Cayley table would take
+    # 9 GiB; the truncation groups multiply by index arithmetic instead
+    code = """
+import resource
+from revdeg.degrees import DegreeEngine
+eng = DegreeEngine("dihedral", 8, base_level=384)
+for l in range(eng.component_count()):
+    d = eng.basic_degree(4, l)
+    assert d.multiply(d).labeled() == [("(G)", 1)], l
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert int(r.stdout) * 1024 < 512 * 2 ** 20  # ru_maxrss is in KiB on Linux
 
 
 def test_mode0_maximal_types(engine8, natural):

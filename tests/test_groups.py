@@ -11,7 +11,6 @@ from revdeg.groups import (
     all_subgroups,
     check_group_axioms,
     closure,
-    containment_count,
     direct_product,
     double_cosets,
     is_conjugate,
@@ -19,13 +18,34 @@ from revdeg.groups import (
     make_dihedral,
     normalizer,
     subgroup_classes,
+    subgroup_conjugates,
     weyl_order,
 )
+from revdeg.lattice import trunc_group
 from revdeg.names import D8XZ2_NAME_LIST, gamma_z2_subgroup_name
 
 
 def d8xz2():
     return direct_product(make_dihedral(8), make_cyclic(2))
+
+
+def element_orders(g) -> np.ndarray:
+    """Order of every element, by repeated multiplication."""
+    orders = np.zeros(g.order, dtype=np.int64)
+    for a in range(g.order):
+        k, cur = 1, a
+        while cur != 0:
+            cur = int(g.mul(cur, a))
+            k += 1
+        orders[a] = k
+    return orders
+
+
+def containment_count(g, h, kclass) -> int:
+    """Number of conjugates of kclass's representative that contain h."""
+    hset = set(h.members)
+    return sum(1 for c in subgroup_conjugates(g, kclass.representative)
+               if hset <= set(c))
 
 
 def test_make_dihedral_orders():
@@ -49,7 +69,7 @@ def test_dihedral_1_is_z2():
 def test_dihedral_3_involution_census():
     # brute-force order census over the product table
     g = make_dihedral(3)
-    orders = g.element_orders()
+    orders = element_orders(g)
     refl_orders = orders[3:]
     assert np.all(refl_orders == 2)
     assert int(np.sum(orders == 2)) == 3
@@ -61,7 +81,7 @@ def test_direct_product_orders():
     assert d8xz2().order == 32
     k4 = direct_product(make_cyclic(2), make_cyclic(2))
     assert k4.order == 4
-    assert int(np.sum(k4.element_orders() == 2)) == 3
+    assert int(np.sum(element_orders(k4) == 2)) == 3
 
 
 def test_subgroup_classes_z2():
@@ -238,3 +258,31 @@ def test_normalizer_and_right_cosets_on_every_subgroup():
         brute = tuple(x for x in range(g.order)
                       if tuple(sorted(g.conjugate(x, a) for a in mem)) == mem)
         assert normalizer(g, SubgroupHandle(g, mem)).members == brute
+
+
+GAMMAS = [make_dihedral(n) for n in range(1, 7)] + [make_cyclic(n) for n in range(1, 7)]
+
+
+@given(st.sampled_from(GAMMAS), st.sampled_from([4, 8, 12]),
+       st.lists(st.integers(0, 10 ** 6), max_size=3))
+@settings(max_examples=30, deadline=None)
+def test_truncation_group_matches_dense_product(gamma, m, seed):
+    # the truncation group multiplies by index arithmetic; the dense table
+    # of the same factors is the reference, also for closure, which grows
+    # the subgroup by generators here and squares the seed set there
+    gz = direct_product(gamma, make_cyclic(2))
+    g, dense = trunc_group(gz, m), direct_product(make_dihedral(m), gz)
+    assert not hasattr(g, "table")
+    assert (g.order, g.generators) == (dense.order, dense.generators)
+    idx = np.arange(g.order)
+    assert np.array_equal(g.mul(idx[:, None], idx), dense.table)
+    assert np.array_equal(g.mul(g.prepare(idx[:, None]), g.prepare(idx)), dense.table)
+    assert np.array_equal(g.inverse, dense.inverse)
+    assert np.array_equal(g.conjugate(idx[:, None], idx), dense.conjugate(idx[:, None], idx))
+    assert sorted(g.gen_conjugations) == sorted(g.generators)
+    for x, perm in g.gen_conjugations.items():
+        assert np.array_equal(perm, dense.conjugate(x, idx))
+        assert np.array_equal(g.conjugate(x, idx), perm)
+    check_group_axioms(g)
+    seed = [s % g.order for s in seed]
+    assert closure(g, seed).members == closure(dense, seed).members
