@@ -82,6 +82,8 @@ class DegreeEngine:
         self._mat_cache: dict = {}
         self._fix_cache: dict = {}
         self._iso_cache: dict = {}
+        # sampled stabilizer members -> class id, None for a cyclic fold
+        self._stab_class: dict[tuple[int, ...], int | None] = {}
         self._deg_cache: dict = {}
 
     # -- components ------------------------------------------------------------
@@ -216,14 +218,9 @@ class DegreeEngine:
         mats = self.rep_matrices(k, l, level)
         found: set[int] = set()
         for p in self._sample_points(k, l):
-            members = self._stabilizer(mats, p)
-            sub = closure(g, members.tolist())
-            if len(sub.members) != len(members):
-                raise IncompleteLattice("stabilizer not closed at tolerance")
-            data = lat.lift(sub.members, level)
-            if data.o2.kind == "Z":
-                continue
-            found.add(lat.ensure_handle(sub.members, level))
+            cid = self._class_of_stabilizer(g, self._stabilizer(mats, p), level)
+            if cid is not None:
+                found.add(cid)
         # probe fixed spaces of everything currently known, including classes
         # discovered for other components, until no new classes appear
         rng = np.random.default_rng(7)
@@ -239,20 +236,34 @@ class DegreeEngine:
                 p = proj @ rng.normal(size=proj.shape[0])
                 if np.abs(p).max() < 1e-9:
                     continue
-                members = self._stabilizer(mats, p)
-                sub = closure(g, members.tolist())
-                if len(sub.members) != len(members):
-                    raise IncompleteLattice("stabilizer not closed at tolerance")
-                if lat.lift(sub.members, level).o2.kind == "Z":
-                    continue
-                new = lat.ensure_handle(sub.members, level)
-                if new not in found:
+                new = self._class_of_stabilizer(g, self._stabilizer(mats, p), level)
+                if new is not None and new not in found:
                     found.add(new)
                     frontier = True
         iso = sorted(found)
         self._certify_isotropy(k, l, iso)
         self._iso_cache[key] = iso
         return iso
+
+    def _class_of_stabilizer(self, g, members: np.ndarray, level: int) -> int | None:
+        """Class id of a sampled stabilizer, given by its members in the
+        truncation g at level (always the lattice's m_lo), or None for a
+        cyclic fold (infinite Weyl group).  Memoized by member set for the
+        engine's life; a set that raises is not memoized, so it raises again
+        on every visit."""
+        key = tuple(members.tolist())
+        if key in self._stab_class:
+            return self._stab_class[key]
+        lat = self.lattice
+        sub = closure(g, key)
+        if len(sub.members) != len(key):
+            raise IncompleteLattice("stabilizer not closed at tolerance")
+        if lat.lift(sub.members, level).o2.kind == "Z":
+            cid = None
+        else:
+            cid = lat.ensure_handle(sub.members, level)
+        self._stab_class[key] = cid
+        return cid
 
     def _certify_isotropy(self, k: int, l: int, iso: list[int]) -> None:
         lat = self.lattice

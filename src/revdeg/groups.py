@@ -255,22 +255,28 @@ def closure(g: Group, seed) -> SubgroupHandle:
 
 
 def conjugate_members(g: Group, x: int, members) -> np.ndarray:
+    """x * members * x^-1, sorted along the last axis (a row per member set)."""
     return np.sort(g.conjugate(x, np.asarray(members, dtype=np.int64)))
 
 
 def orbit_walk(g: Group, starts):
-    """Distinct conjugates under g of the sorted member tuples ``starts``,
-    breadth first by g's generators, each yielded when first reached.  Lazy,
-    so ``target in orbit_walk(...)`` stops at the first match."""
+    """Distinct conjugates under g of the sorted member tuples ``starts`` (all
+    of one length), breadth first by g's generators, each yielded when first
+    reached.  Each frontier is conjugated as one (rows, members) block per
+    generator; its conjugates are visited member by member, generator by
+    generator.  Lazy per frontier, so ``target in orbit_walk(...)`` stops at
+    the first match."""
     gens = g.generators if g.generators else (0,)
     frontier = list(dict.fromkeys(starts))
     seen = set(frontier)
     yield from frontier
     while frontier:
+        block = np.array(frontier, dtype=np.int64)
+        conjs = [conjugate_members(g, x, block).tolist() for x in gens]
         nxt = []
-        for mem in frontier:
-            for x in gens:
-                c = tuple(conjugate_members(g, x, mem).tolist())
+        for row in range(len(frontier)):
+            for by_gen in conjs:
+                c = tuple(by_gen[row])
                 if c not in seen:
                     seen.add(c)
                     nxt.append(c)
@@ -296,9 +302,10 @@ def _right_coset_least(g: Group, h_members) -> np.ndarray:
     # few cosets: fill each coset from its least element
     hs = g.prepare(h)
     least = np.full(g.order, -1, dtype=np.int64)
-    for y in range(g.order):
-        if least[y] < 0:
-            least[g.mul(hs, y)] = y
+    y = 0
+    while least[y] < 0:
+        least[g.mul(hs, y)] = y
+        y += int(np.argmax(least[y:] < 0))  # the next unfilled coset, if any
     return least
 
 

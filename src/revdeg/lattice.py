@@ -135,6 +135,9 @@ class ClassLattice:
             self.m_lo: {}, self.m_hi: {}}
         self._n_cache: dict[tuple[int, int], int] = {}
         self._conj_cache: dict[tuple[int, int], list[tuple[int, ...]]] = {}
+        # the same orbits as (conjugates, |class|) int32 arrays, built on demand
+        self._conj_arrays: dict[tuple[int, int], np.ndarray] = {}
+        self._angle_cache: dict[int, list[Fraction]] = {}
         self._mul_cache: dict[tuple[int, int], dict[int, int]] = {}
         self.escape_log: list[str] = []
         # the full group is always class 0
@@ -149,11 +152,6 @@ class ClassLattice:
             return self.group_hi
         raise InadmissibleLevel(f"unsupported level {level}")
 
-    def decode(self, idx: int, level: int) -> tuple[int, bool, int]:
-        """(o2 index within D_level, is_reflection, gamma_z2 index)."""
-        o2, ge = divmod(idx, self.ng)
-        return (o2 % level, o2 >= level, ge)
-
     def encode(self, t: int, refl: bool, ge: int, level: int) -> int:
         return ((t % level) + (level if refl else 0)) * self.ng + ge
 
@@ -161,41 +159,45 @@ class ClassLattice:
 
     def lift(self, members, level: int) -> AmalgamData:
         """Goursat data of a truncated subgroup, promoting folds that fill D_M."""
-        rot_by_ge: dict[int, list[int]] = {}
-        refl_by_ge: dict[int, list[int]] = {}
-        rot_indices = set()
-        for idx in members:
-            t, refl, ge = self.decode(int(idx), level)
-            if refl:
-                refl_by_ge.setdefault(ge, []).append(t)
-            else:
-                rot_by_ge.setdefault(ge, []).append(t)
-                rot_indices.add(t)
-        d = len(rot_indices)  # rotation part of the O(2)-projection is Z_d
-        has_refl = bool(refl_by_ge)
-        if d == level:
+        o2_idx, ge = np.divmod(np.asarray(members, dtype=np.int64), self.ng)
+        refl = o2_idx >= level
+        t = o2_idx % level
+        rot = ~refl
+        d = np.unique(t[rot]).size  # rotation part of the O(2)-projection is Z_d
+        has_refl = bool(refl.any())
+        full = d == level
+        if full:
             o2 = O2Desc("O2") if has_refl else O2Desc("SO2")
         else:
             if d > level // 4:
                 raise TruncationInstability(
                     f"fold {d} too close to truncation level {level}; raise the base level")
             o2 = O2Desc("D", d) if has_refl else O2Desc("Z", d)
-        full = d == level
-        rot_all, refl_all, rot_fin, refl_fin = [], [], [], []
-        for ge, ts in sorted(rot_by_ge.items()):
-            if full and len(ts) == level:
-                rot_all.append(ge)
-            else:
-                rot_fin.extend((Fraction(t, level), ge) for t in ts)
-        for ge, ts in sorted(refl_by_ge.items()):
-            if full and len(ts) == level:
-                refl_all.append(ge)
-            else:
-                refl_fin.extend((Fraction(t, level), ge) for t in ts)
-        if full and (rot_fin or refl_fin):
-            raise TruncationInstability("mixed full/finite fibers; raise the base level")
-        return AmalgamData(o2, tuple(rot_all), tuple(refl_all),
-                           tuple(sorted(rot_fin)), tuple(sorted(refl_fin)))
+        angles = self._angles(level)
+        parts = []
+        for mask in (rot, refl):
+            t_part, ge_part = t[mask], ge[mask]
+            if full:
+                # a fibre over ge holds every angle or finitely many
+                counts = np.bincount(ge_part, minlength=self.ng)
+                if np.any((counts > 0) & (counts < level)):
+                    raise TruncationInstability(
+                        "mixed full/finite fibers; raise the base level")
+                parts.append(tuple(np.flatnonzero(counts == level).tolist()))
+                continue
+            # one denominator, so (t, ge) order is (Fraction(t, level), ge) order
+            order = np.lexsort((ge_part, t_part))
+            parts.append(tuple(zip([angles[i] for i in t_part[order].tolist()],
+                                   ge_part[order].tolist())))
+        if full:
+            return AmalgamData(o2, parts[0], parts[1], (), ())
+        return AmalgamData(o2, (), (), parts[0], parts[1])
+
+    def _angles(self, level: int) -> list[Fraction]:
+        """Fraction(t, level) for every rotation index t, built once a level."""
+        if level not in self._angle_cache:
+            self._angle_cache[level] = [Fraction(t, level) for t in range(level)]
+        return self._angle_cache[level]
 
     def truncate(self, data: AmalgamData, level: int) -> tuple[int, ...]:
         out = []
@@ -222,11 +224,9 @@ class ClassLattice:
     def half_twist(self, members, level: int) -> tuple[int, ...]:
         """Conjugation by the rotation of half a grid step (an O(2) element
         normalizing D_level): fixes rotations, shifts reflection axes by one."""
-        out = []
-        for idx in members:
-            t, refl, ge = self.decode(int(idx), level)
-            out.append(self.encode(t + 1 if refl else t, refl, ge, level))
-        return tuple(sorted(out))
+        o2, ge = np.divmod(np.asarray(members, dtype=np.int64), self.ng)
+        o2 = np.where(o2 >= level, level + (o2 - level + 1) % level, o2)
+        return tuple(np.sort(o2 * self.ng + ge).tolist())
 
     def _full_orbit(self, members, level: int):
         """Lazy orbit walk under O(2) x Gamma x Z2: the truncation's inner
@@ -399,16 +399,23 @@ class ClassLattice:
         key = (i, j)
         if key in self._n_cache:
             return self._n_cache[key]
-        counts = []
-        for level in (self.m_lo, self.m_hi):
-            h = set(self._rep_at(i, level))
-            conjs = self._class_conjugates(j, level)
-            counts.append(sum(1 for c in conjs if h <= set(c)))
+        counts = [self._n_count_at(i, j, level) for level in (self.m_lo, self.m_hi)]
         if counts[0] != counts[1]:
             raise TruncationInstability(
                 f"n({self.labels[i]},{self.labels[j]}) differs between levels: {counts}")
         self._n_cache[key] = counts[0]
         return counts[0]
+
+    def _n_count_at(self, i: int, j: int, level: int) -> int:
+        """n_count at one level: the conjugates of class j, as rows of member
+        indices, whose members include every member of class i's rep."""
+        key = (j, level)
+        if key not in self._conj_arrays:
+            self._conj_arrays[key] = np.array(self._conj_cache[key], dtype=np.int32)
+        h = self._rep_at(i, level)
+        in_h = np.zeros(self.group_at(level).order, dtype=bool)
+        in_h[list(h)] = True
+        return int(np.count_nonzero(in_h[self._conj_arrays[key]].sum(axis=1) == len(h)))
 
     def _class_conjugates(self, cid: int, level: int) -> list[tuple[int, ...]]:
         return self._conj_cache[(cid, level)]

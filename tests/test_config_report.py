@@ -81,6 +81,13 @@ def test_cli_group_info():
     assert "D4dh" in r.stdout and "Z2m" in r.stdout
 
 
+def test_python_dash_m_revdeg():
+    r = subprocess.run([sys.executable, "-m", "revdeg", "group-info", "--config", "example"],
+                       capture_output=True, text=True)
+    assert r.returncode == 0
+    assert "38 classes" in r.stdout
+
+
 def test_cli_geometry_check_exit_code():
     r = _cli("geometry-check", "--grid", "512")
     assert r.returncode == 20  # honest A4 failure on the octagonal example

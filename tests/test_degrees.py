@@ -6,8 +6,11 @@ from fractions import Fraction as F
 
 import pytest
 
+import numpy as np
+
 from revdeg import burnside as br
-from revdeg.degrees import DegreeEngine
+from revdeg.degrees import DegreeEngine, IncompleteLattice
+from revdeg.lattice import TruncationInstability
 from revdeg.spectra import LinearizationSpec, spectral_summary
 
 # the honest seven-term mode-1 basic degree of the octagonal example
@@ -188,3 +191,61 @@ def test_gamma_trivial_minus_component(engine8):
     d = engine8.basic_degree(0, 0)
     assert dict(d.labeled()) == {"(G)": 1, "(O(2) x D8)": -1}
     assert d.multiply(d).labeled() == [("(G)", 1)]
+
+
+def _isotropy_run(kind, n, base_level, modes):
+    """isotropy_classes of every (mode, component), or the refusal's type,
+    and the lattice the run leaves behind."""
+    eng = DegreeEngine(kind, n, base_level=base_level)
+    iso = {}
+    for k in modes:
+        for l in range(eng.component_count()):
+            try:
+                iso[(k, l)] = eng.isotropy_classes(k, l)
+            except TruncationInstability as e:
+                iso[(k, l)] = type(e).__name__
+    return iso, eng.lattice
+
+
+@pytest.mark.parametrize("kind,n,base_level,modes", [
+    ("dihedral", 8, 64, (0, 1, 2)),
+    ("dihedral", 3, None, (0, 1, 2)),
+    ("cyclic", 4, None, (0, 1, 2)),
+])
+def test_stabilizer_memo_keeps_ids_labels_and_classes(monkeypatch, kind, n, base_level, modes):
+    # the same runs with the memo emptied before every lookup, so that
+    # every sampled stabilizer is closed, lifted and interned again
+    visits = []
+    memoized = DegreeEngine._class_of_stabilizer
+
+    def counted(self, g, members, level):
+        visits.append(tuple(members.tolist()))
+        return memoized(self, g, members, level)
+
+    def bypassed(self, g, members, level):
+        self._stab_class.clear()
+        return memoized(self, g, members, level)
+
+    monkeypatch.setattr(DegreeEngine, "_class_of_stabilizer", counted)
+    iso, lat = _isotropy_run(kind, n, base_level, modes)
+    assert len(set(visits)) < len(visits)  # the memo was hit
+    monkeypatch.setattr(DegreeEngine, "_class_of_stabilizer", bypassed)
+    iso_ref, lat_ref = _isotropy_run(kind, n, base_level, modes)
+    assert iso == iso_ref
+    assert lat.labels == lat_ref.labels
+    assert lat.classes == lat_ref.classes
+    for level in (lat.m_lo, lat.m_hi):
+        assert lat._reps[level] == lat_ref._reps[level]
+
+
+def test_unclosed_stabilizer_raises_on_every_visit(monkeypatch):
+    # {identity, rotation by one grid step} is not closed; the refusal is
+    # not memoized, so the next call refuses again
+    eng = DegreeEngine("dihedral", 2, base_level=8)
+    step = eng.lattice.ng
+    monkeypatch.setattr(DegreeEngine, "_stabilizer",
+                        lambda self, mats, p: np.array([0, step]))
+    for _ in range(2):
+        with pytest.raises(IncompleteLattice):
+            eng.isotropy_classes(0, 0)
+    assert (0, step) not in eng._stab_class

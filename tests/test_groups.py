@@ -17,6 +17,7 @@ from revdeg.groups import (
     make_cyclic,
     make_dihedral,
     normalizer,
+    orbit_walk,
     subgroup_classes,
     subgroup_conjugates,
     weyl_order,
@@ -39,6 +40,25 @@ def element_orders(g) -> np.ndarray:
             k += 1
         orders[a] = k
     return orders
+
+
+def orbit_walk_reference(g, starts):
+    """orbit_walk one member set and one generator at a time."""
+    gens = g.generators if g.generators else (0,)
+    frontier = list(dict.fromkeys(starts))
+    seen = set(frontier)
+    out = list(frontier)
+    while frontier:
+        nxt = []
+        for mem in frontier:
+            for x in gens:
+                c = tuple(np.sort(g.conjugate(x, np.asarray(mem, dtype=np.int64))).tolist())
+                if c not in seen:
+                    seen.add(c)
+                    nxt.append(c)
+                    out.append(c)
+        frontier = nxt
+    return out
 
 
 def containment_count(g, h, kclass) -> int:
@@ -286,3 +306,20 @@ def test_truncation_group_matches_dense_product(gamma, m, seed):
     check_group_axioms(g)
     seed = [s % g.order for s in seed]
     assert closure(g, seed).members == closure(dense, seed).members
+
+
+def test_orbit_walk_matches_per_member_reference():
+    # every subgroup of the dense D8 x Z2 and of the trivial group, then
+    # subgroups of a truncation group, seeded with one start or two
+    # (a subgroup and a conjugate that the walk also reaches)
+    cases = [(g, [mem]) for g in (d8xz2(), make_cyclic(1)) for mem in all_subgroups(g)]
+    g = trunc_group(direct_product(make_dihedral(3), make_cyclic(2)), 8)
+    rng = np.random.default_rng(5)
+    for _ in range(40):
+        mem = closure(g, rng.integers(0, g.order, size=rng.integers(1, 3)).tolist()).members
+        other = tuple(np.sort(g.conjugate(int(rng.integers(g.order)), np.array(mem))).tolist())
+        cases += [(g, [mem]), (g, [mem, other]), (g, [mem, mem])]
+    for g, starts in cases:
+        assert list(orbit_walk(g, starts)) == orbit_walk_reference(g, starts)
+    walk = orbit_walk(d8xz2(), [(0, 1)])
+    assert next(walk) == (0, 1)  # lazy: the start is yielded before any conjugation

@@ -1,13 +1,71 @@
 """Orbit lattice: truncation/lift round trips, level stability, labels."""
 
+import functools
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from revdeg.degrees import DegreeEngine
-from revdeg.groups import conjugate_members, make_dihedral
-from revdeg.lattice import ClassLattice, InadmissibleLevel, O2Desc, TruncationInstability
+from revdeg.groups import closure, conjugate_members, make_cyclic, make_dihedral
+from revdeg.lattice import (
+    AmalgamData,
+    ClassLattice,
+    InadmissibleLevel,
+    O2Desc,
+    TruncationInstability,
+)
+
+
+def decode_reference(lat, idx, level):
+    """(o2 index within D_level, is_reflection, gamma_z2 index)."""
+    o2, ge = divmod(idx, lat.ng)
+    return (o2 % level, o2 >= level, ge)
+
+
+def lift_reference(lat, members, level):
+    """ClassLattice.lift member by member: decode each index, collect the
+    angles of each fibre, then sort the (Fraction, ge) pairs."""
+    rot_by_ge, refl_by_ge = {}, {}
+    rot_indices = set()
+    for idx in members:
+        t, refl, ge = decode_reference(lat, int(idx), level)
+        if refl:
+            refl_by_ge.setdefault(ge, []).append(t)
+        else:
+            rot_by_ge.setdefault(ge, []).append(t)
+            rot_indices.add(t)
+    d = len(rot_indices)
+    has_refl = bool(refl_by_ge)
+    if d == level:
+        o2 = O2Desc("O2") if has_refl else O2Desc("SO2")
+    else:
+        if d > level // 4:
+            raise TruncationInstability(f"fold {d} too close to level {level}")
+        o2 = O2Desc("D", d) if has_refl else O2Desc("Z", d)
+    full = d == level
+    rot_all, refl_all, rot_fin, refl_fin = [], [], [], []
+    for by_ge, all_, fin in ((rot_by_ge, rot_all, rot_fin), (refl_by_ge, refl_all, refl_fin)):
+        for ge, ts in sorted(by_ge.items()):
+            if full and len(ts) == level:
+                all_.append(ge)
+            else:
+                fin.extend((Fraction(t, level), ge) for t in ts)
+    if full and (rot_fin or refl_fin):
+        raise TruncationInstability("mixed full/finite fibers")
+    return AmalgamData(o2, tuple(rot_all), tuple(refl_all),
+                       tuple(sorted(rot_fin)), tuple(sorted(refl_fin)))
+
+
+def half_twist_reference(lat, members, level):
+    """ClassLattice.half_twist member by member."""
+    out = []
+    for idx in members:
+        t, refl, ge = decode_reference(lat, int(idx), level)
+        out.append(lat.encode(t + 1 if refl else t, refl, ge, level))
+    return tuple(sorted(out))
 
 
 @pytest.fixture(scope="module")
@@ -225,3 +283,49 @@ def test_cyclic_fold_skip_matches_lift(monkeypatch, natural):
     assert unskipped._mul_cache == skipped._mul_cache
     for level in (skipped.m_lo, skipped.m_hi):
         assert unskipped._reps[level] == skipped._reps[level]
+
+
+GAMMAS = [make_dihedral(n) for n in range(1, 7)] + [make_cyclic(n) for n in range(1, 7)]
+
+
+@functools.cache
+def lattice_for(gamma_index: int, level: int) -> ClassLattice:
+    return ClassLattice(GAMMAS[gamma_index], level)
+
+
+@given(st.integers(0, len(GAMMAS) - 1), st.sampled_from([8, 16, 32]),
+       st.lists(st.tuples(st.integers(0, 63), st.booleans(), st.integers(0, 23)),
+                max_size=3),
+       st.booleans())
+@settings(max_examples=120, deadline=None)
+def test_lift_and_half_twist_match_per_member_reference(gamma_index, level, seed, coarse):
+    # random subgroups of the truncation, generated by (rotation index,
+    # reflection?, Gamma x Z2 index) triples; coarse rotation indices give
+    # small folds, fine ones folds that refuse or fill D_M
+    lat = lattice_for(gamma_index, level)
+    step = level // 4 if coarse else 1
+    gens = [lat.encode(t * step, refl, ge % lat.ng, level) for t, refl, ge in seed]
+    members = closure(lat.group_lo, gens).members
+    try:
+        want = lift_reference(lat, members, level)
+    except TruncationInstability:
+        with pytest.raises(TruncationInstability):
+            lat.lift(members, level)
+    else:
+        got = lat.lift(members, level)
+        assert got == want
+        assert repr(got) == repr(want)  # plain ints and Fractions, not numpy scalars
+    assert lat.half_twist(members, level) == half_twist_reference(lat, members, level)
+
+
+def test_n_count_mask_matches_member_sets(engine8, natural):
+    engine8.basic_degree(0, natural)
+    engine8.basic_degree(1, natural)
+    lat = engine8.lattice
+    ids = range(len(lat.classes))
+    for level in (lat.m_lo, lat.m_hi):
+        for i in ids:
+            h = set(lat._rep_at(i, level))
+            for j in ids:
+                by_sets = sum(1 for c in lat._class_conjugates(j, level) if h <= set(c))
+                assert lat._n_count_at(i, j, level) == by_sets
