@@ -1,9 +1,10 @@
 """The Burnside ring A(G) as a sparse integer module over a ClassLattice.
 
 Two independent product routes are provided: double-coset orbit counting in
-the dihedral truncation (via ClassLattice.product_classes) and, for finite
-groups without the O(2) factor, a brute-force orbit partition of the product
-of coset spaces.  The recurrence converts fixed-space Brouwer degrees into
+the dihedral truncation (via ClassLattice.product_classes, which enumerates
+only the double cosets whose intersection holds a reflection unless both
+factors contain SO(2)) and, for finite groups without the O(2) factor, a
+brute-force orbit partition of the product of coset spaces.  The recurrence converts fixed-space Brouwer degrees into
 coefficients and back.
 """
 

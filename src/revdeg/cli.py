@@ -2,7 +2,8 @@
 
 Subcommands: analyze, group-info, basic-degree, burnside-mul, geometry-check,
 figure-data, oracle-stability.  Exit codes: 0 certificates emitted, 10 clean
-run without certificates, 20 hypotheses failed, 30+ internal errors.
+run without certificates, 20 hypotheses failed, 30 configuration error,
+31 unexpected internal error, 32-39 one per typed failure (EXIT_FAILURES).
 """
 
 from __future__ import annotations
@@ -12,17 +13,33 @@ import sys
 from pathlib import Path
 
 from . import burnside as br
+from .burnside import InconsistentDegreeData
+from .chars import NonIntegralAverage
 from .config import AnalysisConfig, ConfigError, example_config_text, family_spec, parse_config
-from .degrees import DegreeEngine
+from .degrees import DegreeEngine, IncompleteLattice, RouteDisagreement
 from .geometry import FIGURE_HEADER, check_conditions, figure_data
 from .groups import direct_product, make_cyclic, make_dihedral, subgroup_classes
+from .lattice import ClassEscape, InadmissibleLevel, TruncationInstability
 from .names import names_for_gamma_z2
 from .report import default_base_level, run_analyze
+from .spectra import SignNotCertified
 
 EXIT_OK = 0
 EXIT_NO_CERTIFICATES = 10
 EXIT_HYPOTHESES_FAILED = 20
-EXIT_INTERNAL = 30
+EXIT_INTERNAL = 30  # ConfigError, no domain to check, or a non-empty stability diff
+EXIT_UNEXPECTED = 31
+# each typed failure of the engine has its own code
+EXIT_FAILURES = {
+    TruncationInstability: 32,
+    IncompleteLattice: 33,
+    RouteDisagreement: 34,
+    SignNotCertified: 35,
+    NonIntegralAverage: 36,
+    InconsistentDegreeData: 37,
+    ClassEscape: 38,
+    InadmissibleLevel: 39,
+}
 
 
 def _load_config(args) -> AnalysisConfig:
@@ -238,9 +255,12 @@ def main(argv=None) -> int:
     except ConfigError as e:
         sys.stderr.write(str(e) + "\n")
         return EXIT_INTERNAL
+    except tuple(EXIT_FAILURES) as e:
+        sys.stderr.write(f"{type(e).__name__}: {e}\n")
+        return next(code for t, code in EXIT_FAILURES.items() if isinstance(e, t))
     except Exception as e:  # noqa: BLE001 -- surfaced with the failing condition
         sys.stderr.write(f"internal error: {type(e).__name__}: {e}\n")
-        return EXIT_INTERNAL + 1
+        return EXIT_UNEXPECTED
 
 
 if __name__ == "__main__":

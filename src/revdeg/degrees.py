@@ -147,7 +147,7 @@ class DegreeEngine:
         lat = self.lattice
         dims = []
         for level in (lat.m_lo, lat.m_hi):
-            members = np.asarray(lat._rep_at(cid, level), dtype=np.int64)
+            members = lat._rep_array(cid, level)
             t = (members // lat.ng) % level
             refl = (members // lat.ng) >= level
             ge = members % lat.ng
@@ -167,7 +167,7 @@ class DegreeEngine:
 
     def fixed_projector(self, k: int, l: int, cid: int, level: int) -> np.ndarray:
         mats = self.rep_matrices(k, l, level)
-        members = np.asarray(self.lattice._rep_at(cid, level), dtype=np.int64)
+        members = self.lattice._rep_array(cid, level)
         return mats[members].mean(axis=0)
 
     # -- stabilizer sampling ----------------------------------------------------

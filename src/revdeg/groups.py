@@ -11,6 +11,8 @@ products, an ``inverse`` array and ``generators``.
   each index into its two factor parts and multiplies through the factors'
   tables.  The truncation groups D_M x (Gamma x Z2) are built this way, so
   their memory grows with |G| and (2M)^2, not |G|^2.
+  Its ``conjugators`` solves x a x^-1 = b in each factor's conjugation
+  table.
 
 Everything downstream (conjugacy classes of subgroups, normalizers, double
 cosets) works on integer index arrays through that interface, so the heavy
@@ -166,6 +168,22 @@ class ProductGroup:
             return self.gen_conjugations[x][a]
         (x1, x2), (a1, a2) = self._split(x), self._split(a)
         return self._conj_a[x1, a1] + self._conj_b[x2, a2]
+
+    def conjugators(self, a, b) -> np.ndarray:
+        """Every x with x y x^-1 in b for some y in a (a and b elements or
+        index arrays), in increasing order.  The first-factor parts of x
+        that conjugate some y's first part into a first part of b are read
+        off the columns of the first factor's conjugation table; only those,
+        paired with every second-factor part, are conjugated, so no
+        conjugate of all of the group is formed."""
+        nb = self._nb
+        a1, a2 = divmod(np.atleast_1d(np.asarray(a, dtype=np.int64)), nb)
+        b = np.atleast_1d(np.asarray(b, dtype=np.int64))
+        cols = self._conj_a[:, a1]
+        x1, ai = np.nonzero((cols[..., None] == np.unique(b - b % nb)).any(axis=-1))
+        conj = cols[x1, ai][:, None] + self._conj_b[:, a2[ai]].T
+        xs = x1[:, None] * nb + np.arange(nb)
+        return np.unique(xs[(conj[..., None] == b).any(axis=-1)])
 
 
 Group = FiniteGroup | ProductGroup
@@ -389,16 +407,34 @@ def subgroup_classes(g: Group, cap: int = DEFAULT_ENUMERATION_CAP,
 # -- double cosets -----------------------------------------------------------
 
 
-def double_cosets(g: Group, h_members, k_members) -> list[int]:
+def double_cosets(g: Group, h_members, k_members, meeting=None) -> list[int]:
     """Representatives of H\\g/K, each the least element of its double coset,
-    in increasing order.  HxK is the union of the right cosets Hy, y in xK,
-    so right cosets (by their least elements) are marked, not elements."""
+    in increasing order; with ``meeting`` (element indices), only the double
+    cosets that hold one of those elements.
+
+    Each new double coset HxK is spread into labels that it covers exactly,
+    and a later x whose own label is covered is skipped.  The labels are the
+    right cosets Hy (by their least elements), HxK being the union of Hy
+    over y in xK; or, for a few meeting elements and |H||K| <= |g|, the
+    elements h x k themselves, which skips labelling all of g.  The least
+    label of HxK is its least element.
+    """
     k = g.prepare(k_members)
-    least = _right_coset_least(g, h_members)
+    if meeting is None or len(h_members) * len(k_members) > g.order:
+        label = _right_coset_least(g, h_members)
+        spread = lambda x: label[g.mul(x, k)]
+    else:
+        label, hs = None, g.prepare(h_members)  # each element is its own label
+        spread = lambda x: g.mul(g.mul(hs, x)[:, None], k)
+    if meeting is None:
+        xs = np.flatnonzero(label == np.arange(g.order))
+    else:
+        xs = np.unique(np.asarray(meeting, dtype=np.int64))
     done = np.zeros(g.order, dtype=bool)
     reps = []
-    for x in np.flatnonzero(least == np.arange(g.order)).tolist():
-        if not done[x]:
-            done[least[g.mul(x, k)]] = True
-            reps.append(x)
-    return reps
+    for x in xs.tolist():
+        if not done[x if label is None else label[x]]:
+            covered = spread(x)
+            done[covered] = True
+            reps.append(int(covered.min()))
+    return sorted(reps)

@@ -11,6 +11,13 @@ and promotes folds that track M to SO(2)/O(2).
 Conjugacy over the full group is conjugacy in the truncation extended by the
 half-step rotation twist (the normalizer of D_M in O(2) is D_2M), and every
 count is computed at the working level M and re-verified at 2M.
+
+Products of classes count double cosets.  When a factor has a finite
+O(2)-part, only the double cosets whose intersection holds a reflection can
+contribute (the others are cyclic folds, with infinite Weyl group), and only
+those are enumerated, from the solutions of x k x^-1 = h for reflections h
+and k of the factors.  When both factors contain SO(2), every double coset
+is enumerated.
 """
 
 from __future__ import annotations
@@ -127,6 +134,11 @@ class ClassLattice:
         self.classes: list[AmalgamData] = []
         self.labels: list[str] = []
         self._reps: dict[int, list[tuple[int, ...]]] = {self.m_lo: [], self.m_hi: []}
+        # the same representatives as read-only int64 arrays
+        self._rep_arrays: dict[int, list[np.ndarray]] = {self.m_lo: [], self.m_hi: []}
+        # (class id, level) -> one reflection per conjugacy class of
+        # reflections inside the representative
+        self._refl_reps: dict[tuple[int, int], list[int]] = {}
         self._weyl: list[int | None] = []   # None marks infinite
         self._by_label: dict[str, int] = {}
         # every conjugate of every interned class -> class id, per level; its
@@ -273,6 +285,9 @@ class ClassLattice:
         self.classes.append(data)
         for lv, conjs in ((level, orbit), (other, orbit_other)):
             self._reps[lv].append(conjs[0])
+            rep = np.array(conjs[0], dtype=np.int64)
+            rep.setflags(write=False)
+            self._rep_arrays[lv].append(rep)
             self._conj_cache[(cid, lv)] = conjs
             index = self._class_of[lv]
             for c in conjs:
@@ -291,6 +306,10 @@ class ClassLattice:
 
     def _rep_at(self, cid: int, level: int) -> tuple[int, ...]:
         return self._reps[level][cid]
+
+    def _rep_array(self, cid: int, level: int) -> np.ndarray:
+        """_rep_at as a read-only int64 array, built once when interned."""
+        return self._rep_arrays[level][cid]
 
     def class_id_by_label(self, label: str) -> int:
         return self._by_label[label]
@@ -412,9 +431,9 @@ class ClassLattice:
         key = (j, level)
         if key not in self._conj_arrays:
             self._conj_arrays[key] = np.array(self._conj_cache[key], dtype=np.int32)
-        h = self._rep_at(i, level)
+        h = self._rep_array(i, level)
         in_h = np.zeros(self.group_at(level).order, dtype=bool)
-        in_h[list(h)] = True
+        in_h[h] = True
         return int(np.count_nonzero(in_h[self._conj_arrays[key]].sum(axis=1) == len(h)))
 
     def _class_conjugates(self, cid: int, level: int) -> list[tuple[int, ...]]:
@@ -434,47 +453,101 @@ class ClassLattice:
     # -- products -------------------------------------------------------------
 
     def product_classes(self, i: int, j: int, extend: bool = True) -> dict[int, int]:
-        """Burnside generator product (i)*(j): double-coset orbit counts,
-        keeping finite-Weyl classes only, verified at both levels."""
+        """Burnside generator product (H)*(K), H = class i, K = class j, by
+        double-coset counting: each double coset HxK adds one to the class of
+        H ∩ xKx^-1 when that class has finite Weyl group.  Verified at both
+        levels.
+
+        (G) is the unit, so (G)*(K) is (K), or 0 when K's Weyl group is
+        infinite, with no coset pass.  Otherwise see _product_at.
+        """
         key = (min(i, j), max(i, j))
         if key in self._mul_cache:
             return dict(self._mul_cache[key])
-        results = []
-        for level in (self.m_lo, self.m_hi):
-            g = self.group_at(level)
-            h = np.asarray(self._rep_at(i, level), dtype=np.int64)
-            k = np.asarray(self._rep_at(j, level), dtype=np.int64)
-            in_h = np.zeros(g.order, dtype=bool)
-            in_h[h] = True
-            coeffs: dict[int, int] = {}
-            for x in double_cosets(g, h, k):
-                kc = conjugate_members(g, x, k)
-                members = kc[in_h[kc]]  # sorted, as kc is
-                if self._cyclic_fold(members, level):
-                    continue  # infinite Weyl group: dropped from the product
-                inter = tuple(members.tolist())
-                self.lift(inter, level)  # refuses unstable truncations first
-                cid = self._find_class(inter, level)
-                if cid is None:
-                    if not extend:
-                        raise ClassEscape([self._describe(inter, level)])
-                    cid = self.ensure_handle(inter, level)
-                    self.escape_log.append(f"extended working set: {self.labels[cid]}")
-                if self.finite_weyl(cid):
-                    coeffs[cid] = coeffs.get(cid, 0) + 1
-            results.append(coeffs)
-        if results[0] != results[1]:
-            raise TruncationInstability(
-                f"product ({self.labels[i]})*({self.labels[j]}) differs between levels")
-        self._mul_cache[key] = results[0]
-        return dict(results[0])
+        if 0 in key:
+            other = key[1]
+            result = {other: 1} if self.finite_weyl(other) else {}
+        else:
+            results = [self._product_at(i, j, level, extend)
+                       for level in (self.m_lo, self.m_hi)]
+            if results[0] != results[1]:
+                raise TruncationInstability(
+                    f"product ({self.labels[i]})*({self.labels[j]}) differs between levels")
+            result = results[0]
+        self._mul_cache[key] = result
+        return dict(result)
 
-    def _cyclic_fold(self, members: np.ndarray, level: int) -> bool:
-        """Whether lift would return a cyclic fold, without raising, for these
-        sorted truncated members: no reflection and at most level // 4
-        distinct rotation indices.  Needs no Python decode of the members."""
-        o2 = members // self.ng  # sorted, so reflections come last
-        return o2[-1] < level and np.count_nonzero(o2[1:] != o2[:-1]) < level // 4
+    def _product_at(self, i: int, j: int, level: int, extend: bool) -> dict[int, int]:
+        """product_classes at one level, visiting the double cosets in
+        increasing order of their least elements (classes are interned in
+        that order).
+
+        When H or K has a finite O(2)-part, an intersection with no
+        reflection (an element whose O(2)-part is a reflection) is a cyclic
+        fold, whose Weyl group is infinite, so only the double cosets meeting
+        _reflection_conjugators are visited.  When both contain SO(2), so do
+        all their intersections, which may have a finite Weyl group with no
+        reflection, and every double coset is visited.
+        """
+        g = self.group_at(level)
+        h, k = self._rep_array(i, level), self._rep_array(j, level)
+        meeting = None
+        if self.classes[i].o2.kind in ("D", "Z") or self.classes[j].o2.kind in ("D", "Z"):
+            meeting = self._reflection_conjugators(i, j, level)
+        in_h = np.zeros(g.order, dtype=bool)
+        in_h[h] = True
+        coeffs: dict[int, int] = {}
+        for x in double_cosets(g, h, k, meeting):
+            kc = conjugate_members(g, x, k)
+            inter = tuple(kc[in_h[kc]].tolist())  # sorted, as kc is
+            self.lift(inter, level)  # refuses unstable truncations first
+            cid = self._find_class(inter, level)
+            if cid is None:
+                if not extend:
+                    raise ClassEscape([self._describe(inter, level)])
+                cid = self.ensure_handle(inter, level)
+                self.escape_log.append(f"extended working set: {self.labels[cid]}")
+            if self.finite_weyl(cid):
+                coeffs[cid] = coeffs.get(cid, 0) + 1
+        return coeffs
+
+    def _reflection_conjugators(self, i: int, j: int, level: int) -> np.ndarray:
+        """Elements x with x k x^-1 = h, for h one reflection from each
+        H-class of reflections in H and k one from each K-class in K.  They
+        meet every double coset HxK whose intersection H ∩ xKx^-1 holds a
+        reflection: if x k' x^-1 = h' with h' = a h a^-1 (a in H) and
+        k' = b k b^-1 (b in K), then a^-1 x b lies in HxK and conjugates k
+        to h.
+
+        A cyclic fold too close to the level is never lifted on this route,
+        so a finite factor whose fold lift would refuse at this level is
+        refused here."""
+        for c in (i, j):
+            o2 = self.classes[c].o2
+            if o2.kind in ("D", "Z") and o2.fold > level // 4:
+                raise TruncationInstability(
+                    f"fold {o2.fold} too close to truncation level {level}; "
+                    "raise the base level")
+        return self.group_at(level).conjugators(self._reflection_reps(j, level),
+                                                self._reflection_reps(i, level))
+
+    def _reflection_reps(self, cid: int, level: int) -> list[int]:
+        """The least element of each conjugacy class, under the
+        representative itself, of the reflections in class cid's
+        representative at level."""
+        key = (cid, level)
+        if key not in self._refl_reps:
+            g = self.group_at(level)
+            rep = self._rep_array(cid, level)
+            refl = rep[rep // self.ng >= level]
+            todo = np.zeros(g.order, dtype=bool)
+            todo[refl] = True
+            reps, hs = [], g.prepare(rep)
+            while (rest := refl[todo[refl]]).size:
+                reps.append(int(rest[0]))
+                todo[g.conjugate(hs, reps[-1])] = False
+            self._refl_reps[key] = reps
+        return self._refl_reps[key]
 
     def _find_class(self, members, level: int) -> int | None:
         """Id of the interned class whose orbit at level holds the members."""

@@ -171,3 +171,57 @@ def test_cli_out_directory_checked_before_work(tmp_path, monkeypatch, capsys):
     assert "usage: revdeg analyze" in err
     assert str(missing) in err
     assert not missing.exists()
+
+
+def _typed_failures():
+    from revdeg.burnside import InconsistentDegreeData
+    from revdeg.chars import NonIntegralAverage
+    from revdeg.degrees import IncompleteLattice, RouteDisagreement
+    from revdeg.lattice import ClassEscape, InadmissibleLevel, TruncationInstability
+    from revdeg.spectra import SignNotCertified
+
+    return [(TruncationInstability("levels differ"), 32),
+            (IncompleteLattice("not certified"), 33),
+            (RouteDisagreement("routes differ"), 34),
+            (SignNotCertified("sign undecided"), 35),
+            (NonIntegralAverage("not an integer"), 36),
+            (InconsistentDegreeData("non-integer coefficient"), 37),
+            (ClassEscape(["(D1 x Z1)"]), 38),
+            (InadmissibleLevel("level not divisible"), 39),
+            (ValueError("anything else"), 31)]
+
+
+@pytest.mark.parametrize("failure, code", _typed_failures(),
+                         ids=lambda v: type(v).__name__ if isinstance(v, Exception) else str(v))
+def test_cli_exit_code_per_failure(monkeypatch, capsys, failure, code):
+    from revdeg import cli
+
+    def fail(*args, **kwargs):
+        raise failure
+
+    monkeypatch.setattr(cli, "run_analyze", fail)
+    assert cli.main(["analyze", "--unsafe-skip-geometry"]) == code
+    assert f"{type(failure).__name__}: {failure}" in capsys.readouterr().err
+
+
+def test_cli_exit_codes_distinct_and_documented():
+    from pathlib import Path
+
+    from revdeg import cli
+
+    codes = list(cli.EXIT_FAILURES.values())
+    assert sorted(codes) == list(range(32, 40))
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    for exc, code in cli.EXIT_FAILURES.items():
+        assert f"| `{code}` | `{exc.__name__}` |" in readme
+
+
+def test_cli_real_failures_exit_with_their_codes(capsys):
+    from revdeg import cli
+
+    # level 12 is too coarse for the mode-2 folds; 30 is not divisible by 4
+    assert cli.main(["basic-degree", "--mode", "2", "--truncation", "12"]) == 32
+    assert cli.main(["basic-degree", "--mode", "0", "--truncation", "30"]) == 39
+    err = capsys.readouterr().err
+    assert "TruncationInstability: fold 4 too close" in err
+    assert "InadmissibleLevel: base level 30" in err

@@ -323,3 +323,45 @@ def test_orbit_walk_matches_per_member_reference():
         assert list(orbit_walk(g, starts)) == orbit_walk_reference(g, starts)
     walk = orbit_walk(d8xz2(), [(0, 1)])
     assert next(walk) == (0, 1)  # lazy: the start is yielded before any conjugation
+
+
+@given(st.sampled_from(GAMMAS), st.sampled_from([4, 8]), st.integers(0, 10 ** 6),
+       st.lists(st.integers(0, 10 ** 6), max_size=3))
+@settings(max_examples=30, deadline=None)
+def test_conjugators_match_brute_force(gamma, m, a, targets):
+    # x y x^-1 in b, solved per factor in the truncation group, against a
+    # scan of the whole group; one y or several, one target or several
+    g = trunc_group(direct_product(gamma, make_cyclic(2)), m)
+    a = a % g.order
+    ys = [a, (a + 1) % g.order]
+    conj = g.conjugate(np.arange(g.order)[:, None], np.array(ys))
+    for b in [a, int(g.conjugate(targets[0] % g.order, a)) if targets else 0,
+              [t % g.order for t in targets]]:
+        hit = np.isin(conj, b)
+        assert g.conjugators(a, b).tolist() == np.flatnonzero(hit[:, 0]).tolist()
+        assert g.conjugators(ys, b).tolist() == np.flatnonzero(hit.any(axis=1)).tolist()
+
+
+def test_double_cosets_meeting_match_definition():
+    # subgroups of D8 x Z2 and of a truncation group, small and large, so
+    # that both labellings (elements, right cosets of H) run; the answer is
+    # the least elements of the double cosets that hold a meeting element,
+    # in increasing order
+    dense = d8xz2()
+    trunc = trunc_group(direct_product(make_dihedral(2), make_cyclic(2)), 8)
+    rng = np.random.default_rng(3)
+    modes = set()
+    for g in (dense, trunc):
+        subs = [closure(g, rng.integers(0, g.order, size=rng.integers(0, 3)).tolist()).members
+                for _ in range(12)]
+        for h in subs:
+            for k in subs:
+                hs, ks = np.array(h), np.array(k)
+                cosets = [frozenset(g.mul(g.mul(hs, x)[:, None], ks).ravel().tolist())
+                          for x in range(g.order)]
+                meeting = rng.integers(0, g.order, size=rng.integers(0, 6))
+                want = sorted({min(cosets[x]) for x in meeting.tolist()})
+                assert double_cosets(g, h, k, meeting) == want
+                assert double_cosets(g, h, k) == sorted({min(c) for c in cosets})
+                modes.add(len(h) * len(k) <= g.order)
+    assert modes == {True, False}

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from revdeg.degrees import DegreeEngine
 from revdeg.groups import closure, conjugate_members, make_cyclic, make_dihedral
 from revdeg.lattice import (
     AmalgamData,
@@ -233,56 +232,6 @@ def test_ensure_handle_refuses_before_lookup():
     with pytest.raises(TruncationInstability):
         lat.ensure_handle(z16_lo, lat.m_lo)
     assert len(lat.classes) == n_classes
-
-
-def test_cyclic_fold_predicate_matches_lift(lat):
-    # every rotation fold d | M with finite parts, and the same with a
-    # reflection: the predicate is true exactly where lift returns a cyclic
-    # fold without raising (d <= M/4); d = M/2 raises, d = M is SO(2)
-    m = lat.m_lo
-    for d in (1, 2, 4, 8, 16, 32):
-        for ges in ((0,), (0, 1)):
-            rot = [lat.encode(t * (m // d), False, ge, m) for t in range(d) for ge in ges]
-            for members in (rot, rot + [lat.encode(t * (m // d), True, ge, m)
-                                        for t in range(d) for ge in ges]):
-                members = np.array(sorted(members))
-                try:
-                    expected = lat.lift(members, m).o2.kind == "Z"
-                except TruncationInstability:
-                    expected = False
-                assert lat._cyclic_fold(members, m) == expected
-                assert expected == (d <= m // 4 and len(members) == d * len(ges))
-
-
-def test_cyclic_fold_skip_matches_lift(monkeypatch, natural):
-    # product_classes drops cyclic-fold intersections before lift; with a
-    # predicate that asks lift instead (the unskipped path), the products of
-    # the example's mode-0/1/2 basic degrees and the classes are the same
-    def products():
-        eng = DegreeEngine("dihedral", 8, base_level=64)
-        degs = [eng.basic_degree(k, natural) for k in (0, 1, 2)]
-        for a in degs:
-            for b in degs:
-                a.multiply(b)
-        return eng.lattice
-
-    fast = ClassLattice._cyclic_fold
-    answers = []
-
-    def by_lift(self, members, level):
-        kind = self.lift(tuple(members.tolist()), level).o2.kind
-        answers.append(kind == "Z")
-        assert fast(self, members, level) == answers[-1]
-        return answers[-1]
-
-    skipped = products()
-    monkeypatch.setattr(ClassLattice, "_cyclic_fold", by_lift)
-    unskipped = products()
-    assert any(answers) and not all(answers)
-    assert unskipped.labels == skipped.labels
-    assert unskipped._mul_cache == skipped._mul_cache
-    for level in (skipped.m_lo, skipped.m_hi):
-        assert unskipped._reps[level] == skipped._reps[level]
 
 
 GAMMAS = [make_dihedral(n) for n in range(1, 7)] + [make_cyclic(n) for n in range(1, 7)]

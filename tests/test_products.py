@@ -1,0 +1,171 @@
+"""Class products against the full double-coset enumeration.
+
+ClassLattice.product_classes visits only the double cosets HxK whose
+intersection H ∩ xKx^-1 holds a reflection (when H or K has a finite
+O(2)-part).  The oracle here visits every double coset and skips the
+intersections that lift to a cyclic fold (infinite Weyl group), which are
+the intersections the reflection route never forms."""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from revdeg import lattice as lattice_module
+from revdeg.degrees import DegreeEngine
+from revdeg.groups import closure, conjugate_members, double_cosets, make_cyclic, make_dihedral
+from revdeg.lattice import ClassEscape, ClassLattice, TruncationInstability
+from revdeg.spectra import LinearizationSpec
+
+
+def is_cyclic_fold(lat, members, level) -> bool:
+    """Whether lift gives a cyclic fold (finite rotations, no reflection)."""
+    return lat.lift(members, level).o2.kind == "Z"
+
+
+def oracle_product(lat, i, j, extend=True):
+    """(i)*(j) over every double coset at both levels, cyclic folds skipped
+    through lift; cached like product_classes, so it can stand in for it."""
+    key = (min(i, j), max(i, j))
+    if key in lat._mul_cache:
+        return dict(lat._mul_cache[key])
+    results = []
+    for level in (lat.m_lo, lat.m_hi):
+        g = lat.group_at(level)
+        h, k = lat._rep_at(i, level), lat._rep_at(j, level)
+        coeffs = {}
+        for x in double_cosets(g, h, k):
+            inter = tuple(sorted(set(h) & set(conjugate_members(g, x, k).tolist())))
+            if is_cyclic_fold(lat, inter, level):
+                continue
+            cid = lat._find_class(inter, level)
+            if cid is None:
+                if not extend:
+                    raise ClassEscape([lat._describe(inter, level)])
+                cid = lat.ensure_handle(inter, level)
+                lat.escape_log.append(f"extended working set: {lat.labels[cid]}")
+            if lat.finite_weyl(cid):
+                coeffs[cid] = coeffs.get(cid, 0) + 1
+        results.append(coeffs)
+    if results[0] != results[1]:
+        raise TruncationInstability("product differs between levels")
+    lat._mul_cache[key] = results[0]
+    return dict(results[0])
+
+
+def assert_same_lattice(a, b):
+    assert a.labels == b.labels
+    assert a.classes == b.classes
+    assert a.escape_log == b.escape_log
+    assert a._mul_cache == b._mul_cache
+    for level in (a.m_lo, a.m_hi):
+        assert a._reps[level] == b._reps[level]
+
+
+def test_oracle_skips_exactly_cyclic_folds():
+    # every rotation fold d | M with finite parts, and the same with a
+    # reflection: the oracle skips exactly where lift returns a cyclic fold
+    # without raising (d <= M/4); d = M/2 raises, d = M is SO(2)
+    lat = ClassLattice(make_dihedral(8), 32, gamma_param=8)
+    m = lat.m_lo
+    for d in (1, 2, 4, 8, 16, 32):
+        for ges in ((0,), (0, 1)):
+            rot = [lat.encode(t * (m // d), False, ge, m) for t in range(d) for ge in ges]
+            for members in (rot, rot + [lat.encode(t * (m // d), True, ge, m)
+                                        for t in range(d) for ge in ges]):
+                members = tuple(sorted(members))
+                try:
+                    skipped = is_cyclic_fold(lat, members, m)
+                except TruncationInstability:
+                    skipped = False
+                assert skipped == (d <= m // 4 and len(members) == d * len(ges))
+
+
+def test_reflection_route_matches_full_enumeration(monkeypatch, natural):
+    # the omega_d8_m64 workload's products (omega for mu = -13/2, modes 0-2)
+    # and every product of the mode-0/1/2 basic degrees: the same
+    # coefficients, classes, ids, labels and escapes as the oracle route
+    def products():
+        eng = DegreeEngine("dihedral", 8, base_level=64)
+        spec = LinearizationSpec(1, {natural: (Fraction(-13, 2),)}, {natural: 1})
+        eng.existence_analysis(spec)
+        degs = [eng.basic_degree(k, natural) for k in (0, 1, 2)]
+        for a in degs:
+            for b in degs:
+                a.multiply(b)
+        return eng.lattice
+
+    reflection = products()
+    monkeypatch.setattr(ClassLattice, "product_classes", oracle_product)
+    full = products()
+    assert len(reflection._mul_cache) > 100
+    assert_same_lattice(reflection, full)
+
+
+GAMMAS = [make_dihedral(n) for n in range(1, 7)] + [make_cyclic(n) for n in range(1, 7)]
+# (rotation step: none, one grid step, a quarter or half turn; reflection?;
+# Gamma x Z2 index): a one-step rotation with trivial Gamma x Z2 part makes
+# an SO(2)/O(2)-type subgroup, the turns small folds
+GENERATORS = st.lists(st.tuples(st.integers(0, 3), st.booleans(),
+                                st.one_of(st.just(0), st.integers(0, 23))),
+                      min_size=1, max_size=3)
+
+
+@given(st.integers(0, len(GAMMAS) - 1), st.sampled_from([8, 16]), GENERATORS, GENERATORS)
+@settings(max_examples=150, deadline=None)
+def test_reflection_route_matches_oracle_on_random_pairs(gamma_index, level, gens_h, gens_k):
+    # the same two subgroups interned in two fresh lattices; the library
+    # route on one and the oracle on the other must agree, down to the
+    # classes a product adds and the refusals
+    gamma = GAMMAS[gamma_index]
+    steps = [0, 1, level // 4, level // 2]
+    lats = [ClassLattice(gamma, level), ClassLattice(gamma, level)]
+    ids = []
+    for lat in lats:
+        members = [closure(lat.group_lo, [lat.encode(steps[s], refl, ge % lat.ng, level)
+                                          for s, refl, ge in gens]).members
+                   for gens in (gens_h, gens_k)]
+        try:
+            ids.append([lat.ensure_handle(m, level) for m in members])
+        except TruncationInstability:
+            assume(False)
+    try:
+        want = oracle_product(lats[1], *ids[1])
+    except TruncationInstability:
+        with pytest.raises(TruncationInstability):
+            lats[0].product_classes(*ids[0])
+        return
+    assert lats[0].product_classes(*ids[0]) == want
+    assert_same_lattice(*lats)
+
+
+def test_unit_product_has_no_coset_pass(monkeypatch, engine8, natural):
+    # (G) is the unit: (G)*(K) = (K) when W(K) is finite, else 0
+    engine8.basic_degree(0, natural)
+    engine8.basic_degree(1, natural)
+    lat = engine8.lattice
+    want = {}
+    for j in range(len(lat.classes)):
+        lat._mul_cache.pop((0, j), None)
+        want[j] = oracle_product(lat, 0, j)
+        lat._mul_cache.pop((0, j))
+    monkeypatch.setattr(lattice_module, "double_cosets", None)
+    for j, coeffs in want.items():
+        assert lat.product_classes(0, j) == lat.product_classes(j, 0) == coeffs
+        assert coeffs == ({j: 1} if lat.finite_weyl(j) else {})
+    fresh = ClassLattice(make_dihedral(8), 32, gamma_param=8)
+    cyclic = fresh.ensure_handle((0, (fresh.m_lo // 2) * fresh.ng), fresh.m_lo)
+    assert fresh.product_classes(cyclic, 0) == {}
+
+
+def test_product_refuses_fold_too_close_to_level():
+    # Z16 interned at level 64 is a fold the level-32 truncation refuses;
+    # its product with itself has no reflection to meet and is still refused
+    lat = ClassLattice(make_dihedral(8), 32, gamma_param=8)
+    cid = lat.ensure_handle(
+        tuple(lat.encode(4 * t, False, 0, lat.m_hi) for t in range(16)), lat.m_hi)
+    with pytest.raises(TruncationInstability):
+        lat.product_classes(cid, cid)
+    with pytest.raises(TruncationInstability):
+        oracle_product(lat, cid, cid)
