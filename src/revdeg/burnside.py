@@ -40,9 +40,6 @@ class BurnsideElement:
     def coeff(self, cid: int) -> int:
         return dict(self.coeffs).get(cid, 0)
 
-    def coeff_by_label(self, label: str) -> int:
-        return self.coeff(self.lattice.class_id_by_label(label))
-
     def __add__(self, other: "BurnsideElement") -> "BurnsideElement":
         d = self.as_dict()
         for cid, c in other.coeffs:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import burnside as br
@@ -21,7 +22,7 @@ from .geometry import FIGURE_HEADER, check_conditions, figure_data
 from .groups import direct_product, make_cyclic, make_dihedral, subgroup_classes
 from .lattice import ClassEscape, InadmissibleLevel, TruncationInstability
 from .names import names_for_gamma_z2
-from .report import default_base_level, run_analyze
+from .report import base_level, run_analyze
 from .spectra import SignNotCertified
 
 EXIT_OK = 0
@@ -43,17 +44,17 @@ EXIT_FAILURES = {
 
 
 def _load_config(args) -> AnalysisConfig:
-    if args.config == "example":
-        return parse_config(example_config_text())
-    return parse_config(Path(args.config).read_text())
+    """The configuration, its truncation level overridden by --truncation."""
+    cfg = parse_config(example_config_text() if args.config == "example"
+                       else Path(args.config).read_text())
+    if getattr(args, "truncation", None):
+        cfg = replace(cfg, truncation_base=args.truncation)
+    return cfg
 
 
-def _engine(cfg: AnalysisConfig, args, modes=()) -> DegreeEngine:
-    """Engine at the --truncation or configured level, else at the default
-    level for the Fourier modes the command computes."""
-    base = (getattr(args, "truncation", None) or cfg.truncation_base
-            or default_base_level(cfg.group_n, modes))
-    return DegreeEngine(cfg.group_kind, cfg.group_n, base_level=base)
+def _engine(cfg: AnalysisConfig, modes=()) -> DegreeEngine:
+    """Engine at report.base_level for the Fourier modes the command computes."""
+    return DegreeEngine(cfg.group_kind, cfg.group_n, base_level=base_level(cfg, modes))
 
 
 def _out_path(text: str) -> Path:
@@ -128,7 +129,7 @@ def _element_for_token(engine: DegreeEngine, cfg: AnalysisConfig, token: str):
 
 def cmd_basic_degree(args) -> int:
     cfg = _load_config(args)
-    engine = _engine(cfg, args, [args.mode])
+    engine = _engine(cfg, [args.mode])
     l = _default_component(engine)
     e = engine.basic_degree(args.mode, l)
     _emit(f"deg[V({args.mode},{l})] = {e.render()}\n", args)
@@ -138,7 +139,7 @@ def cmd_basic_degree(args) -> int:
 def cmd_burnside_mul(args) -> int:
     cfg = _load_config(args)
     modes = [k for k in map(_token_mode, (args.left, args.right)) if k is not None]
-    engine = _engine(cfg, args, modes)
+    engine = _engine(cfg, modes)
     left = _element_for_token(engine, cfg, args.left)
     right = _element_for_token(engine, cfg, args.right)
     _emit(f"{left.multiply(right).render()}\n", args)
@@ -174,7 +175,7 @@ def cmd_oracle_stability(args) -> int:
     """Recompute containment counts and generator products for the working
     set of the example pipeline at both levels; print the diff (must be empty)."""
     cfg = _load_config(args)
-    engine = _engine(cfg, args)
+    engine = _engine(cfg)
     nat = engine.natural_component() if cfg.group_kind == "dihedral" else 0
     engine.basic_degree(0, nat)
     engine.basic_degree(1, nat)
@@ -183,11 +184,7 @@ def cmd_oracle_stability(args) -> int:
     diffs = []
     for i in ids:
         for j in ids:
-            counts = []
-            for level in (lat.m_lo, lat.m_hi):
-                h = set(lat._rep_at(i, level))
-                conjs = lat._class_conjugates(j, level)
-                counts.append(sum(1 for c in conjs if h <= set(c)))
+            counts = [lat._n_count_at(i, j, level) for level in (lat.m_lo, lat.m_hi)]
             if counts[0] != counts[1]:
                 diffs.append(f"n({lat.labels[i]},{lat.labels[j]}): {counts}")
         w_lo, w_hi = lat._weyl_at(i, lat.m_lo), lat._weyl_at(i, lat.m_hi)

@@ -46,9 +46,6 @@ class AnalysisConfig:
     boundary_grid: int
     tolerances: dict[str, float]
 
-    def mu_row(self, label: str):
-        return self.mu[label]
-
 
 def _to_number(x):
     if isinstance(x, str):

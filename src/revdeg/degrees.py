@@ -69,14 +69,14 @@ class DegreeReport:
 class DegreeEngine:
     """Degree computations for G = O(2) x Gamma x Z2 over a ClassLattice."""
 
-    def __init__(self, kind: str, n: int, base_level: int | None = None,
-                 max_mode_hint: int = 4):
+    def __init__(self, kind: str, n: int, base_level: int | None = None):
         self.kind, self.n = kind, n
         self.table: CharacterTable = character_table(kind, n)
         self.minus = minus_irreps(self.table)
         gamma = make_dihedral(n) if kind == "dihedral" else make_cyclic(n)
         if base_level is None:
-            base_level = 4 * math.lcm(n, max(max_mode_hint, 1), 2)
+            # a fixed default; analyze and the CLI size theirs by report.base_level
+            base_level = 4 * math.lcm(n, 4, 2)
         self.lattice = ClassLattice(gamma, base_level,
                                     gamma_param=n if kind == "dihedral" else None)
         self._mat_cache: dict = {}
@@ -93,9 +93,6 @@ class DegreeEngine:
 
     def component_dim(self, l: int) -> int:
         return self.table.irreps[self.minus[l]].dim
-
-    def component_name(self, l: int) -> str:
-        return self.table.irreps[self.minus[l]].name
 
     def natural_component(self) -> int:
         """chars.natural_component of this engine's character table."""

@@ -215,10 +215,6 @@ class SubgroupHandle:
     def __len__(self) -> int:
         return len(self.members)
 
-    @property
-    def member_set(self) -> frozenset[int]:
-        return frozenset(self.members)
-
     def contains(self, other: "SubgroupHandle") -> bool:
         return set(other.members) <= set(self.members)
 

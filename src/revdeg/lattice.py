@@ -12,6 +12,11 @@ Conjugacy over the full group is conjugacy in the truncation extended by the
 half-step rotation twist (the normalizer of D_M in O(2) is D_2M), and every
 count is computed at the working level M and re-verified at 2M.
 
+Each interned class keeps its full-group orbit once per level, as a sorted,
+read-only int32 array with one row of members per conjugate; row 0 (the
+lex-min conjugate) is the class's representative at that level.  An index
+from each row's bytes to the class id finds the class of any member set.
+
 Products of classes count double cosets.  When a factor has a finite
 O(2)-part, only the double cosets whose intersection holds a reflection can
 contribute (the others are cyclic folds, with infinite Weyl group), and only
@@ -133,22 +138,17 @@ class ClassLattice:
             [c.representative.members for c in self._finite_classes])
         self.classes: list[AmalgamData] = []
         self.labels: list[str] = []
-        self._reps: dict[int, list[tuple[int, ...]]] = {self.m_lo: [], self.m_hi: []}
-        # the same representatives as read-only int64 arrays
-        self._rep_arrays: dict[int, list[np.ndarray]] = {self.m_lo: [], self.m_hi: []}
+        # (class id, level) -> the class's full-group orbit at level, as
+        # conjugates_full returns it; row 0 is the representative
+        self._orbits: dict[tuple[int, int], np.ndarray] = {}
         # (class id, level) -> one reflection per conjugacy class of
         # reflections inside the representative
         self._refl_reps: dict[tuple[int, int], list[int]] = {}
         self._weyl: list[int | None] = []   # None marks infinite
         self._by_label: dict[str, int] = {}
-        # every conjugate of every interned class -> class id, per level; its
-        # keys are the tuples of the orbits in _conj_cache, not copies
-        self._class_of: dict[int, dict[tuple[int, ...], int]] = {
-            self.m_lo: {}, self.m_hi: {}}
+        # the bytes of every orbit row -> class id, per level (_find_class)
+        self._class_of: dict[int, dict[bytes, int]] = {self.m_lo: {}, self.m_hi: {}}
         self._n_cache: dict[tuple[int, int], int] = {}
-        self._conj_cache: dict[tuple[int, int], list[tuple[int, ...]]] = {}
-        # the same orbits as (conjugates, |class|) int32 arrays, built on demand
-        self._conj_arrays: dict[tuple[int, int], np.ndarray] = {}
         self._angle_cache: dict[int, list[Fraction]] = {}
         self._mul_cache: dict[tuple[int, int], dict[int, int]] = {}
         self.escape_log: list[str] = []
@@ -246,9 +246,12 @@ class ClassLattice:
         start = tuple(int(v) for v in sorted(members))
         return orbit_walk(self.group_at(level), [start, self.half_twist(start, level)])
 
-    def conjugates_full(self, members, level: int) -> list[tuple[int, ...]]:
-        """All conjugates under O(2) x Gamma x Z2, sorted."""
-        return sorted(self._full_orbit(members, level))
+    def conjugates_full(self, members, level: int) -> np.ndarray:
+        """All conjugates under O(2) x Gamma x Z2, as the sorted rows of a
+        read-only int32 array."""
+        rows = np.array(sorted(self._full_orbit(members, level)), dtype=np.int32)
+        rows.setflags(write=False)
+        return rows
 
     def is_conjugate_full(self, a, b, level: int) -> bool:
         if len(a) != len(b):
@@ -283,15 +286,12 @@ class ClassLattice:
         other = self.m_hi if level == self.m_lo else self.m_lo
         orbit_other = self.conjugates_full(self.truncate(data, other), other)
         self.classes.append(data)
-        for lv, conjs in ((level, orbit), (other, orbit_other)):
-            self._reps[lv].append(conjs[0])
-            rep = np.array(conjs[0], dtype=np.int64)
-            rep.setflags(write=False)
-            self._rep_arrays[lv].append(rep)
-            self._conj_cache[(cid, lv)] = conjs
+        for lv, rows in ((level, orbit), (other, orbit_other)):
+            self._orbits[(cid, lv)] = rows
             index = self._class_of[lv]
-            for c in conjs:
-                index.setdefault(c, cid)  # an earlier class keeps a shared member set
+            # each row's bytes, as _find_class encodes a member set
+            for key in rows.view(f"V{rows.itemsize * rows.shape[1]}").ravel().tolist():
+                index.setdefault(key, cid)  # an earlier class keeps a shared member set
         self._weyl.append(self._weyl_stable(cid))
         label = self._format(cid)
         base, k = label, 2
@@ -305,11 +305,11 @@ class ClassLattice:
         return cid
 
     def _rep_at(self, cid: int, level: int) -> tuple[int, ...]:
-        return self._reps[level][cid]
+        return tuple(self._rep_array(cid, level).tolist())
 
     def _rep_array(self, cid: int, level: int) -> np.ndarray:
-        """_rep_at as a read-only int64 array, built once when interned."""
-        return self._rep_arrays[level][cid]
+        """The representative at level: row 0 of the class's orbit."""
+        return self._orbits[(cid, level)][0]
 
     def class_id_by_label(self, label: str) -> int:
         return self._by_label[label]
@@ -428,16 +428,10 @@ class ClassLattice:
     def _n_count_at(self, i: int, j: int, level: int) -> int:
         """n_count at one level: the conjugates of class j, as rows of member
         indices, whose members include every member of class i's rep."""
-        key = (j, level)
-        if key not in self._conj_arrays:
-            self._conj_arrays[key] = np.array(self._conj_cache[key], dtype=np.int32)
         h = self._rep_array(i, level)
         in_h = np.zeros(self.group_at(level).order, dtype=bool)
         in_h[h] = True
-        return int(np.count_nonzero(in_h[self._conj_arrays[key]].sum(axis=1) == len(h)))
-
-    def _class_conjugates(self, cid: int, level: int) -> list[tuple[int, ...]]:
-        return self._conj_cache[(cid, level)]
+        return int(np.count_nonzero(in_h[self._orbits[(j, level)]].sum(axis=1) == len(h)))
 
     def leq(self, i: int, j: int) -> bool:
         return i == j or self.n_count(i, j) > 0
@@ -550,10 +544,12 @@ class ClassLattice:
         return self._refl_reps[key]
 
     def _find_class(self, members, level: int) -> int | None:
-        """Id of the interned class whose orbit at level holds the members."""
+        """Id of the interned class whose orbit at level holds the members
+        (any container of ints, in any order)."""
         if level not in self._class_of:
             raise InadmissibleLevel(f"unsupported level {level}")
-        return self._class_of[level].get(tuple(int(v) for v in sorted(members)))
+        key = np.sort(np.asarray(members, dtype=np.int32)).tobytes()
+        return self._class_of[level].get(key)
 
     def _describe(self, members, level: int) -> str:
         data = self.lift(members, level)
@@ -608,6 +604,3 @@ class ClassLattice:
             if k == q:
                 return f"Z{q}"
         return f"D{q // 2}"
-
-    def format_class(self, cid: int) -> str:
-        return self.labels[cid]

@@ -39,10 +39,6 @@ PUBLISHED_FORM_NOTES = [
 ]
 
 
-class HypothesesNotVerified(RuntimeError):
-    """Geometry preconditions failed; degree output suppressed."""
-
-
 @dataclass
 class ReportDocument:
     config_echo: dict
@@ -174,9 +170,13 @@ def _fmt(v):
     return str(v)
 
 
-def default_base_level(n: int, active_modes) -> int:
-    folds = [n, 2] + [max(k, 1) * n for k in active_modes if k >= 1]
-    return 4 * math.lcm(*folds)
+def base_level(cfg: AnalysisConfig, active_modes) -> int:
+    """The configured truncation level (the CLI's --truncation sets it), else
+    4·lcm(n, 2, k·n for every active Fourier mode k)."""
+    if cfg.truncation_base:
+        return cfg.truncation_base
+    n = cfg.group_n
+    return 4 * math.lcm(n, 2, *(k * n for k in active_modes if k >= 1))
 
 
 def run_analyze(cfg: AnalysisConfig, skip_geometry: bool = False,
@@ -218,8 +218,8 @@ def run_analyze(cfg: AnalysisConfig, skip_geometry: bool = False,
         if s_fold:
             modes += list(range(s_fold, summary.kstar + 1, 2 * s_fold))
     if engine is None:
-        base = cfg.truncation_base or default_base_level(cfg.group_n, modes)
-        engine = DegreeEngine(cfg.group_kind, cfg.group_n, base_level=base)
+        engine = DegreeEngine(cfg.group_kind, cfg.group_n,
+                              base_level=base_level(cfg, modes))
     degrees = engine.existence_analysis(spec, summary, cfg.degenerate_search_bound)
     notes.extend(degrees.notes)
     notes.extend(sorted(set(engine.lattice.escape_log)))

@@ -315,7 +315,7 @@ def test_criterion_6_truncation_stability(engine8, natural):
             counts = []
             for level in (lat.m_lo, lat.m_hi):
                 h = set(lat._rep_at(i, level))
-                conjs = lat._class_conjugates(j, level)
+                conjs = lat._orbits[(j, level)].tolist()
                 counts.append(sum(1 for c in conjs if h <= set(c)))
             if counts[0] != counts[1]:
                 diffs.append((lat.labels[i], lat.labels[j], counts))

@@ -119,6 +119,23 @@ def test_cli_basic_degree_sizes_level_by_mode():
     assert default.stdout == explicit.stdout
 
 
+def test_cli_analyze_truncation_sets_the_levels():
+    # --truncation sets the analyze levels as it does every other
+    # subcommand's; the example's default level is 32, and the degrees do
+    # not depend on the level
+    base = ("analyze", "--format", "machine", "--unsafe-skip-geometry")
+    default, at_32, at_64 = (_cli(*base, *flag) for flag in
+                             ((), ("--truncation", "32"), ("--truncation", "64")))
+    for r in (default, at_32, at_64):
+        assert r.returncode == 0, r.stderr
+    assert json.loads(default.stdout)["truncation_levels"] == [32, 64]
+    assert at_32.stdout == default.stdout
+    report = json.loads(at_64.stdout)
+    assert report.pop("truncation_levels") == [64, 128]
+    assert report == {k: v for k, v in json.loads(default.stdout).items()
+                      if k != "truncation_levels"}
+
+
 def test_cli_basic_degree_mode4():
     # D8 mode 4 sizes the level to 128; its truncation groups keep no
     # |G|^2 table

@@ -235,7 +235,8 @@ def test_stabilizer_memo_keeps_ids_labels_and_classes(monkeypatch, kind, n, base
     assert lat.labels == lat_ref.labels
     assert lat.classes == lat_ref.classes
     for level in (lat.m_lo, lat.m_hi):
-        assert lat._reps[level] == lat_ref._reps[level]
+        for cid in range(len(lat.classes)):
+            assert lat._rep_at(cid, level) == lat_ref._rep_at(cid, level)
 
 
 def test_unclosed_stabilizer_raises_on_every_visit(monkeypatch):

@@ -242,19 +242,27 @@ def lattice_for(gamma_index: int, level: int) -> ClassLattice:
     return ClassLattice(GAMMAS[gamma_index], level)
 
 
-@given(st.integers(0, len(GAMMAS) - 1), st.sampled_from([8, 16, 32]),
-       st.lists(st.tuples(st.integers(0, 63), st.booleans(), st.integers(0, 23)),
-                max_size=3),
+# random subgroups of a truncation, generated by (rotation index,
+# reflection?, Gamma x Z2 index) triples; coarse rotation indices give small
+# folds, fine ones folds that refuse or fill D_M
+SUBGROUP_SEEDS = st.lists(st.tuples(st.integers(0, 63), st.booleans(), st.integers(0, 23)),
+                          max_size=3)
+
+
+def random_subgroup(lat, level, seed, coarse):
+    """The subgroup of the level truncation (lat's lower level) that a
+    SUBGROUP_SEEDS draw generates."""
+    step = level // 4 if coarse else 1
+    gens = [lat.encode(t * step, refl, ge % lat.ng, level) for t, refl, ge in seed]
+    return closure(lat.group_lo, gens).members
+
+
+@given(st.integers(0, len(GAMMAS) - 1), st.sampled_from([8, 16, 32]), SUBGROUP_SEEDS,
        st.booleans())
 @settings(max_examples=120, deadline=None)
 def test_lift_and_half_twist_match_per_member_reference(gamma_index, level, seed, coarse):
-    # random subgroups of the truncation, generated by (rotation index,
-    # reflection?, Gamma x Z2 index) triples; coarse rotation indices give
-    # small folds, fine ones folds that refuse or fill D_M
     lat = lattice_for(gamma_index, level)
-    step = level // 4 if coarse else 1
-    gens = [lat.encode(t * step, refl, ge % lat.ng, level) for t, refl, ge in seed]
-    members = closure(lat.group_lo, gens).members
+    members = random_subgroup(lat, level, seed, coarse)
     try:
         want = lift_reference(lat, members, level)
     except TruncationInstability:
@@ -276,5 +284,44 @@ def test_n_count_mask_matches_member_sets(engine8, natural):
         for i in ids:
             h = set(lat._rep_at(i, level))
             for j in ids:
-                by_sets = sum(1 for c in lat._class_conjugates(j, level) if h <= set(c))
+                by_sets = sum(1 for c in lat._orbits[(j, level)].tolist() if h <= set(c))
                 assert lat._n_count_at(i, j, level) == by_sets
+
+
+def assert_orbit_store(lat, rng):
+    """Each class's orbit at each level is one sorted, read-only int32 array
+    of distinct sorted rows, row 0 the representative, and _find_class maps
+    every row to the class, whatever the container, dtype or member order."""
+    for cid in range(len(lat.classes)):
+        for level in (lat.m_lo, lat.m_hi):
+            rows = lat._orbits[(cid, level)]
+            assert rows.dtype == np.int32 and not rows.flags.writeable
+            assert rows.shape[1] == lat.order_of(cid, level)
+            assert np.all(np.diff(rows, axis=1) > 0)
+            as_tuples = [tuple(r) for r in rows.tolist()]
+            assert as_tuples == sorted(set(as_tuples))
+            assert as_tuples[0] == lat._rep_at(cid, level)
+            for row in as_tuples:
+                shuffled = rng.permutation(row)
+                for members in (tuple(shuffled.tolist()), shuffled.tolist(),
+                                shuffled.astype(np.int64), shuffled.astype(np.int32)):
+                    assert lat._find_class(members, level) == cid
+
+
+@given(st.integers(0, len(GAMMAS) - 1), st.sampled_from([8, 16]), SUBGROUP_SEEDS,
+       st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_orbit_store_rows_and_lookup(gamma_index, level, seed, coarse):
+    lat = lattice_for(gamma_index, level)
+    members = random_subgroup(lat, level, seed, coarse)
+    try:
+        lat.ensure_handle(members, level)
+    except TruncationInstability:
+        pass
+    assert_orbit_store(lat, np.random.default_rng(len(members)))
+
+
+def test_orbit_store_of_example_working_set(engine8, natural):
+    engine8.basic_degree(0, natural)
+    engine8.basic_degree(1, natural)
+    assert_orbit_store(engine8.lattice, np.random.default_rng(5))

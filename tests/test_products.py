@@ -60,7 +60,8 @@ def assert_same_lattice(a, b):
     assert a.escape_log == b.escape_log
     assert a._mul_cache == b._mul_cache
     for level in (a.m_lo, a.m_hi):
-        assert a._reps[level] == b._reps[level]
+        for cid in range(len(a.classes)):
+            assert a._rep_at(cid, level) == b._rep_at(cid, level)
 
 
 def test_oracle_skips_exactly_cyclic_folds():
