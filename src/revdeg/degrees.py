@@ -7,6 +7,11 @@ recurrence, the degree of the linearization by two independent routes
 summed fixed-space parities), the invariant omega, maximal orbit types by
 certified stabilizer sampling, mode parities, and the existence decision
 procedure for both the nondegenerate and the degenerate spectrum case.
+
+A sampled stabilizer is looked up in the lattice's orbit index before it is
+closed: a stabilizer found there is a conjugate of a truncated closed
+subgroup, so it is a subgroup already, and only one the lattice has not seen
+is checked with closure and interned.
 """
 
 from __future__ import annotations
@@ -199,7 +204,10 @@ class DegreeEngine:
         return pts
 
     def _stabilizer(self, mats: np.ndarray, p: np.ndarray) -> np.ndarray:
-        err = np.abs(mats @ p - p[None, :]).max(axis=1)
+        """Members g of the truncation with |M_g p - p| below the tolerance,
+        all M_g p from one product of the stacked rows of the matrices."""
+        d = p.shape[0]
+        err = np.abs((mats.reshape(-1, d) @ p).reshape(-1, d) - p).max(axis=1)
         members = np.nonzero(err < STAB_TOL * max(1.0, float(np.abs(p).max())))[0]
         return members
 
@@ -247,20 +255,27 @@ class DegreeEngine:
         truncation g at level (always the lattice's m_lo), or None for a
         cyclic fold (infinite Weyl group).  Memoized by member set for the
         engine's life; a set that raises is not memoized, so it raises again
-        on every visit."""
+        on every visit.
+
+        lift runs first, so both TruncationInstability refusals come before
+        anything else, as in ensure_handle.  The set is then looked up in the
+        orbit index: a hit is a row of an interned orbit, a conjugate of
+        H ∩ (D_M x Gamma x Z2) for a closed subgroup H, so it is itself a
+        subgroup, and only a miss is checked with closure (the
+        IncompleteLattice certificate) and interned."""
         key = tuple(members.tolist())
         if key in self._stab_class:
             return self._stab_class[key]
         lat = self.lattice
-        sub = closure(g, key)
-        if len(sub.members) != len(key):
-            raise IncompleteLattice("stabilizer not closed at tolerance")
-        if lat.lift(sub.members, level).o2.kind == "Z":
-            cid = None
-        else:
-            cid = lat.ensure_handle(sub.members, level)
-        self._stab_class[key] = cid
-        return cid
+        cyclic = lat.lift(members, level).o2.kind == "Z"
+        cid = lat._find_class(members, level)
+        if cid is None:
+            if len(closure(g, key).members) != len(key):
+                raise IncompleteLattice("stabilizer not closed at tolerance")
+            if not cyclic:
+                cid = lat.ensure_handle(members, level)
+        self._stab_class[key] = None if cyclic else cid
+        return self._stab_class[key]
 
     def _certify_isotropy(self, k: int, l: int, iso: list[int]) -> None:
         lat = self.lattice

@@ -189,19 +189,6 @@ class ProductGroup:
 Group = FiniteGroup | ProductGroup
 
 
-def check_group_axioms(g: Group) -> None:
-    """Raise AssertionError unless ``mul`` and ``inverse`` make a group with
-    identity 0."""
-    idx = np.arange(g.order)
-    assert np.array_equal(g.mul(0, idx), idx)
-    assert np.array_equal(g.mul(idx, 0), idx)
-    assert np.all(g.mul(idx, g.inverse) == 0)
-    # associativity on a random sample (full check is cubic)
-    rng = np.random.default_rng(0)
-    x, y, z = rng.integers(0, g.order, size=(min(4096, g.order ** 2), 3)).T
-    assert np.array_equal(g.mul(g.mul(x, y), z), g.mul(x, g.mul(y, z)))
-
-
 # -- subgroups ---------------------------------------------------------------
 
 
@@ -214,9 +201,6 @@ class SubgroupHandle:
 
     def __len__(self) -> int:
         return len(self.members)
-
-    def contains(self, other: "SubgroupHandle") -> bool:
-        return set(other.members) <= set(self.members)
 
 
 @dataclass(frozen=True)
@@ -273,34 +257,33 @@ def conjugate_members(g: Group, x: int, members) -> np.ndarray:
     return np.sort(g.conjugate(x, np.asarray(members, dtype=np.int64)))
 
 
-def orbit_walk(g: Group, starts):
-    """Distinct conjugates under g of the sorted member tuples ``starts`` (all
-    of one length), breadth first by g's generators, each yielded when first
-    reached.  Each frontier is conjugated as one (rows, members) block per
-    generator; its conjugates are visited member by member, generator by
-    generator.  Lazy per frontier, so ``target in orbit_walk(...)`` stops at
-    the first match."""
+def orbit_walk(g: Group, start) -> np.ndarray:
+    """Distinct conjugates under g of one member set, as the sorted-member
+    rows of an int32 array, row 0 the sorted start, the rest in the order
+    reached breadth first by g's generators.  Each frontier is conjugated as
+    one block per generator, and a conjugate is new when the bytes of its
+    row are, so no row becomes a tuple."""
     gens = g.generators if g.generators else (0,)
-    frontier = list(dict.fromkeys(starts))
-    seen = set(frontier)
-    yield from frontier
-    while frontier:
-        block = np.array(frontier, dtype=np.int64)
-        conjs = [conjugate_members(g, x, block).tolist() for x in gens]
-        nxt = []
-        for row in range(len(frontier)):
-            for by_gen in conjs:
-                c = tuple(by_gen[row])
-                if c not in seen:
-                    seen.add(c)
-                    nxt.append(c)
-                    yield c
-        frontier = nxt
+    frontier = np.sort(np.asarray(start, dtype=np.int32))[None, :]
+    void = f"V{frontier.itemsize * frontier.shape[1]}"
+    seen = {frontier.tobytes()}
+    found = [frontier]
+    while len(frontier):
+        block = np.concatenate([conjugate_members(g, x, frontier) for x in gens])
+        block = block.astype(np.int32, copy=False)
+        fresh = []
+        for i, key in enumerate(block.view(void).ravel().tolist()):
+            if key not in seen:
+                seen.add(key)
+                fresh.append(i)
+        frontier = block[fresh]
+        found.append(frontier)
+    return np.concatenate(found)
 
 
 def subgroup_conjugates(g: Group, h: SubgroupHandle) -> list[tuple[int, ...]]:
     """All distinct conjugates of h, as sorted member tuples."""
-    return sorted(orbit_walk(g, [tuple(h.members)]))
+    return sorted(map(tuple, orbit_walk(g, h.members).tolist()))
 
 
 def _right_coset_least(g: Group, h_members) -> np.ndarray:
@@ -347,7 +330,8 @@ def weyl_order(g: Group, h: SubgroupHandle) -> int:
 def is_conjugate(g: Group, h1: SubgroupHandle, h2: SubgroupHandle) -> bool:
     if len(h1) != len(h2):
         return False
-    return tuple(h2.members) in orbit_walk(g, [tuple(h1.members)])
+    row = np.asarray(h2.members, dtype=np.int32)
+    return bool((orbit_walk(g, h1.members) == row).all(axis=1).any())
 
 
 def all_subgroups(g: Group, cap: int = DEFAULT_ENUMERATION_CAP) -> list[tuple[int, ...]]:

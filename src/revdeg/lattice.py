@@ -16,6 +16,8 @@ Each interned class keeps its full-group orbit once per level, as a sorted,
 read-only int32 array with one row of members per conjugate; row 0 (the
 lex-min conjugate) is the class's representative at that level.  An index
 from each row's bytes to the class id finds the class of any member set.
+The walk that builds an orbit also gives the class's Weyl order at that
+level, by orbit-stabilizer, so no normalizer is formed for it.
 
 Products of classes count double cosets.  When a factor has a finite
 O(2)-part, only the double cosets whose intersection holds a reflection can
@@ -141,6 +143,8 @@ class ClassLattice:
         # (class id, level) -> the class's full-group orbit at level, as
         # conjugates_full returns it; row 0 is the representative
         self._orbits: dict[tuple[int, int], np.ndarray] = {}
+        # (class id, level) -> Weyl order in the truncation at level
+        self._level_weyl: dict[tuple[int, int], int] = {}
         # (class id, level) -> one reflection per conjugacy class of
         # reflections inside the representative
         self._refl_reps: dict[tuple[int, int], list[int]] = {}
@@ -233,30 +237,40 @@ class ClassLattice:
 
     # -- full-group conjugacy ------------------------------------------------
 
-    def half_twist(self, members, level: int) -> tuple[int, ...]:
+    def half_twist(self, members, level: int) -> np.ndarray:
         """Conjugation by the rotation of half a grid step (an O(2) element
-        normalizing D_level): fixes rotations, shifts reflection axes by one."""
-        o2, ge = np.divmod(np.asarray(members, dtype=np.int64), self.ng)
+        normalizing D_level): fixes rotations, shifts reflection axes by one.
+        Members are a row of indices or an array of rows (the last axis);
+        each twisted row is returned sorted."""
+        o2, ge = np.divmod(np.asarray(members), self.ng)
         o2 = np.where(o2 >= level, level + (o2 - level + 1) % level, o2)
-        return tuple(np.sort(o2 * self.ng + ge).tolist())
+        return np.sort(o2 * self.ng + ge, axis=-1)
 
-    def _full_orbit(self, members, level: int):
-        """Lazy orbit walk under O(2) x Gamma x Z2: the truncation's inner
-        orbit, seeded with the members and their half twist."""
-        start = tuple(int(v) for v in sorted(members))
-        return orbit_walk(self.group_at(level), [start, self.half_twist(start, level)])
+    def conjugates_full(self, members, level: int) -> tuple[np.ndarray, int]:
+        """All conjugates of H (the members) under O(2) x Gamma x Z2, as the
+        sorted rows of a read-only int32 array, and the Weyl order
+        |N(H)|/|H| in the truncation G at level.
 
-    def conjugates_full(self, members, level: int) -> np.ndarray:
-        """All conjugates under O(2) x Gamma x Z2, as the sorted rows of a
-        read-only int32 array."""
-        rows = np.array(sorted(self._full_orbit(members, level)), dtype=np.int32)
+        The half twist t normalizes G and t^2 lies in G, so the full orbit is
+        the inner orbit O of H under G together with t(O), which is O itself
+        when t(H) lies in O.  |O| = |G|/|N(H)| (orbit-stabilizer), and every
+        conjugate of H and t(H) have that same normalizer order."""
+        g = self.group_at(level)
+        inner = orbit_walk(g, members)
+        weyl = g.order // (inner.shape[0] * inner.shape[1])
+        if (inner == self.half_twist(inner[0], level)).all(axis=1).any():
+            rows = inner
+        else:
+            rows = np.concatenate([inner, self.half_twist(inner, level)])
+        rows = rows[np.lexsort(rows.T[::-1])]
         rows.setflags(write=False)
-        return rows
+        return rows, weyl
 
     def is_conjugate_full(self, a, b, level: int) -> bool:
         if len(a) != len(b):
             return False
-        return tuple(int(v) for v in sorted(b)) in self._full_orbit(a, level)
+        row = np.sort(np.asarray(b, dtype=np.int32))
+        return bool((self.conjugates_full(a, level)[0] == row).all(axis=1).any())
 
     # -- class interning -----------------------------------------------------
 
@@ -281,13 +295,14 @@ class ClassLattice:
             return cid
         # new class: canonical representative = lex-min conjugate at each level
         cid = len(self.classes)
-        orbit = self.conjugates_full(members, level)
+        orbit, weyl = self.conjugates_full(members, level)
         data = self.lift(orbit[0], level)
         other = self.m_hi if level == self.m_lo else self.m_lo
-        orbit_other = self.conjugates_full(self.truncate(data, other), other)
+        orbit_other, weyl_other = self.conjugates_full(self.truncate(data, other), other)
         self.classes.append(data)
-        for lv, rows in ((level, orbit), (other, orbit_other)):
+        for lv, rows, w in ((level, orbit, weyl), (other, orbit_other, weyl_other)):
             self._orbits[(cid, lv)] = rows
+            self._level_weyl[(cid, lv)] = w
             index = self._class_of[lv]
             # each row's bytes, as _find_class encodes a member set
             for key in rows.view(f"V{rows.itemsize * rows.shape[1]}").ravel().tolist():
@@ -317,10 +332,9 @@ class ClassLattice:
     # -- Weyl orders, containment counts -------------------------------------
 
     def _weyl_at(self, cid: int, level: int) -> int:
-        g = self.group_at(level)
-        rep = self._rep_at(cid, level)
-        n = normalizer(g, SubgroupHandle(g, rep))
-        return len(n) // len(rep)
+        """|N(rep)|/|rep| in the truncation at level, from the orbit walk
+        that interned the class (conjugates_full)."""
+        return self._level_weyl[(cid, level)]
 
     def _weyl_stable(self, cid: int) -> int | None:
         if self.classes[cid].o2.kind == "Z":

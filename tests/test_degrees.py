@@ -9,7 +9,7 @@ import pytest
 import numpy as np
 
 from revdeg import burnside as br
-from revdeg.degrees import DegreeEngine, IncompleteLattice
+from revdeg.degrees import STAB_TOL, DegreeEngine, IncompleteLattice
 from revdeg.lattice import TruncationInstability
 from revdeg.spectra import LinearizationSpec, spectral_summary
 
@@ -250,3 +250,63 @@ def test_unclosed_stabilizer_raises_on_every_visit(monkeypatch):
         with pytest.raises(IncompleteLattice):
             eng.isotropy_classes(0, 0)
     assert (0, step) not in eng._stab_class
+
+
+def stabilizer_errors_reference(mats, p):
+    """The error of every element from |G| stacked products M_g p: the
+    reference for DegreeEngine._stabilizer, which uses one 2-D product."""
+    return np.abs(mats @ p - p[None, :]).max(axis=1)
+
+
+STABILIZER_CASES = ([("dihedral", n, None) for n in range(1, 7)]
+                    + [("cyclic", n, None) for n in range(1, 7)]
+                    + [("dihedral", 8, 64)])
+
+
+@pytest.mark.parametrize("kind,n,base_level", STABILIZER_CASES)
+def test_stabilizer_decisions_match_stacked_reference_with_margin(
+        monkeypatch, kind, n, base_level):
+    # every sample point and fixed-space probe of modes 0-2: the member set
+    # is the stacked reference's, and no error lies near the tolerance
+    # (members at most 1e-6 of it, non-members at least 100 times it)
+    calls = []
+    stabilizer = DegreeEngine._stabilizer
+
+    def recorded(self, mats, p):
+        members = stabilizer(self, mats, p)
+        calls.append((mats, p, members))
+        return members
+
+    monkeypatch.setattr(DegreeEngine, "_stabilizer", recorded)
+    _isotropy_run(kind, n, base_level, (0, 1, 2))
+    assert calls
+    worst_member, least_other = 0.0, np.inf
+    for mats, p, members in calls:
+        tol = STAB_TOL * max(1.0, float(np.abs(p).max()))
+        ratio = stabilizer_errors_reference(mats, p) / tol
+        assert np.array_equal(members, np.flatnonzero(ratio < 1))
+        inside = np.zeros(len(ratio), dtype=bool)
+        inside[members] = True
+        worst_member = max(worst_member, float(ratio[inside].max()))
+        if not inside.all():
+            least_other = min(least_other, float(ratio[~inside].min()))
+    assert worst_member <= 1e-6
+    assert least_other >= 100
+
+
+def test_lookup_hit_still_refuses(monkeypatch):
+    # Z16 (every fourth rotation) interned at level 64 puts its level-32
+    # truncation, too close to level 32, into the orbit index; a sampled
+    # stabilizer equal to that row is refused before the lookup, every
+    # time, and is not memoized
+    eng = DegreeEngine("dihedral", 8, base_level=32)
+    lat = eng.lattice
+    z16_lo = np.array([lat.encode(2 * t, False, 0, lat.m_lo) for t in range(16)])
+    cid = lat.ensure_handle(
+        tuple(lat.encode(4 * t, False, 0, lat.m_hi) for t in range(16)), lat.m_hi)
+    assert lat._find_class(z16_lo, lat.m_lo) == cid
+    monkeypatch.setattr(DegreeEngine, "_stabilizer", lambda self, mats, p: z16_lo)
+    for _ in range(2):
+        with pytest.raises(TruncationInstability):
+            eng.isotropy_classes(0, 0)
+    assert tuple(z16_lo.tolist()) not in eng._stab_class

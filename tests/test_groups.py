@@ -9,7 +9,6 @@ from revdeg.groups import (
     SubgroupHandle,
     _right_coset_least,
     all_subgroups,
-    check_group_axioms,
     closure,
     direct_product,
     double_cosets,
@@ -42,12 +41,25 @@ def element_orders(g) -> np.ndarray:
     return orders
 
 
-def orbit_walk_reference(g, starts):
+def check_group_axioms(g) -> None:
+    """Raise AssertionError unless ``mul`` and ``inverse`` make a group with
+    identity 0."""
+    idx = np.arange(g.order)
+    assert np.array_equal(g.mul(0, idx), idx)
+    assert np.array_equal(g.mul(idx, 0), idx)
+    assert np.all(g.mul(idx, g.inverse) == 0)
+    # associativity on a random sample (full check is cubic)
+    rng = np.random.default_rng(0)
+    x, y, z = rng.integers(0, g.order, size=(min(4096, g.order ** 2), 3)).T
+    assert np.array_equal(g.mul(g.mul(x, y), z), g.mul(x, g.mul(y, z)))
+
+
+def orbit_walk_reference(g, start):
     """orbit_walk one member set and one generator at a time."""
     gens = g.generators if g.generators else (0,)
-    frontier = list(dict.fromkeys(starts))
-    seen = set(frontier)
-    out = list(frontier)
+    frontier = [start]
+    seen = {start}
+    out = [start]
     while frontier:
         nxt = []
         for mem in frontier:
@@ -310,19 +322,21 @@ def test_truncation_group_matches_dense_product(gamma, m, seed):
 
 def test_orbit_walk_matches_per_member_reference():
     # every subgroup of the dense D8 x Z2 and of the trivial group, then
-    # subgroups of a truncation group, seeded with one start or two
-    # (a subgroup and a conjugate that the walk also reaches)
-    cases = [(g, [mem]) for g in (d8xz2(), make_cyclic(1)) for mem in all_subgroups(g)]
+    # subgroups of a truncation group: the same orbit as int32 rows, the
+    # sorted start first, each conjugate once
+    cases = [(g, mem) for g in (d8xz2(), make_cyclic(1)) for mem in all_subgroups(g)]
     g = trunc_group(direct_product(make_dihedral(3), make_cyclic(2)), 8)
     rng = np.random.default_rng(5)
     for _ in range(40):
-        mem = closure(g, rng.integers(0, g.order, size=rng.integers(1, 3)).tolist()).members
-        other = tuple(np.sort(g.conjugate(int(rng.integers(g.order)), np.array(mem))).tolist())
-        cases += [(g, [mem]), (g, [mem, other]), (g, [mem, mem])]
-    for g, starts in cases:
-        assert list(orbit_walk(g, starts)) == orbit_walk_reference(g, starts)
-    walk = orbit_walk(d8xz2(), [(0, 1)])
-    assert next(walk) == (0, 1)  # lazy: the start is yielded before any conjugation
+        cases.append((g, closure(g, rng.integers(0, g.order, size=rng.integers(1, 3))
+                                 .tolist()).members))
+    for g, mem in cases:
+        rows = orbit_walk(g, mem[::-1])
+        want = orbit_walk_reference(g, mem)
+        assert rows.dtype == np.int32 and rows.shape == (len(want), len(mem))
+        got = [tuple(r) for r in rows.tolist()]
+        assert got[0] == mem
+        assert sorted(got) == sorted(want)
 
 
 @given(st.sampled_from(GAMMAS), st.sampled_from([4, 8]), st.integers(0, 10 ** 6),

@@ -8,7 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from revdeg.groups import closure, conjugate_members, make_cyclic, make_dihedral
+from revdeg.degrees import DegreeEngine
+from revdeg.groups import (
+    SubgroupHandle,
+    closure,
+    conjugate_members,
+    make_cyclic,
+    make_dihedral,
+    normalizer,
+)
 from revdeg.lattice import (
     AmalgamData,
     ClassLattice,
@@ -16,6 +24,7 @@ from revdeg.lattice import (
     O2Desc,
     TruncationInstability,
 )
+from revdeg.spectra import LinearizationSpec, spectral_summary
 
 
 def decode_reference(lat, idx, level):
@@ -272,7 +281,8 @@ def test_lift_and_half_twist_match_per_member_reference(gamma_index, level, seed
         got = lat.lift(members, level)
         assert got == want
         assert repr(got) == repr(want)  # plain ints and Fractions, not numpy scalars
-    assert lat.half_twist(members, level) == half_twist_reference(lat, members, level)
+    twisted = tuple(lat.half_twist(members, level).tolist())
+    assert twisted == half_twist_reference(lat, members, level)
 
 
 def test_n_count_mask_matches_member_sets(engine8, natural):
@@ -325,3 +335,46 @@ def test_orbit_store_of_example_working_set(engine8, natural):
     engine8.basic_degree(0, natural)
     engine8.basic_degree(1, natural)
     assert_orbit_store(engine8.lattice, np.random.default_rng(5))
+
+
+def weyl_reference(lat, cid, level):
+    """|N(rep)|/|rep| with the normalizer formed in the truncation at level:
+    the reference for _weyl_at, which reads orbit sizes."""
+    g = lat.group_at(level)
+    rep = lat._rep_at(cid, level)
+    return len(normalizer(g, SubgroupHandle(g, rep))) // len(rep)
+
+
+def assert_weyl_orders(lat):
+    for cid in range(len(lat.classes)):
+        for level in (lat.m_lo, lat.m_hi):
+            assert lat._weyl_at(cid, level) == weyl_reference(lat, cid, level)
+
+
+@given(st.integers(0, len(GAMMAS) - 1), st.sampled_from([8, 16]), SUBGROUP_SEEDS,
+       st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_weyl_orders_match_normalizer_reference(gamma_index, level, seed, coarse):
+    lat = lattice_for(gamma_index, level)
+    members = random_subgroup(lat, level, seed, coarse)
+    try:
+        lat.ensure_handle(members, level)
+    except TruncationInstability:
+        pass
+    assert_weyl_orders(lat)
+
+
+def test_weyl_orders_of_example_working_set(engine8, natural):
+    engine8.basic_degree(0, natural)
+    engine8.basic_degree(1, natural)
+    engine8.omega(spectral_summary(LinearizationSpec(1, {natural: (Fraction(-3),)},
+                                                     {natural: 1})))
+    assert_weyl_orders(engine8.lattice)
+
+
+def test_weyl_orders_of_d8_at_level_64():
+    eng = DegreeEngine("dihedral", 8, base_level=64)
+    for k in (0, 1, 2):
+        for l in range(eng.component_count()):
+            eng.isotropy_classes(k, l)
+    assert_weyl_orders(eng.lattice)
