@@ -38,6 +38,19 @@ from .spectra import (
 STAB_TOL = 1e-7
 
 
+def _stabilizer_errors(mats: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """max_i |(M_g p - p)_i| for every stacked matrix M_g, all M_g p from one
+    product of the stacked rows.  The maximum runs over the d <= 4
+    coordinates one column at a time: a reduction along a short last axis
+    costs several times more."""
+    d = p.shape[0]
+    prod = (mats.reshape(-1, d) @ p).reshape(-1, d)
+    err = np.abs(prod[:, 0] - p[0])
+    for i in range(1, d):
+        np.maximum(err, np.abs(prod[:, i] - p[i]), out=err)
+    return err
+
+
 class RouteDisagreement(RuntimeError):
     """Product-of-basic-degrees and direct recurrence gave different elements."""
 
@@ -204,10 +217,9 @@ class DegreeEngine:
         return pts
 
     def _stabilizer(self, mats: np.ndarray, p: np.ndarray) -> np.ndarray:
-        """Members g of the truncation with |M_g p - p| below the tolerance,
-        all M_g p from one product of the stacked rows of the matrices."""
-        d = p.shape[0]
-        err = np.abs((mats.reshape(-1, d) @ p).reshape(-1, d) - p).max(axis=1)
+        """Members g of the truncation with |M_g p - p| below the tolerance
+        (the errors of _stabilizer_errors)."""
+        err = _stabilizer_errors(mats, p)
         members = np.nonzero(err < STAB_TOL * max(1.0, float(np.abs(p).max())))[0]
         return members
 

@@ -16,11 +16,14 @@ products, an ``inverse`` array and ``generators``.
 
 Everything downstream (conjugacy classes of subgroups, normalizers, double
 cosets) works on integer index arrays through that interface, so the heavy
-paths vectorize with numpy.
+paths vectorize with numpy.  Subgroup enumeration, capped at small orders,
+is the exception: it closes Python-int bitmasks over right-multiplication
+rows in pure Python (all_subgroups).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -205,30 +208,29 @@ class SubgroupHandle:
 
 @dataclass(frozen=True)
 class SubgroupClass:
-    """A conjugacy class of subgroups."""
+    """A conjugacy class of subgroups.  ``conjugates`` holds every member of
+    the class as a sorted member tuple, in increasing order, so a class can
+    be found by looking up any of its subgroups."""
 
     representative: SubgroupHandle
     class_id: int
     weyl_order: int
-    n_conjugates: int
+    conjugates: tuple[tuple[int, ...], ...]
     name: str
+
+    @property
+    def n_conjugates(self) -> int:
+        return len(self.conjugates)
 
 
 def closure(g: Group, seed) -> SubgroupHandle:
     """Subgroup generated by ``seed`` (iterable of element indices).
 
-    A dense group already holds |G|^2 table entries, so its seed set is
-    squared until it closes, in a few rounds.  A ProductGroup must stay
-    O(|G|): the least seed element outside the subgroup so far joins the
-    generators with its repeated squares (so every power of it is a product
-    of at most log2 of its order of them), and the subgroup grows by right
-    products with the generators until it closes, for |<seed>| times the
-    number of generators products."""
-    if isinstance(g, FiniteGroup):
-        members = np.unique(np.asarray(list(seed) + [0], dtype=np.int64))
-        while (prods := np.unique(g.mul(members[:, None], members))).size > members.size:
-            members = prods
-        return SubgroupHandle(g, tuple(members.tolist()))
+    The least seed element outside the subgroup so far joins the generators
+    with its repeated squares (so every power of it is a product of at most
+    log2 of its order of them), and the subgroup grows by right products
+    with the generators until it closes, for |<seed>| times the number of
+    generators products; no |G|^2 product is formed."""
     seed = np.asarray(list(seed), dtype=np.int64)
     in_h = np.zeros(g.order, dtype=bool)
     in_h[0] = True
@@ -334,30 +336,88 @@ def is_conjugate(g: Group, h1: SubgroupHandle, h2: SubgroupHandle) -> bool:
     return bool((orbit_walk(g, h1.members) == row).all(axis=1).any())
 
 
+def _cyclic_generator_rows(g: Group) -> list[list[int]]:
+    """One generator of every cyclic subgroup, the least, as its right
+    multiplication row: row[x] = x * generator.  The generators of <a> are
+    the powers a^k with k prime to its order, so each is skipped once <a>
+    is found."""
+    done = bytearray(g.order)
+    out = []
+    everything = np.arange(g.order)
+    for a in range(g.order):
+        if done[a]:
+            continue
+        row = g.mul(everything, a).tolist()
+        powers = [0]
+        while (nxt := row[powers[-1]]) != 0:
+            powers.append(nxt)
+        m = len(powers)
+        for k in range(1, m):
+            if math.gcd(k, m) == 1:
+                done[powers[k]] = 1
+        out.append(row)
+    return out
+
+
+def _extend(members: list[int], mask: int, rows: list[list[int]]) -> tuple[list[int], int]:
+    """The subgroup generated by a subgroup (its members and bitmask) and
+    the generators whose right multiplication rows are ``rows``; the
+    subgroup must be closed under every row but the last.  Breadth first:
+    the subgroup's members are multiplied by the new generator, and each
+    element found is multiplied by every generator."""
+    members = list(members)
+    frontier, ops = members, rows[-1:]
+    while frontier:
+        fresh = []
+        for row in ops:
+            for x in frontier:
+                y = row[x]
+                bit = 1 << y
+                if not mask & bit:
+                    mask |= bit
+                    fresh.append(y)
+        members += fresh
+        frontier, ops = fresh, rows
+    return members, mask
+
+
 def all_subgroups(g: Group, cap: int = DEFAULT_ENUMERATION_CAP) -> list[tuple[int, ...]]:
-    """Every subgroup of g, by bottom-up closure from cyclic subgroups."""
+    """Every subgroup of g, sorted by (order, members).
+
+    Every subgroup is generated by cyclic subgroups, so the subgroups are
+    found bottom-up: each found subgroup is extended by the generator of
+    every cyclic subgroup it does not contain.  A subgroup is held as a
+    Python-int bitmask over g together with the generators that built it,
+    and is extended by a pure-Python breadth-first closure over the right
+    multiplication rows of its generators (_extend).  Only the least
+    generator of each cyclic subgroup has its row made into a list, so no
+    |g|^2 Python table is formed."""
     if g.order > cap:
         raise EnumerationTooLarge(
             f"group order {g.order} exceeds enumeration cap {cap}")
-    found: set[tuple[int, ...]] = set()
-    cyclics = set()
-    for a in range(g.order):
-        cyclics.add(closure(g, [a]).members)
-    found |= cyclics
-    frontier = set(cyclics)
+    cyclics = []
+    # bitmask -> (members, rows of the generators that built it)
+    found: dict[int, tuple[list[int], list[list[int]]]] = {}
+    for row in _cyclic_generator_rows(g):
+        members, mask = _extend([0], 1, [row])
+        cyclics.append((mask, row))
+        found[mask] = (members, [row])
+    frontier = list(found)
     while frontier:
-        new: set[tuple[int, ...]] = set()
-        for mem in frontier:
-            mset = set(mem)
-            for c in cyclics:
-                if set(c) <= mset:
+        new = []
+        for mask in frontier:
+            members, rows = found[mask]
+            for cmask, row in cyclics:
+                if cmask & mask == cmask:
                     continue
-                ext = closure(g, mem + c).members
+                ext_rows = rows + [row]
+                ext_members, ext = _extend(members, mask, ext_rows)
                 if ext not in found:
-                    new.add(ext)
-        found |= new
+                    found[ext] = (ext_members, ext_rows)
+                    new.append(ext)
         frontier = new
-    return sorted(found, key=lambda m: (len(m), m))
+    return sorted((tuple(sorted(m)) for m, _ in found.values()),
+                  key=lambda m: (len(m), m))
 
 
 def subgroup_classes(g: Group, cap: int = DEFAULT_ENUMERATION_CAP,
@@ -369,7 +429,7 @@ def subgroup_classes(g: Group, cap: int = DEFAULT_ENUMERATION_CAP,
     for mem in subs:  # subs is sorted, so representatives are lex-minimal
         if mem not in remaining:
             continue
-        conjs = subgroup_conjugates(g, SubgroupHandle(g, mem))
+        conjs = tuple(subgroup_conjugates(g, SubgroupHandle(g, mem)))
         for c in conjs:
             remaining.discard(c)
         classes.append((mem, conjs))
@@ -379,8 +439,7 @@ def subgroup_classes(g: Group, cap: int = DEFAULT_ENUMERATION_CAP,
         h = SubgroupHandle(g, mem)
         w = weyl_order(g, h)
         name = names.get(mem) if names else None
-        out.append(SubgroupClass(h, cid, w, len(conjs),
-                                 name or f"o{len(mem)}c{cid}"))
+        out.append(SubgroupClass(h, cid, w, conjs, name or f"o{len(mem)}c{cid}"))
     return out
 
 

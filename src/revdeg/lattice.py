@@ -41,7 +41,6 @@ from .groups import (
     conjugate_members,
     direct_product,
     double_cosets,
-    is_conjugate,
     make_cyclic,
     make_dihedral,
     normalizer,
@@ -135,6 +134,9 @@ class ClassLattice:
         self.group_lo = trunc_group(self.gamma_z2, self.m_lo)
         self.group_hi = trunc_group(self.gamma_z2, self.m_hi)
         self._finite_classes = subgroup_classes(self.gamma_z2)
+        # every subgroup of Gamma x Z2, as sorted members -> its class id
+        self._finite_class_of = {conj: c.class_id for c in self._finite_classes
+                                 for conj in c.conjugates}
         self._finite_names = names_for_gamma_z2(
             self.gamma_z2, gamma_param,
             [c.representative.members for c in self._finite_classes])
@@ -216,24 +218,23 @@ class ClassLattice:
         return self._angle_cache[level]
 
     def truncate(self, data: AmalgamData, level: int) -> tuple[int, ...]:
-        out = []
-        for ge in data.rot_all:
-            out.extend(self.encode(t, False, ge, level) for t in range(level))
-        for ge in data.refl_all:
-            out.extend(self.encode(t, True, ge, level) for t in range(level))
-        for q, ge in data.rot_fin:
-            t = q * level
-            if t.denominator != 1:
-                raise InadmissibleLevel(
-                    f"level {level} not divisible by fold denominator {q.denominator}")
-            out.append(self.encode(int(t), False, ge, level))
-        for q, ge in data.refl_fin:
-            t = q * level
-            if t.denominator != 1:
-                raise InadmissibleLevel(
-                    f"level {level} not divisible by fold denominator {q.denominator}")
-            out.append(self.encode(int(t), True, ge, level))
-        return tuple(sorted(out))
+        """The members of data's subgroup at level, sorted.  A fibre paired
+        with every rotation (reflection) is one arange over the level; a
+        finite angle q lies on the level's grid iff q * level is whole."""
+        ng = self.ng
+        steps = np.arange(level, dtype=np.int64) * ng
+        parts = [steps + ge for ge in data.rot_all]
+        parts += [steps + (level * ng + ge) for ge in data.refl_all]
+        fin = []
+        for pairs, refl in ((data.rot_fin, False), (data.refl_fin, True)):
+            for q, ge in pairs:
+                t = q * level
+                if t.denominator != 1:
+                    raise InadmissibleLevel(
+                        f"level {level} not divisible by fold denominator {q.denominator}")
+                fin.append(self.encode(int(t), refl, ge, level))
+        parts.append(np.asarray(fin, dtype=np.int64))
+        return tuple(np.sort(np.concatenate(parts)).tolist())
 
     # -- full-group conjugacy ------------------------------------------------
 
@@ -275,11 +276,12 @@ class ClassLattice:
     # -- class interning -----------------------------------------------------
 
     def _finite_class_id(self, mem: tuple[int, ...]) -> int:
-        for c in self._finite_classes:
-            if is_conjugate(self.gamma_z2, SubgroupHandle(self.gamma_z2, mem),
-                            c.representative):
-                return c.class_id
-        raise RuntimeError("projection is not a subgroup of Gamma x Z2")
+        """Id of the Gamma x Z2 class holding the subgroup with sorted
+        members mem: one lookup among every class's conjugates."""
+        cid = self._finite_class_of.get(mem)
+        if cid is None:
+            raise RuntimeError("projection is not a subgroup of Gamma x Z2")
+        return cid
 
     def finite_class_name(self, mem) -> str:
         mem = tuple(int(v) for v in sorted(mem))

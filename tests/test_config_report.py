@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -79,6 +80,15 @@ def test_cli_group_info():
     assert r.returncode == 0
     assert "38 classes" in r.stdout
     assert "D4dh" in r.stdout and "Z2m" in r.stdout
+
+
+def test_cli_group_info_matches_recorded_output():
+    # the example's table, byte for byte as recorded before the subgroups
+    # were enumerated by bitmask closure
+    want = (Path(__file__).parent / "data" / "group_info_example.txt").read_text()
+    r = _cli("group-info", "--config", "example")
+    assert r.returncode == 0
+    assert r.stdout == want
 
 
 def test_python_dash_m_revdeg():

@@ -9,7 +9,7 @@ import pytest
 import numpy as np
 
 from revdeg import burnside as br
-from revdeg.degrees import STAB_TOL, DegreeEngine, IncompleteLattice
+from revdeg.degrees import STAB_TOL, DegreeEngine, IncompleteLattice, _stabilizer_errors
 from revdeg.lattice import TruncationInstability
 from revdeg.spectra import LinearizationSpec, spectral_summary
 
@@ -292,6 +292,29 @@ def test_stabilizer_decisions_match_stacked_reference_with_margin(
             least_other = min(least_other, float(ratio[~inside].min()))
     assert worst_member <= 1e-6
     assert least_other >= 100
+
+
+@pytest.mark.parametrize("kind,n", [("dihedral", n) for n in range(1, 7)]
+                         + [("cyclic", n) for n in range(1, 7)])
+def test_stabilizer_errors_equal_row_max_bit_for_bit(monkeypatch, kind, n):
+    # every sample point and fixed-space probe of modes 0-2: the running
+    # maximum over the coordinates gives the errors of a maximum along the
+    # rows of the same 2-D product, to the bit
+    calls = []
+    stabilizer = DegreeEngine._stabilizer
+
+    def recorded(self, mats, p):
+        calls.append((mats, p))
+        return stabilizer(self, mats, p)
+
+    monkeypatch.setattr(DegreeEngine, "_stabilizer", recorded)
+    _isotropy_run(kind, n, None, (0, 1, 2))
+    assert calls
+    for mats, p in calls:
+        d = p.shape[0]
+        want = np.abs((mats.reshape(-1, d) @ p).reshape(-1, d) - p).max(axis=1)
+        got = _stabilizer_errors(mats, p)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_lookup_hit_still_refuses(monkeypatch):

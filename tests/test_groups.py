@@ -1,5 +1,7 @@
 """Group core: construction, subgroup enumeration, conjugacy, counts."""
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -22,7 +24,7 @@ from revdeg.groups import (
     weyl_order,
 )
 from revdeg.lattice import trunc_group
-from revdeg.names import D8XZ2_NAME_LIST, gamma_z2_subgroup_name
+from revdeg.names import D8XZ2_NAME_LIST, gamma_z2_subgroup_name, names_for_gamma_z2
 
 
 def d8xz2():
@@ -114,6 +116,80 @@ def test_direct_product_orders():
     k4 = direct_product(make_cyclic(2), make_cyclic(2))
     assert k4.order == 4
     assert int(np.sum(element_orders(k4) == 2)) == 3
+
+
+def all_subgroups_reference(g):
+    """Every subgroup of g by bottom-up closure from cyclic subgroups, one
+    ``closure`` call per (subgroup, cyclic subgroup) pair: the reference for
+    all_subgroups, which extends bitmasks in pure Python."""
+    cyclics = {closure(g, [a]).members for a in range(g.order)}
+    found, frontier = set(cyclics), set(cyclics)
+    while frontier:
+        new = set()
+        for mem in frontier:
+            for c in cyclics:
+                if set(c) <= set(mem):
+                    continue
+                ext = closure(g, mem + c).members
+                if ext not in found:
+                    new.add(ext)
+        found |= new
+        frontier = new
+    return sorted(found, key=lambda m: (len(m), m))
+
+
+def subgroup_classes_reference(g, subgroups, names=None):
+    """(representative, class id, Weyl order, conjugates, name) of every
+    class, from every subgroup of g (sorted as all_subgroups sorts them),
+    each conjugated by every element of g: the reference for
+    subgroup_classes, which walks orbits by generators and forms
+    normalizers by cosets."""
+    idx = np.arange(g.order)
+    classes, seen = [], set()
+    for mem in subgroups:  # sorted: a class's first is its lex-min
+        if mem in seen:
+            continue
+        conj = [tuple(r) for r in np.sort(g.conjugate(idx[:, None], np.array(mem)),
+                                          axis=1).tolist()]
+        seen.update(conj)
+        classes.append((mem, conj.count(mem) // len(mem), tuple(sorted(set(conj)))))
+    return [(mem, cid, w, conjs, (names or {}).get(mem) or f"o{len(mem)}c{cid}")
+            for cid, (mem, w, conjs) in enumerate(classes)]
+
+
+# Gamma of every Gamma x Z2 whose subgroups are checked against the references
+ENUMERATION_GAMMAS = ([("dihedral", n) for n in range(1, 13)]
+                      + [("cyclic", n) for n in range(1, 13)] + [("dihedral", 16)])
+
+
+@functools.cache
+def gamma_z2_and_subgroups(kind, n):
+    """Gamma x Z2 and its subgroups from all_subgroups_reference."""
+    gamma = make_dihedral(n) if kind == "dihedral" else make_cyclic(n)
+    g = direct_product(gamma, make_cyclic(2))
+    return g, all_subgroups_reference(g)
+
+
+@pytest.mark.parametrize("kind,n", ENUMERATION_GAMMAS)
+def test_all_subgroups_match_closure_reference(kind, n):
+    g, subs = gamma_z2_and_subgroups(kind, n)
+    assert all_subgroups(g) == subs
+
+
+@pytest.mark.parametrize("kind,n", ENUMERATION_GAMMAS)
+def test_subgroup_classes_match_reference(kind, n):
+    # representatives, ids, Weyl orders, conjugates (so n_conjugates) and
+    # names, with the fallback names and, for dihedral Gamma, the printed ones
+    g, subs = gamma_z2_and_subgroups(kind, n)
+    classes = subgroup_classes(g)
+    want = subgroup_classes_reference(g, subs)
+    assert [(c.representative.members, c.class_id, c.weyl_order, c.conjugates, c.name)
+            for c in classes] == want
+    assert [c.n_conjugates for c in classes] == [len(w[3]) for w in want]
+    if kind == "dihedral":
+        names = names_for_gamma_z2(g, n, [w[0] for w in want])
+        assert [c.name for c in subgroup_classes(g, names=names)] == \
+            [w[4] for w in subgroup_classes_reference(g, subs, names)]
 
 
 def test_subgroup_classes_z2():
@@ -301,7 +377,7 @@ GAMMAS = [make_dihedral(n) for n in range(1, 7)] + [make_cyclic(n) for n in rang
 def test_truncation_group_matches_dense_product(gamma, m, seed):
     # the truncation group multiplies by index arithmetic; the dense table
     # of the same factors is the reference, also for closure, which grows
-    # the subgroup by generators here and squares the seed set there
+    # the subgroup through the products of each group
     gz = direct_product(gamma, make_cyclic(2))
     g, dense = trunc_group(gz, m), direct_product(make_dihedral(m), gz)
     assert not hasattr(g, "table")

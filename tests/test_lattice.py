@@ -11,8 +11,10 @@ from hypothesis import strategies as st
 from revdeg.degrees import DegreeEngine
 from revdeg.groups import (
     SubgroupHandle,
+    all_subgroups,
     closure,
     conjugate_members,
+    is_conjugate,
     make_cyclic,
     make_dihedral,
     normalizer,
@@ -67,6 +69,43 @@ def lift_reference(lat, members, level):
                        tuple(sorted(rot_fin)), tuple(sorted(refl_fin)))
 
 
+def truncate_reference(lat, data, level):
+    """ClassLattice.truncate member by member: encode every angle of every
+    fibre, then sort."""
+    out = []
+    for ge in data.rot_all:
+        out.extend(lat.encode(t, False, ge, level) for t in range(level))
+    for ge in data.refl_all:
+        out.extend(lat.encode(t, True, ge, level) for t in range(level))
+    for q, ge in data.rot_fin:
+        t = q * level
+        if t.denominator != 1:
+            raise InadmissibleLevel(
+                f"level {level} not divisible by fold denominator {q.denominator}")
+        out.append(lat.encode(int(t), False, ge, level))
+    for q, ge in data.refl_fin:
+        t = q * level
+        if t.denominator != 1:
+            raise InadmissibleLevel(
+                f"level {level} not divisible by fold denominator {q.denominator}")
+        out.append(lat.encode(int(t), True, ge, level))
+    return tuple(sorted(out))
+
+
+def assert_truncate_matches_reference(lat, data, level):
+    """truncate gives the reference's tuple of ints, or the same refusal."""
+    try:
+        want = truncate_reference(lat, data, level)
+    except InadmissibleLevel as e:
+        with pytest.raises(InadmissibleLevel) as got:
+            lat.truncate(data, level)
+        assert str(got.value) == str(e)
+    else:
+        got = lat.truncate(data, level)
+        assert got == want
+        assert all(type(v) is int for v in got)
+
+
 def half_twist_reference(lat, members, level):
     """ClassLattice.half_twist member by member."""
     out = []
@@ -109,6 +148,7 @@ def test_roundtrip_lift_truncate(lat):
             members = lat.truncate(data, level)
             again = lat.lift(members, level)
             assert again == data
+            assert_truncate_matches_reference(lat, data, level)
 
 
 def test_so2_promotion_tracks_level(lat):
@@ -147,6 +187,8 @@ def test_inadmissible_level_raises(lat):
                       ((Fraction(0), 0),), ((Fraction(1, 3), 0),))
     with pytest.raises(InadmissibleLevel):
         lat.truncate(bad, 32)
+    assert_truncate_matches_reference(lat, bad, 32)
+    assert_truncate_matches_reference(lat, bad, 48)
 
 
 def test_poset_partial_order(lat, engine8=None):
@@ -281,6 +323,11 @@ def test_lift_and_half_twist_match_per_member_reference(gamma_index, level, seed
         got = lat.lift(members, level)
         assert got == want
         assert repr(got) == repr(want)  # plain ints and Fractions, not numpy scalars
+        # back at level, at the doubled level and at a level the folds may
+        # not divide
+        assert lat.truncate(got, level) == members
+        for other in (level, 2 * level, 3 * level // 2, 6):
+            assert_truncate_matches_reference(lat, got, other)
     twisted = tuple(lat.half_twist(members, level).tolist())
     assert twisted == half_twist_reference(lat, members, level)
 
@@ -378,3 +425,21 @@ def test_weyl_orders_of_d8_at_level_64():
         for l in range(eng.component_count()):
             eng.isotropy_classes(k, l)
     assert_weyl_orders(eng.lattice)
+
+
+@pytest.mark.parametrize("kind,n", [("dihedral", n) for n in range(1, 13)]
+                         + [("cyclic", n) for n in range(1, 13)] + [("dihedral", 16)])
+def test_finite_class_lookup_matches_conjugacy_scan(kind, n):
+    # every subgroup of Gamma x Z2: the lookup among the classes' conjugates
+    # names the class that an is_conjugate scan over the classes finds; a
+    # member set that is not a subgroup is refused
+    gamma = make_dihedral(n) if kind == "dihedral" else make_cyclic(n)
+    lat = ClassLattice(gamma, 4)
+    g = lat.gamma_z2
+    for mem in all_subgroups(g):
+        h = SubgroupHandle(g, mem)
+        scan = [c.class_id for c in lat._finite_classes
+                if len(c.representative) == len(mem) and is_conjugate(g, h, c.representative)]
+        assert [lat._finite_class_id(mem)] == scan
+    with pytest.raises(RuntimeError):
+        lat._finite_class_id((1,))
