@@ -29,8 +29,10 @@ from .groups import (
     SubgroupClass,
     SubgroupHandle,
     direct_product,
+    gamma_z2_subgroups,
     make_cyclic,
     make_dihedral,
+    make_gamma,
     subgroup_classes,
 )
 from .lattice import AmalgamData, ClassLattice, O2Desc
@@ -44,8 +46,9 @@ __all__ = [
     "PolarTrigPolynomial", "ReportDocument", "SpectralSummary",
     "SubgroupClass", "SubgroupHandle", "apriori_m", "apriori_m_log",
     "apriori_n", "boundary_radius", "character_table", "check_conditions",
-    "circle_domain", "curvature", "direct_product", "load_example",
-    "make_cyclic", "make_dihedral", "minus_irreps", "octagon_domain",
+    "circle_domain", "curvature", "direct_product", "gamma_z2_subgroups",
+    "load_example", "make_cyclic", "make_dihedral", "make_gamma",
+    "minus_irreps", "octagon_domain",
     "parse_config", "recurrence", "run_analyze", "spectral_summary",
     "subgroup_classes", "unit", "xi",
 ]

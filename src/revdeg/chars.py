@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import FiniteGroup, direct_product, make_cyclic, make_dihedral
+from .groups import FiniteGroup, direct_product, make_cyclic, make_dihedral, make_gamma
 
 INT_TOL = 1e-8
 
@@ -119,8 +119,7 @@ def gamma_irreps(kind: str, n: int) -> list[Irrep]:
 
 def character_table(kind: str, n: int) -> CharacterTable:
     """Character table of Gamma x Z2 (element index = gamma_index*2 + z2_index)."""
-    gamma = make_dihedral(n) if kind == "dihedral" else make_cyclic(n)
-    gz = direct_product(gamma, make_cyclic(2))
+    gz = direct_product(make_gamma(kind, n), make_cyclic(2))
     base = gamma_irreps(kind, n)
     order = gz.order
     z2 = np.arange(order) % 2

@@ -19,7 +19,7 @@ from .chars import NonIntegralAverage
 from .config import AnalysisConfig, ConfigError, example_config_text, family_spec, parse_config
 from .degrees import DegreeEngine, IncompleteLattice, RouteDisagreement
 from .geometry import FIGURE_HEADER, check_conditions, figure_data
-from .groups import direct_product, make_cyclic, make_dihedral, subgroup_classes
+from .groups import direct_product, gamma_z2_subgroups, make_cyclic, make_gamma, subgroup_classes
 from .lattice import ClassEscape, InadmissibleLevel, TruncationInstability
 from .names import names_for_gamma_z2
 from .report import base_level, run_analyze
@@ -88,12 +88,11 @@ def cmd_analyze(args) -> int:
 
 def cmd_group_info(args) -> int:
     cfg = _load_config(args)
-    gamma = (make_dihedral(cfg.group_n) if cfg.group_kind == "dihedral"
-             else make_cyclic(cfg.group_n))
-    gz = direct_product(gamma, make_cyclic(2))
-    classes = subgroup_classes(gz)
+    kind, n = cfg.group_kind, cfg.group_n
+    gz = direct_product(make_gamma(kind, n), make_cyclic(2))
+    classes = subgroup_classes(gz, gamma_z2_subgroups(kind, n))
     names = names_for_gamma_z2(
-        gz, cfg.group_n if cfg.group_kind == "dihedral" else None,
+        n if kind == "dihedral" else None,
         [c.representative.members for c in classes])
     lines = [f"subgroup classes of {gz.name} ({len(classes)} classes):"]
     for c in classes:

@@ -24,7 +24,7 @@ import numpy as np
 from . import burnside as br
 from .burnside import BurnsideElement, recurrence, unit
 from .chars import CharacterTable, as_int, character_table, minus_irreps, natural_component
-from .groups import closure, make_cyclic, make_dihedral
+from .groups import closure
 from .lattice import ClassLattice, O2Desc
 from .spectra import (
     FOLD_SEARCH_BOUND,
@@ -91,12 +91,10 @@ class DegreeEngine:
         self.kind, self.n = kind, n
         self.table: CharacterTable = character_table(kind, n)
         self.minus = minus_irreps(self.table)
-        gamma = make_dihedral(n) if kind == "dihedral" else make_cyclic(n)
         if base_level is None:
             # a fixed default; analyze and the CLI size theirs by report.base_level
             base_level = 4 * math.lcm(n, 4, 2)
-        self.lattice = ClassLattice(gamma, base_level,
-                                    gamma_param=n if kind == "dihedral" else None)
+        self.lattice = ClassLattice(kind, n, base_level)
         self._mat_cache: dict = {}
         self._fix_cache: dict = {}
         self._iso_cache: dict = {}

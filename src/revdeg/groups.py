@@ -16,25 +16,17 @@ products, an ``inverse`` array and ``generators``.
 
 Everything downstream (conjugacy classes of subgroups, normalizers, double
 cosets) works on integer index arrays through that interface, so the heavy
-paths vectorize with numpy.  Subgroup enumeration, capped at small orders,
-is the exception: it closes Python-int bitmasks over right-multiplication
-rows in pure Python (all_subgroups).
+paths vectorize with numpy.  The subgroups of Gamma x Z2 are not searched
+for: Gamma is dihedral or cyclic, so they are written down in closed form
+by Goursat's lemma (gamma_z2_subgroups).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-
-DEFAULT_ENUMERATION_CAP = 10_000
-
-
-class EnumerationTooLarge(ValueError):
-    """Requested subgroup enumeration exceeds the configured order cap."""
-
 
 class InvalidGroupParameter(ValueError):
     """Bad constructor parameter (e.g. dihedral parameter 0)."""
@@ -105,6 +97,15 @@ def make_dihedral(n: int) -> FiniteGroup:
     table = np.where(a_ref ^ b_ref, signed + n, signed)
     gens = (1, n) if n > 1 else (n,)
     return _finish(f"D{n}", table, gens)
+
+
+def make_gamma(kind: str, n: int) -> FiniteGroup:
+    """Gamma = D_n (kind "dihedral") or Z_n (kind "cyclic")."""
+    if kind == "dihedral":
+        return make_dihedral(n)
+    if kind == "cyclic":
+        return make_cyclic(n)
+    raise InvalidGroupParameter(f"group kind must be dihedral or cyclic, got {kind!r}")
 
 
 def direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
@@ -336,110 +337,52 @@ def is_conjugate(g: Group, h1: SubgroupHandle, h2: SubgroupHandle) -> bool:
     return bool((orbit_walk(g, h1.members) == row).all(axis=1).any())
 
 
-def _cyclic_generator_rows(g: Group) -> list[list[int]]:
-    """One generator of every cyclic subgroup, the least, as its right
-    multiplication row: row[x] = x * generator.  The generators of <a> are
-    the powers a^k with k prime to its order, so each is skipped once <a>
-    is found."""
-    done = bytearray(g.order)
-    out = []
-    everything = np.arange(g.order)
-    for a in range(g.order):
-        if done[a]:
-            continue
-        row = g.mul(everything, a).tolist()
-        powers = [0]
-        while (nxt := row[powers[-1]]) != 0:
-            powers.append(nxt)
-        m = len(powers)
-        for k in range(1, m):
-            if math.gcd(k, m) == 1:
-                done[powers[k]] = 1
-        out.append(row)
-    return out
+def gamma_z2_subgroups(kind: str, n: int) -> list[tuple[int, ...]]:
+    """Every subgroup of Gamma x Z2, Gamma = D_n or Z_n, as sorted members
+    in direct_product(Gamma, Z2) indexing ((h, z) at 2h + z), sorted by
+    (order, members).
+
+    The subgroups of Z_n are Z_d = <r^(n/d)> for d | n; D_n adds
+    D_d^(r) = <r^(n/d), r^r s> for 0 <= r < n/d.  By Goursat's lemma over
+    Z2, each subgroup H of Gamma gives H x 1, H x Z2 and, for each index-2
+    subgroup K of H, the graph {(h, [h not in K])}.  The index-2 subgroups
+    are Z_(d/2) of Z_d for d even, and Z_d of D_d^(r) together with, for d
+    even, D_(d/2)^(r) and D_(d/2)^(r + n/d)."""
+    if kind not in ("dihedral", "cyclic") or n < 1:
+        raise InvalidGroupParameter(f"Gamma must be D_n or Z_n, n >= 1; got {kind!r}, {n}")
+
+    def refl(first, step):  # the reflections r^t s, t = first, first + step, ...
+        return tuple(range(n + first, 2 * n, step))
+
+    pairs = []  # (H, its index-2 subgroups), as sorted members of Gamma
+    for d in (d for d in range(1, n + 1) if n % d == 0):
+        step = n // d
+        rot = tuple(range(0, n, step))  # Z_d
+        halves = [rot[::2]] if d % 2 == 0 else []
+        pairs.append((rot, halves))
+        for r in range(step if kind == "dihedral" else 0):
+            pairs.append((rot + refl(r, step), [rot] + [
+                h + refl(r + q, 2 * step) for h in halves for q in (0, step)]))
+    subs = []
+    for h, ks in pairs:
+        subs += [tuple(2 * x for x in h), tuple(y for x in h for y in (2 * x, 2 * x + 1))]
+        subs += [tuple(2 * x + (x not in k) for x in h) for k in ks]
+    return sorted(subs, key=lambda m: (len(m), m))
 
 
-def _extend(members: list[int], mask: int, rows: list[list[int]]) -> tuple[list[int], int]:
-    """The subgroup generated by a subgroup (its members and bitmask) and
-    the generators whose right multiplication rows are ``rows``; the
-    subgroup must be closed under every row but the last.  Breadth first:
-    the subgroup's members are multiplied by the new generator, and each
-    element found is multiplied by every generator."""
-    members = list(members)
-    frontier, ops = members, rows[-1:]
-    while frontier:
-        fresh = []
-        for row in ops:
-            for x in frontier:
-                y = row[x]
-                bit = 1 << y
-                if not mask & bit:
-                    mask |= bit
-                    fresh.append(y)
-        members += fresh
-        frontier, ops = fresh, rows
-    return members, mask
-
-
-def all_subgroups(g: Group, cap: int = DEFAULT_ENUMERATION_CAP) -> list[tuple[int, ...]]:
-    """Every subgroup of g, sorted by (order, members).
-
-    Every subgroup is generated by cyclic subgroups, so the subgroups are
-    found bottom-up: each found subgroup is extended by the generator of
-    every cyclic subgroup it does not contain.  A subgroup is held as a
-    Python-int bitmask over g together with the generators that built it,
-    and is extended by a pure-Python breadth-first closure over the right
-    multiplication rows of its generators (_extend).  Only the least
-    generator of each cyclic subgroup has its row made into a list, so no
-    |g|^2 Python table is formed."""
-    if g.order > cap:
-        raise EnumerationTooLarge(
-            f"group order {g.order} exceeds enumeration cap {cap}")
-    cyclics = []
-    # bitmask -> (members, rows of the generators that built it)
-    found: dict[int, tuple[list[int], list[list[int]]]] = {}
-    for row in _cyclic_generator_rows(g):
-        members, mask = _extend([0], 1, [row])
-        cyclics.append((mask, row))
-        found[mask] = (members, [row])
-    frontier = list(found)
-    while frontier:
-        new = []
-        for mask in frontier:
-            members, rows = found[mask]
-            for cmask, row in cyclics:
-                if cmask & mask == cmask:
-                    continue
-                ext_rows = rows + [row]
-                ext_members, ext = _extend(members, mask, ext_rows)
-                if ext not in found:
-                    found[ext] = (ext_members, ext_rows)
-                    new.append(ext)
-        frontier = new
-    return sorted((tuple(sorted(m)) for m, _ in found.values()),
-                  key=lambda m: (len(m), m))
-
-
-def subgroup_classes(g: Group, cap: int = DEFAULT_ENUMERATION_CAP,
-                     names: dict[tuple[int, ...], str] | None = None) -> list[SubgroupClass]:
-    """Conjugacy classes of subgroups, ordered by (order, lex-min representative)."""
-    subs = all_subgroups(g, cap)
+def subgroup_classes(g: Group, subgroups) -> list[SubgroupClass]:
+    """Conjugacy classes of subgroups, given every subgroup of g as sorted
+    members, ordered by (order, lex-min representative)."""
+    subs = sorted(subgroups, key=lambda m: (len(m), m))
     remaining = set(subs)
-    classes = []
-    for mem in subs:  # subs is sorted, so representatives are lex-minimal
+    out = []
+    for mem in subs:  # sorted, so a class's first subgroup is its lex-min
         if mem not in remaining:
             continue
-        conjs = tuple(subgroup_conjugates(g, SubgroupHandle(g, mem)))
-        for c in conjs:
-            remaining.discard(c)
-        classes.append((mem, conjs))
-    classes.sort(key=lambda t: (len(t[0]), t[0]))
-    out = []
-    for cid, (mem, conjs) in enumerate(classes):
-        h = SubgroupHandle(g, mem)
-        w = weyl_order(g, h)
-        name = names.get(mem) if names else None
-        out.append(SubgroupClass(h, cid, w, conjs, name or f"o{len(mem)}c{cid}"))
+        h, cid = SubgroupHandle(g, mem), len(out)
+        conjs = tuple(subgroup_conjugates(g, h))
+        remaining.difference_update(conjs)
+        out.append(SubgroupClass(h, cid, weyl_order(g, h), conjs, f"o{len(mem)}c{cid}"))
     return out
 
 

@@ -41,8 +41,10 @@ from .groups import (
     conjugate_members,
     direct_product,
     double_cosets,
+    gamma_z2_subgroups,
     make_cyclic,
     make_dihedral,
+    make_gamma,
     normalizer,
     orbit_walk,
     subgroup_classes,
@@ -115,17 +117,16 @@ def trunc_group(gamma_z2: FiniteGroup, m: int) -> ProductGroup:
 
 
 class ClassLattice:
-    """Working set of subgroup classes with the level-M / level-2M protocol.
+    """Working set of subgroup classes with the level-M / level-2M protocol,
+    for Gamma = D_n (kind "dihedral") or Z_n (kind "cyclic").
 
     Owns the truncated groups at both levels, interns classes by full-group
     conjugacy, and caches Weyl orders, containment counts and the order
     relation, each verified stable across the two levels.
     """
 
-    def __init__(self, gamma: FiniteGroup, base_level: int,
-                 gamma_param: int | None = None):
-        self.gamma = gamma
-        self.gamma_z2 = direct_product(gamma, make_cyclic(2))
+    def __init__(self, kind: str, n: int, base_level: int):
+        self.gamma_z2 = direct_product(make_gamma(kind, n), make_cyclic(2))
         self.ng = self.gamma_z2.order
         if base_level % 4 != 0:
             raise InadmissibleLevel(f"base level {base_level} must be divisible by 4")
@@ -133,12 +134,12 @@ class ClassLattice:
         self.m_hi = 2 * base_level
         self.group_lo = trunc_group(self.gamma_z2, self.m_lo)
         self.group_hi = trunc_group(self.gamma_z2, self.m_hi)
-        self._finite_classes = subgroup_classes(self.gamma_z2)
+        self._finite_classes = subgroup_classes(self.gamma_z2, gamma_z2_subgroups(kind, n))
         # every subgroup of Gamma x Z2, as sorted members -> its class id
         self._finite_class_of = {conj: c.class_id for c in self._finite_classes
                                  for conj in c.conjugates}
         self._finite_names = names_for_gamma_z2(
-            self.gamma_z2, gamma_param,
+            n if kind == "dihedral" else None,
             [c.representative.members for c in self._finite_classes])
         self.classes: list[AmalgamData] = []
         self.labels: list[str] = []

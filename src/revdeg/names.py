@@ -9,8 +9,6 @@ order-index names.
 
 from __future__ import annotations
 
-from .groups import FiniteGroup, SubgroupHandle
-
 D8XZ2_NAME_LIST = [
     "Z1", "Z2", "D1tz", "D1t", "D1z", "Z1p", "Z2m", "D1", "D2", "Z4d",
     "D2z", "Z2p", "D2td", "D1tp", "D1p", "Z4", "D2t", "D2tz", "D2d",
@@ -66,7 +64,7 @@ def gamma_z2_subgroup_name(n: int, members) -> str:
     return _diagonal_name(n, proj_name, kernel_name, gamma_part)
 
 
-def names_for_gamma_z2(group: FiniteGroup, gamma_order_param: int | None,
+def names_for_gamma_z2(gamma_order_param: int | None,
                        subgroup_members) -> dict[tuple[int, ...], str]:
     """Names for the given subgroups of a D{n} x Z2 product, or {} if unsupported."""
     if gamma_order_param is None:

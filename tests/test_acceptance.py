@@ -50,7 +50,13 @@ from revdeg.geometry import (
     phi_integral,
     phi_integral_inv,
 )
-from revdeg.groups import direct_product, make_cyclic, make_dihedral, subgroup_classes
+from revdeg.groups import (
+    direct_product,
+    gamma_z2_subgroups,
+    make_cyclic,
+    make_dihedral,
+    subgroup_classes,
+)
 from revdeg.spectra import LinearizationSpec, cutoff_certificate, spectral_summary
 
 DEG01_PUBLISHED = {
@@ -356,7 +362,7 @@ def test_criterion_7_burnside_axioms(engine8, natural):
 
 def test_criterion_8_finite_group_oracle():
     g = direct_product(make_dihedral(8), make_cyclic(2))
-    classes = subgroup_classes(g)
+    classes = subgroup_classes(g, gamma_z2_subgroups("dihedral", 8))
     assert len(classes) == 38
     mismatches = 0
     for i in range(38):

@@ -13,13 +13,19 @@ from revdeg.burnside import (
     recurrence,
     unit,
 )
-from revdeg.groups import direct_product, make_cyclic, make_dihedral, subgroup_classes
+from revdeg.groups import (
+    direct_product,
+    gamma_z2_subgroups,
+    make_cyclic,
+    make_dihedral,
+    subgroup_classes,
+)
 from revdeg.lattice import ClassLattice
 
 
 @pytest.fixture(scope="module")
 def lat():
-    lat = ClassLattice(make_dihedral(8), 32, gamma_param=8)
+    lat = ClassLattice("dihedral", 8, 32)
     members = [t * lat.ng + ge for t in range(32) for ge in range(lat.ng)]
     lat.ensure_handle(tuple(sorted(members)), 32)  # SO(2) class
     return lat
@@ -68,7 +74,7 @@ def test_recurrence_rejects_inexact_division(lat):
 
 def test_finite_oracle_spot_pairs():
     g = direct_product(make_dihedral(8), make_cyclic(2))
-    classes = subgroup_classes(g)
+    classes = subgroup_classes(g, gamma_z2_subgroups("dihedral", 8))
     whole = max(range(len(classes)), key=lambda i: len(classes[i].representative))
     for i in (0, 5, 17, 30):
         prod = finite_product(g, classes, whole, i)
@@ -88,9 +94,9 @@ def test_render_parse_roundtrip(lat):
 
 
 def test_class_escape_when_extension_disabled():
-    from revdeg.groups import closure, make_dihedral
+    from revdeg.groups import closure
     from revdeg.lattice import ClassEscape, ClassLattice
-    lat2 = ClassLattice(make_dihedral(8), 32, gamma_param=8)
+    lat2 = ClassLattice("dihedral", 8, 32)
     g = lat2.group_lo
     # the full-graph class (rotation index 4a paired with gamma rotation a)
     gens = [lat2.encode(4, False, 1 * 2, 32),       # (rot 4, r, +1)

@@ -6,17 +6,17 @@ import numpy as np
 import pytest
 
 from revdeg.groups import (
-    EnumerationTooLarge,
     InvalidGroupParameter,
     SubgroupHandle,
     _right_coset_least,
-    all_subgroups,
     closure,
     direct_product,
     double_cosets,
+    gamma_z2_subgroups,
     is_conjugate,
     make_cyclic,
     make_dihedral,
+    make_gamma,
     normalizer,
     orbit_walk,
     subgroup_classes,
@@ -24,11 +24,15 @@ from revdeg.groups import (
     weyl_order,
 )
 from revdeg.lattice import trunc_group
-from revdeg.names import D8XZ2_NAME_LIST, gamma_z2_subgroup_name, names_for_gamma_z2
+from revdeg.names import D8XZ2_NAME_LIST, gamma_z2_subgroup_name
 
 
 def d8xz2():
     return direct_product(make_dihedral(8), make_cyclic(2))
+
+
+def d8xz2_classes():
+    return subgroup_classes(d8xz2(), gamma_z2_subgroups("dihedral", 8))
 
 
 def element_orders(g) -> np.ndarray:
@@ -94,6 +98,11 @@ def test_make_dihedral_rejects_zero():
         make_dihedral(0)
 
 
+def test_make_gamma_rejects_unknown_kind():
+    with pytest.raises(InvalidGroupParameter):
+        make_gamma("symmetric", 4)
+
+
 def test_dihedral_1_is_z2():
     g = make_dihedral(1)
     assert g.order == 2
@@ -121,7 +130,7 @@ def test_direct_product_orders():
 def all_subgroups_reference(g):
     """Every subgroup of g by bottom-up closure from cyclic subgroups, one
     ``closure`` call per (subgroup, cyclic subgroup) pair: the reference for
-    all_subgroups, which extends bitmasks in pure Python."""
+    gamma_z2_subgroups, which writes them down in closed form."""
     cyclics = {closure(g, [a]).members for a in range(g.order)}
     found, frontier = set(cyclics), set(cyclics)
     while frontier:
@@ -138,9 +147,9 @@ def all_subgroups_reference(g):
     return sorted(found, key=lambda m: (len(m), m))
 
 
-def subgroup_classes_reference(g, subgroups, names=None):
+def subgroup_classes_reference(g, subgroups):
     """(representative, class id, Weyl order, conjugates, name) of every
-    class, from every subgroup of g (sorted as all_subgroups sorts them),
+    class, from every subgroup of g (sorted by order, then members),
     each conjugated by every element of g: the reference for
     subgroup_classes, which walks orbits by generators and forms
     normalizers by cosets."""
@@ -153,72 +162,63 @@ def subgroup_classes_reference(g, subgroups, names=None):
                                           axis=1).tolist()]
         seen.update(conj)
         classes.append((mem, conj.count(mem) // len(mem), tuple(sorted(set(conj)))))
-    return [(mem, cid, w, conjs, (names or {}).get(mem) or f"o{len(mem)}c{cid}")
+    return [(mem, cid, w, conjs, f"o{len(mem)}c{cid}")
             for cid, (mem, w, conjs) in enumerate(classes)]
 
 
 # Gamma of every Gamma x Z2 whose subgroups are checked against the references
 ENUMERATION_GAMMAS = ([("dihedral", n) for n in range(1, 13)]
-                      + [("cyclic", n) for n in range(1, 13)] + [("dihedral", 16)])
+                      + [("cyclic", n) for n in range(1, 13)]
+                      + [("dihedral", 16), ("dihedral", 24), ("cyclic", 24), ("dihedral", 32)])
 
 
 @functools.cache
 def gamma_z2_and_subgroups(kind, n):
     """Gamma x Z2 and its subgroups from all_subgroups_reference."""
-    gamma = make_dihedral(n) if kind == "dihedral" else make_cyclic(n)
-    g = direct_product(gamma, make_cyclic(2))
+    g = direct_product(make_gamma(kind, n), make_cyclic(2))
     return g, all_subgroups_reference(g)
 
 
 @pytest.mark.parametrize("kind,n", ENUMERATION_GAMMAS)
 def test_all_subgroups_match_closure_reference(kind, n):
     g, subs = gamma_z2_and_subgroups(kind, n)
-    assert all_subgroups(g) == subs
+    assert gamma_z2_subgroups(kind, n) == subs
 
 
 @pytest.mark.parametrize("kind,n", ENUMERATION_GAMMAS)
 def test_subgroup_classes_match_reference(kind, n):
     # representatives, ids, Weyl orders, conjugates (so n_conjugates) and
-    # names, with the fallback names and, for dihedral Gamma, the printed ones
+    # fallback names, from the subgroups in any order
     g, subs = gamma_z2_and_subgroups(kind, n)
-    classes = subgroup_classes(g)
+    classes = subgroup_classes(g, subs[::-1])
     want = subgroup_classes_reference(g, subs)
     assert [(c.representative.members, c.class_id, c.weyl_order, c.conjugates, c.name)
             for c in classes] == want
     assert [c.n_conjugates for c in classes] == [len(w[3]) for w in want]
-    if kind == "dihedral":
-        names = names_for_gamma_z2(g, n, [w[0] for w in want])
-        assert [c.name for c in subgroup_classes(g, names=names)] == \
-            [w[4] for w in subgroup_classes_reference(g, subs, names)]
 
 
 def test_subgroup_classes_z2():
-    assert len(subgroup_classes(make_cyclic(2))) == 2
+    g = make_cyclic(2)
+    assert len(subgroup_classes(g, all_subgroups_reference(g))) == 2
 
 
 def test_subgroup_classes_d8():
     g = make_dihedral(8)
-    subs = all_subgroups(g)
-    classes = subgroup_classes(g)
+    subs = all_subgroups_reference(g)
+    classes = subgroup_classes(g, subs)
     assert len(subs) == 19
     assert len(classes) == 11
     assert sum(c.n_conjugates for c in classes) == len(subs)
 
 
 def test_subgroup_classes_d8xz2_count():
-    assert len(subgroup_classes(d8xz2())) == 38
+    assert len(d8xz2_classes()) == 38
 
 
 def test_subgroup_classes_deterministic():
-    g = d8xz2()
-    a = [c.representative.members for c in subgroup_classes(g)]
-    b = [c.representative.members for c in subgroup_classes(g)]
+    a = [c.representative.members for c in d8xz2_classes()]
+    b = [c.representative.members for c in d8xz2_classes()]
     assert a == b
-
-
-def test_enumeration_cap():
-    with pytest.raises(EnumerationTooLarge):
-        all_subgroups(make_dihedral(8), cap=10)
 
 
 def test_weyl_orders():
@@ -233,12 +233,17 @@ def test_weyl_orders():
 
 
 def test_lagrange_and_closure_invariants():
-    g = d8xz2()
-    for mem in all_subgroups(g):
-        assert g.order % len(mem) == 0
-        h = np.asarray(mem)
-        prods = np.unique(g.table[np.ix_(h, h)])
-        assert prods.tolist() == list(mem)
+    # every enumerated subgroup, listed once, divides the order and is
+    # closed under products; no closure reference is built
+    for kind, n in ENUMERATION_GAMMAS:
+        g = direct_product(make_gamma(kind, n), make_cyclic(2))
+        subs = gamma_z2_subgroups(kind, n)
+        assert len(set(subs)) == len(subs)
+        for mem in subs:
+            assert g.order % len(mem) == 0
+            h = np.asarray(mem)
+            prods = np.unique(g.table[np.ix_(h, h)])
+            assert prods.tolist() == list(mem)
 
 
 def test_is_conjugate_reflections_d8():
@@ -253,7 +258,7 @@ def test_is_conjugate_reflections_d8():
 
 def test_containment_counts():
     g = make_dihedral(8)
-    classes = subgroup_classes(g)
+    classes = subgroup_classes(g, all_subgroups_reference(g))
     whole = [c for c in classes if len(c.representative) == 16][0]
     trivial_h = SubgroupHandle(g, (0,))
     for c in classes:
@@ -277,7 +282,7 @@ def test_containment_counts():
 
 def test_containment_constant_on_class():
     g = make_dihedral(8)
-    classes = subgroup_classes(g)
+    classes = subgroup_classes(g, all_subgroups_reference(g))
     s = closure(g, [8])
     r4s = closure(g, [12])
     assert is_conjugate(g, s, r4s)
@@ -286,9 +291,7 @@ def test_containment_constant_on_class():
 
 
 def test_d8xz2_names_match_published_list():
-    g = d8xz2()
-    classes = subgroup_classes(g)
-    names = {gamma_z2_subgroup_name(8, c.representative.members) for c in classes}
+    names = {gamma_z2_subgroup_name(8, c.representative.members) for c in d8xz2_classes()}
     assert names == set(D8XZ2_NAME_LIST)
     assert len(names) == 38
 
@@ -360,7 +363,7 @@ def test_normalizer_and_right_cosets_on_every_subgroup():
     # both ways of labelling right cosets (|H|^2 <= |G| and above) on every
     # subgroup of D8 x Z2, normal or not, against the definitions
     g = d8xz2()
-    for mem in all_subgroups(g):
+    for mem in gamma_z2_subgroups("dihedral", 8):
         least = [min(g.mul(a, y) for a in mem) for y in range(g.order)]
         assert _right_coset_least(g, mem).tolist() == least
         brute = tuple(x for x in range(g.order)
@@ -400,7 +403,7 @@ def test_orbit_walk_matches_per_member_reference():
     # every subgroup of the dense D8 x Z2 and of the trivial group, then
     # subgroups of a truncation group: the same orbit as int32 rows, the
     # sorted start first, each conjugate once
-    cases = [(g, mem) for g in (d8xz2(), make_cyclic(1)) for mem in all_subgroups(g)]
+    cases = [(g, mem) for g in (d8xz2(), make_cyclic(1)) for mem in all_subgroups_reference(g)]
     g = trunc_group(direct_product(make_dihedral(3), make_cyclic(2)), 8)
     rng = np.random.default_rng(5)
     for _ in range(40):

@@ -11,12 +11,9 @@ from hypothesis import strategies as st
 from revdeg.degrees import DegreeEngine
 from revdeg.groups import (
     SubgroupHandle,
-    all_subgroups,
     closure,
     conjugate_members,
     is_conjugate,
-    make_cyclic,
-    make_dihedral,
     normalizer,
 )
 from revdeg.lattice import (
@@ -27,6 +24,7 @@ from revdeg.lattice import (
     TruncationInstability,
 )
 from revdeg.spectra import LinearizationSpec, spectral_summary
+from test_groups import gamma_z2_and_subgroups
 
 
 def decode_reference(lat, idx, level):
@@ -117,7 +115,7 @@ def half_twist_reference(lat, members, level):
 
 @pytest.fixture(scope="module")
 def lat():
-    return ClassLattice(make_dihedral(8), 32, gamma_param=8)
+    return ClassLattice("dihedral", 8, 32)
 
 
 def so2_class(lat):
@@ -204,8 +202,8 @@ def test_poset_partial_order(lat, engine8=None):
 
 
 def test_labels_deterministic():
-    a = ClassLattice(make_dihedral(8), 32, gamma_param=8)
-    b = ClassLattice(make_dihedral(8), 32, gamma_param=8)
+    a = ClassLattice("dihedral", 8, 32)
+    b = ClassLattice("dihedral", 8, 32)
     members = [t * a.ng + ge for t in range(32) for ge in range(a.ng)]
     ca = a.ensure_handle(tuple(sorted(members)), 32)
     cb = b.ensure_handle(tuple(sorted(members)), 32)
@@ -272,7 +270,7 @@ def test_ensure_handle_refuses_before_lookup():
     # Z16 (every fourth rotation) is fine at level 64 but too close to
     # level 32; interned at 64, its level-32 truncation is in the orbit
     # index and must still be refused, as must the same group uninterned
-    lat = ClassLattice(make_dihedral(8), 32, gamma_param=8)
+    lat = ClassLattice("dihedral", 8, 32)
     z16_lo = tuple(lat.encode(2 * t, False, 0, lat.m_lo) for t in range(16))
     with pytest.raises(TruncationInstability):
         lat.ensure_handle(z16_lo, lat.m_lo)
@@ -285,12 +283,12 @@ def test_ensure_handle_refuses_before_lookup():
     assert len(lat.classes) == n_classes
 
 
-GAMMAS = [make_dihedral(n) for n in range(1, 7)] + [make_cyclic(n) for n in range(1, 7)]
+GAMMAS = [("dihedral", n) for n in range(1, 7)] + [("cyclic", n) for n in range(1, 7)]
 
 
 @functools.cache
 def lattice_for(gamma_index: int, level: int) -> ClassLattice:
-    return ClassLattice(GAMMAS[gamma_index], level)
+    return ClassLattice(*GAMMAS[gamma_index], level)
 
 
 # random subgroups of a truncation, generated by (rotation index,
@@ -430,13 +428,13 @@ def test_weyl_orders_of_d8_at_level_64():
 @pytest.mark.parametrize("kind,n", [("dihedral", n) for n in range(1, 13)]
                          + [("cyclic", n) for n in range(1, 13)] + [("dihedral", 16)])
 def test_finite_class_lookup_matches_conjugacy_scan(kind, n):
-    # every subgroup of Gamma x Z2: the lookup among the classes' conjugates
-    # names the class that an is_conjugate scan over the classes finds; a
-    # member set that is not a subgroup is refused
-    gamma = make_dihedral(n) if kind == "dihedral" else make_cyclic(n)
-    lat = ClassLattice(gamma, 4)
+    # every subgroup of Gamma x Z2, from the closure reference: the lookup
+    # among the classes' conjugates names the class that an is_conjugate
+    # scan over the classes finds; a member set that is not a subgroup is
+    # refused
+    lat = ClassLattice(kind, n, 4)
     g = lat.gamma_z2
-    for mem in all_subgroups(g):
+    for mem in gamma_z2_and_subgroups(kind, n)[1]:
         h = SubgroupHandle(g, mem)
         scan = [c.class_id for c in lat._finite_classes
                 if len(c.representative) == len(mem) and is_conjugate(g, h, c.representative)]

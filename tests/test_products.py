@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from revdeg import lattice as lattice_module
 from revdeg.degrees import DegreeEngine
-from revdeg.groups import closure, conjugate_members, double_cosets, make_cyclic, make_dihedral
+from revdeg.groups import closure, conjugate_members, double_cosets
 from revdeg.lattice import ClassEscape, ClassLattice, TruncationInstability
 from revdeg.spectra import LinearizationSpec
 
@@ -68,7 +68,7 @@ def test_oracle_skips_exactly_cyclic_folds():
     # every rotation fold d | M with finite parts, and the same with a
     # reflection: the oracle skips exactly where lift returns a cyclic fold
     # without raising (d <= M/4); d = M/2 raises, d = M is SO(2)
-    lat = ClassLattice(make_dihedral(8), 32, gamma_param=8)
+    lat = ClassLattice("dihedral", 8, 32)
     m = lat.m_lo
     for d in (1, 2, 4, 8, 16, 32):
         for ges in ((0,), (0, 1)):
@@ -104,7 +104,7 @@ def test_reflection_route_matches_full_enumeration(monkeypatch, natural):
     assert_same_lattice(reflection, full)
 
 
-GAMMAS = [make_dihedral(n) for n in range(1, 7)] + [make_cyclic(n) for n in range(1, 7)]
+GAMMAS = [("dihedral", n) for n in range(1, 7)] + [("cyclic", n) for n in range(1, 7)]
 # (rotation step: none, one grid step, a quarter or half turn; reflection?;
 # Gamma x Z2 index): a one-step rotation with trivial Gamma x Z2 part makes
 # an SO(2)/O(2)-type subgroup, the turns small folds
@@ -121,7 +121,7 @@ def test_reflection_route_matches_oracle_on_random_pairs(gamma_index, level, gen
     # classes a product adds and the refusals
     gamma = GAMMAS[gamma_index]
     steps = [0, 1, level // 4, level // 2]
-    lats = [ClassLattice(gamma, level), ClassLattice(gamma, level)]
+    lats = [ClassLattice(*gamma, level), ClassLattice(*gamma, level)]
     ids = []
     for lat in lats:
         members = [closure(lat.group_lo, [lat.encode(steps[s], refl, ge % lat.ng, level)
@@ -155,7 +155,7 @@ def test_unit_product_has_no_coset_pass(monkeypatch, engine8, natural):
     for j, coeffs in want.items():
         assert lat.product_classes(0, j) == lat.product_classes(j, 0) == coeffs
         assert coeffs == ({j: 1} if lat.finite_weyl(j) else {})
-    fresh = ClassLattice(make_dihedral(8), 32, gamma_param=8)
+    fresh = ClassLattice("dihedral", 8, 32)
     cyclic = fresh.ensure_handle((0, (fresh.m_lo // 2) * fresh.ng), fresh.m_lo)
     assert fresh.product_classes(cyclic, 0) == {}
 
@@ -163,7 +163,7 @@ def test_unit_product_has_no_coset_pass(monkeypatch, engine8, natural):
 def test_product_refuses_fold_too_close_to_level():
     # Z16 interned at level 64 is a fold the level-32 truncation refuses;
     # its product with itself has no reflection to meet and is still refused
-    lat = ClassLattice(make_dihedral(8), 32, gamma_param=8)
+    lat = ClassLattice("dihedral", 8, 32)
     cid = lat.ensure_handle(
         tuple(lat.encode(4 * t, False, 0, lat.m_hi) for t in range(16)), lat.m_hi)
     with pytest.raises(TruncationInstability):
