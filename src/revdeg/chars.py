@@ -72,9 +72,7 @@ def _dihedral_irreps(n: int) -> list[Irrep]:
     if n % 2 == 0:
         linear("alt", -1, 1)
         linear("altdet", -1, -1)
-    for j in range(1, (n + 1) // 2 + (0 if n % 2 else 0)):
-        if 2 * j == n:
-            break
+    for j in range(1, (n + 1) // 2):
         ang = 2 * np.pi * j * rot_pow / n
         char = np.where(is_refl, 0.0, 2 * np.cos(ang))
         mats = np.stack([_rot(a) if not r else _rot(a) @ np.diag([1.0, -1.0])

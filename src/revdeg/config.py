@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .chars import CharacterTable, natural_component
+from .chars import CharacterTable, minus_irreps, natural_component
 from .geometry import DomainSpec, FFamilySpec, PolarTrigPolynomial
 from .spectra import FOLD_SEARCH_BOUND, LinearizationSpec
 
@@ -55,6 +55,18 @@ def _to_number(x):
     return float(x)
 
 
+def _int_field(raw: dict, name: str, default, least: int, problems: list[str]):
+    """raw[name], which must be an integer >= least, else default when the
+    key is absent (or null, where the default is None); a violation is added
+    to problems."""
+    v = raw.get(name, default)
+    if v is None and default is None:
+        return None
+    if isinstance(v, bool) or not isinstance(v, int) or v < least:
+        problems.append(f"{name} must be an integer >= {least}, got {v!r}")
+    return v
+
+
 def parse_config(text: str) -> AnalysisConfig:
     problems: list[str] = []
     try:
@@ -78,8 +90,12 @@ def parse_config(text: str) -> AnalysisConfig:
         label = entry.get("label", "?")
         sel = entry.get("irrep", "natural")
         mult = entry.get("multiplicity", 1)
-        if sel not in ("gamma_trivial", "natural") and not sel.startswith("minus_index:"):
+        if not isinstance(sel, str) or (sel not in ("gamma_trivial", "natural")
+                                        and not sel.startswith("minus_index:")):
             problems.append(f"unknown irrep selector {sel!r} for {label!r}")
+        elif sel.startswith("minus_index:") and not sel.split(":", 1)[1].isdecimal():
+            problems.append(f"irrep {sel!r} for {label!r}: the index must be a "
+                            "nonnegative integer")
         if not isinstance(mult, int) or mult < 0:
             problems.append(f"multiplicity for {label!r} must be a nonnegative integer")
         assignments.append(RepAssignment(label, sel, mult))
@@ -120,6 +136,15 @@ def parse_config(text: str) -> AnalysisConfig:
         if domain is not None:
             problems.extend(domain.validate())
 
+    search_bound = _int_field(raw, "degenerate_search_bound", FOLD_SEARCH_BOUND, 0, problems)
+    truncation_base = _int_field(raw, "truncation_base", None, 1, problems)
+    boundary_grid = _int_field(raw, "boundary_grid", 4096, 2, problems)
+    tolerances = {}
+    try:
+        tolerances = {str(k): float(v) for k, v in raw.get("tolerances", {}).items()}
+    except (AttributeError, TypeError, ValueError):
+        problems.append(f"tolerances must map names to numbers, got {raw['tolerances']!r}")
+
     cfg = None
     if not problems:
         cfg = AnalysisConfig(
@@ -131,11 +156,10 @@ def parse_config(text: str) -> AnalysisConfig:
             domain=domain,
             family=bool(raw.get("family", True)),
             safe_side=bool(raw.get("safe_side", True)),
-            degenerate_search_bound=int(raw.get("degenerate_search_bound", FOLD_SEARCH_BOUND)),
-            truncation_base=raw.get("truncation_base"),
-            boundary_grid=int(raw.get("boundary_grid", 4096)),
-            tolerances={str(k): float(v)
-                        for k, v in raw.get("tolerances", {}).items()},
+            degenerate_search_bound=search_bound,
+            truncation_base=truncation_base,
+            boundary_grid=boundary_grid,
+            tolerances=tolerances,
         )
     if problems:
         raise ConfigError(problems)
@@ -144,8 +168,11 @@ def parse_config(text: str) -> AnalysisConfig:
 
 def resolve_components(cfg: AnalysisConfig, table: CharacterTable) -> dict[str, int]:
     """Map user labels to internal minus-component indices (the order of
-    chars.minus_irreps, which DegreeEngine shares)."""
+    chars.minus_irreps, which DegreeEngine shares).  An index past the
+    group's minus components is a ConfigError."""
     out = {}
+    count = len(minus_irreps(table))
+    problems = []
     for a in cfg.assignments:
         if a.selector == "gamma_trivial":
             out[a.label] = 0
@@ -153,6 +180,11 @@ def resolve_components(cfg: AnalysisConfig, table: CharacterTable) -> dict[str, 
             out[a.label] = natural_component(table)
         else:
             out[a.label] = int(a.selector.split(":", 1)[1])
+            if out[a.label] >= count:
+                problems.append(f"irrep {a.selector!r} for {a.label!r}: "
+                                f"{cfg.group_kind}:{cfg.group_n} has {count} minus components")
+    if problems:
+        raise ConfigError(problems)
     return out
 
 

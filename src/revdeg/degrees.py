@@ -9,9 +9,11 @@ certified stabilizer sampling, mode parities, and the existence decision
 procedure for both the nondegenerate and the degenerate spectrum case.
 
 A sampled stabilizer is looked up in the lattice's orbit index before it is
-closed: a stabilizer found there is a conjugate of a truncated closed
-subgroup, so it is a subgroup already, and only one the lattice has not seen
-is checked with closure and interned.
+lifted or closed (ClassLattice.lookup): a stabilizer found there is a
+conjugate of a truncated closed subgroup, so it is a subgroup already, and
+its class gives its O(2)-part; only a hit whose fold is too close to the
+level, or a miss, is checked against the level, and only a miss is checked
+with closure and interned.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from . import burnside as br
 from .burnside import BurnsideElement, recurrence, unit
 from .chars import CharacterTable, as_int, character_table, minus_irreps, natural_component
 from .groups import closure
-from .lattice import ClassLattice, O2Desc
+from .lattice import ClassLattice, O2Desc, TruncationInstability
 from .spectra import (
     FOLD_SEARCH_BOUND,
     LinearizationSpec,
@@ -97,9 +99,12 @@ class DegreeEngine:
         self.lattice = ClassLattice(kind, n, base_level)
         self._mat_cache: dict = {}
         self._fix_cache: dict = {}
+        # (k, level) -> 2cos(2 pi k t / level) at rotation t, 0 at reflections
+        self._rot_factor: dict[tuple[int, int], np.ndarray] = {}
         self._iso_cache: dict = {}
-        # sampled stabilizer members -> class id, None for a cyclic fold
-        self._stab_class: dict[tuple[int, ...], int | None] = {}
+        # sampled stabilizer members, as the orbit index keys them (sorted
+        # int32 bytes) -> class id, None for a cyclic fold
+        self._stab_class: dict[bytes, int | None] = {}
         self._deg_cache: dict = {}
 
     # -- components ------------------------------------------------------------
@@ -158,25 +163,28 @@ class DegreeEngine:
         if key in self._fix_cache:
             return self._fix_cache[key]
         lat = self.lattice
+        chi = self.table.irreps[self.minus[l]].char
         dims = []
         for level in (lat.m_lo, lat.m_hi):
-            members = lat._rep_array(cid, level)
-            t = (members // lat.ng) % level
-            refl = (members // lat.ng) >= level
-            ge = members % lat.ng
-            chi_l = self.table.irreps[self.minus[l]].char[ge]
-            if k == 0:
-                vals = chi_l
-            else:
-                vals = np.where(refl, 0.0, 2 * np.cos(2 * np.pi * k * t / level)) * chi_l
-            dims.append(as_int(float(np.sum(vals)) / len(members),
+            o2_idx, ge = np.divmod(lat._rep_array(cid, level), lat.ng)
+            vals = chi[ge] if k == 0 else chi[ge] * self._rotation_factor(k, level)[o2_idx]
+            dims.append(as_int(float(np.sum(vals)) / len(vals),
                                f"fixed dim of {lat.labels[cid]} on V({k},{l})"))
         if dims[0] != dims[1]:
-            from .lattice import TruncationInstability
             raise TruncationInstability(
                 f"fixed dim of {lat.labels[cid]} on V({k},{l}) differs between levels")
         self._fix_cache[key] = dims[0]
         return dims[0]
+
+    def _rotation_factor(self, k: int, level: int) -> np.ndarray:
+        """The character of W_k at each O(2) index of D_level: 2cos(2 pi k t /
+        level) at rotation t, 0 at every reflection."""
+        key = (k, level)
+        if key not in self._rot_factor:
+            t = np.arange(level)
+            self._rot_factor[key] = np.concatenate(
+                [2 * np.cos(2 * np.pi * k * t / level), np.zeros(level)])
+        return self._rot_factor[key]
 
     def fixed_projector(self, k: int, l: int, cid: int, level: int) -> np.ndarray:
         mats = self.rep_matrices(k, l, level)
@@ -261,26 +269,26 @@ class DegreeEngine:
         return iso
 
     def _class_of_stabilizer(self, g, members: np.ndarray, level: int) -> int | None:
-        """Class id of a sampled stabilizer, given by its members in the
-        truncation g at level (always the lattice's m_lo), or None for a
+        """Class id of a sampled stabilizer, given by its sorted members in
+        the truncation g at level (always the lattice's m_lo), or None for a
         cyclic fold (infinite Weyl group).  Memoized by member set for the
         engine's life; a set that raises is not memoized, so it raises again
         on every visit.
 
-        lift runs first, so both TruncationInstability refusals come before
-        anything else, as in ensure_handle.  The set is then looked up in the
-        orbit index: a hit is a row of an interned orbit, a conjugate of
-        H ∩ (D_M x Gamma x Z2) for a closed subgroup H, so it is itself a
-        subgroup, and only a miss is checked with closure (the
-        IncompleteLattice certificate) and interned."""
-        key = tuple(members.tolist())
+        The set is looked up in the orbit index first (ClassLattice.lookup),
+        which refuses an unstable truncation as lift would.  A hit is a row
+        of an interned orbit, a conjugate of H ∩ (D_M x Gamma x Z2) for a
+        closed subgroup H, so it is itself a subgroup, and its class's
+        O(2)-part says whether it is a cyclic fold; only a miss is checked
+        with closure (the IncompleteLattice certificate) and interned."""
+        key = members.astype(np.int32).tobytes()
         if key in self._stab_class:
             return self._stab_class[key]
         lat = self.lattice
-        cyclic = lat.lift(members, level).o2.kind == "Z"
-        cid = lat._find_class(members, level)
+        cid, o2 = lat.lookup(members, level)
+        cyclic = o2.kind == "Z"
         if cid is None:
-            if len(closure(g, key).members) != len(key):
+            if len(closure(g, members).members) != len(members):
                 raise IncompleteLattice("stabilizer not closed at tolerance")
             if not cyclic:
                 cid = lat.ensure_handle(members, level)

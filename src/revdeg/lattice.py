@@ -19,6 +19,15 @@ from each row's bytes to the class id finds the class of any member set.
 The walk that builds an orbit also gives the class's Weyl order at that
 level, by orbit-stabilizer, so no normalizer is formed for it.
 
+Every member set met by the engine goes through lookup, which probes the
+index first.  The level check (a fold too close to the level, or mixed
+fibres under a full fold: TruncationInstability) runs without Fractions, on
+a miss or on a hit whose class is a finite fold above level // 4; a hit
+needs nothing else, since rows at the level the class was interned at passed
+lift, rows truncated to the other level have whole fibres, and both refusals
+are invariant under conjugation.  lift builds Fractions only for a new
+class's representative.
+
 Products of classes count double cosets.  When a factor has a finite
 O(2)-part, only the double cosets whose intersection holds a reflection can
 contribute (the others are cyclic folds, with infinite Weyl group), and only
@@ -116,6 +125,13 @@ def trunc_group(gamma_z2: FiniteGroup, m: int) -> ProductGroup:
     return ProductGroup(make_dihedral(m), gamma_z2)
 
 
+def row_order(rows: np.ndarray) -> np.ndarray:
+    """The permutation that sorts the rows of a 2-D array of non-negative
+    int32 values lexicographically: big-endian bytes of non-negative ints
+    order as the ints do, so it is one argsort of each row's bytes."""
+    return np.argsort(rows.astype(">i4").view(f"V{4 * rows.shape[1]}").ravel())
+
+
 class ClassLattice:
     """Working set of subgroup classes with the level-M / level-2M protocol,
     for Gamma = D_n (kind "dihedral") or Z_n (kind "cyclic").
@@ -177,40 +193,56 @@ class ClassLattice:
     # -- lift / truncate -----------------------------------------------------
 
     def lift(self, members, level: int) -> AmalgamData:
-        """Goursat data of a truncated subgroup, promoting folds that fill D_M."""
+        """Goursat data of a truncated subgroup, promoting folds that fill D_M;
+        an unstable truncation is refused by _level_check."""
+        o2 = self._level_check(members, level)
         o2_idx, ge = np.divmod(np.asarray(members, dtype=np.int64), self.ng)
         refl = o2_idx >= level
+        if o2.kind in ("O2", "SO2"):
+            # whole fibres: the Gamma x Z2 indices met at every angle
+            rot_all, refl_all = (
+                tuple(np.flatnonzero(np.bincount(ge[mask], minlength=self.ng) == level).tolist())
+                for mask in (~refl, refl))
+            return AmalgamData(o2, rot_all, refl_all, (), ())
         t = o2_idx % level
-        rot = ~refl
-        d = np.unique(t[rot]).size  # rotation part of the O(2)-projection is Z_d
-        has_refl = bool(refl.any())
-        full = d == level
-        if full:
-            o2 = O2Desc("O2") if has_refl else O2Desc("SO2")
-        else:
-            if d > level // 4:
-                raise TruncationInstability(
-                    f"fold {d} too close to truncation level {level}; raise the base level")
-            o2 = O2Desc("D", d) if has_refl else O2Desc("Z", d)
         angles = self._angles(level)
         parts = []
-        for mask in (rot, refl):
+        for mask in (~refl, refl):
             t_part, ge_part = t[mask], ge[mask]
-            if full:
-                # a fibre over ge holds every angle or finitely many
-                counts = np.bincount(ge_part, minlength=self.ng)
-                if np.any((counts > 0) & (counts < level)):
-                    raise TruncationInstability(
-                        "mixed full/finite fibers; raise the base level")
-                parts.append(tuple(np.flatnonzero(counts == level).tolist()))
-                continue
             # one denominator, so (t, ge) order is (Fraction(t, level), ge) order
             order = np.lexsort((ge_part, t_part))
             parts.append(tuple(zip([angles[i] for i in t_part[order].tolist()],
                                    ge_part[order].tolist())))
-        if full:
-            return AmalgamData(o2, parts[0], parts[1], (), ())
-        return AmalgamData(o2, (), (), parts[0], parts[1])
+        return AmalgamData(o2, (), (), *parts)
+
+    def _level_check(self, members, level: int) -> O2Desc:
+        """The O(2)-part of a truncated subgroup at level, with no Fractions.
+        Refuses a fold too close to the level (_check_fold), then, for a
+        fold that fills D_M, fibres over Gamma x Z2 holding some but not
+        all angles."""
+        o2_idx, ge = np.divmod(np.asarray(members, dtype=np.int64), self.ng)
+        refl = o2_idx >= level
+        # a rotation's O(2) index is its angle index
+        d = int(np.count_nonzero(np.bincount(o2_idx[~refl], minlength=1)))
+        has_refl = bool(refl.any())
+        if d < level:
+            o2 = O2Desc("D", d) if has_refl else O2Desc("Z", d)
+            self._check_fold(o2, level)
+            return o2
+        for mask in (~refl, refl):
+            # a fibre over ge holds every angle or finitely many
+            counts = np.bincount(ge[mask], minlength=self.ng)
+            if np.any((counts > 0) & (counts < level)):
+                raise TruncationInstability("mixed full/finite fibers; raise the base level")
+        return O2Desc("O2") if has_refl else O2Desc("SO2")
+
+    @staticmethod
+    def _check_fold(o2: O2Desc, level: int) -> None:
+        """Refuse a finite fold above level // 4: its conjugacy and counts are
+        not yet those of O(2) at this level."""
+        if o2.kind in ("D", "Z") and o2.fold > level // 4:
+            raise TruncationInstability(
+                f"fold {o2.fold} too close to truncation level {level}; raise the base level")
 
     def _angles(self, level: int) -> list[Fraction]:
         """Fraction(t, level) for every rotation index t, built once a level."""
@@ -264,7 +296,7 @@ class ClassLattice:
             rows = inner
         else:
             rows = np.concatenate([inner, self.half_twist(inner, level)])
-        rows = rows[np.lexsort(rows.T[::-1])]
+        rows = rows[row_order(rows)]
         rows.setflags(write=False)
         return rows, weyl
 
@@ -292,8 +324,7 @@ class ClassLattice:
 
     def ensure_handle(self, members, level: int) -> int:
         """Intern the class of a truncated subgroup; returns its class id."""
-        self.lift(members, level)  # refuses unstable truncations first
-        cid = self._find_class(members, level)
+        cid, _ = self.lookup(members, level)
         if cid is not None:
             return cid
         # new class: canonical representative = lex-min conjugate at each level
@@ -510,9 +541,8 @@ class ClassLattice:
         coeffs: dict[int, int] = {}
         for x in double_cosets(g, h, k, meeting):
             kc = conjugate_members(g, x, k)
-            inter = tuple(kc[in_h[kc]].tolist())  # sorted, as kc is
-            self.lift(inter, level)  # refuses unstable truncations first
-            cid = self._find_class(inter, level)
+            inter = kc[in_h[kc]]
+            cid, _ = self.lookup(inter, level)
             if cid is None:
                 if not extend:
                     raise ClassEscape([self._describe(inter, level)])
@@ -530,15 +560,11 @@ class ClassLattice:
         k' = b k b^-1 (b in K), then a^-1 x b lies in HxK and conjugates k
         to h.
 
-        A cyclic fold too close to the level is never lifted on this route,
-        so a finite factor whose fold lift would refuse at this level is
-        refused here."""
+        A cyclic fold too close to the level is never looked up on this
+        route, so a finite factor whose fold lift would refuse at this level
+        is refused here."""
         for c in (i, j):
-            o2 = self.classes[c].o2
-            if o2.kind in ("D", "Z") and o2.fold > level // 4:
-                raise TruncationInstability(
-                    f"fold {o2.fold} too close to truncation level {level}; "
-                    "raise the base level")
+            self._check_fold(self.classes[c].o2, level)
         return self.group_at(level).conjugators(self._reflection_reps(j, level),
                                                 self._reflection_reps(i, level))
 
@@ -560,9 +586,27 @@ class ClassLattice:
             self._refl_reps[key] = reps
         return self._refl_reps[key]
 
+    def lookup(self, members, level: int) -> tuple[int | None, O2Desc]:
+        """The id of the interned class whose orbit at level holds the
+        members (any container of ints, in any order), None if there is
+        none, and the members' O(2)-part; an unstable truncation is refused
+        as lift refuses it.
+
+        The orbit index is probed first.  A miss runs _level_check.  A hit
+        refuses exactly when the class is a finite fold above level // 4
+        (_check_fold): rows at the level the class was interned at passed
+        lift, rows truncate built at the other level have whole fibres, and
+        both refusals are invariant under conjugation."""
+        cid = self._find_class(members, level)
+        if cid is None:
+            return None, self._level_check(members, level)
+        o2 = self.classes[cid].o2
+        self._check_fold(o2, level)
+        return cid, o2
+
     def _find_class(self, members, level: int) -> int | None:
-        """Id of the interned class whose orbit at level holds the members
-        (any container of ints, in any order)."""
+        """Id of the interned class whose orbit at level holds the members,
+        by the orbit index alone (lookup adds the level check)."""
         if level not in self._class_of:
             raise InadmissibleLevel(f"unsupported level {level}")
         key = np.sort(np.asarray(members, dtype=np.int32)).tobytes()

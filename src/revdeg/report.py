@@ -184,6 +184,9 @@ def run_analyze(cfg: AnalysisConfig, skip_geometry: bool = False,
     notes: list[str] = []
     watermark = None
     conditions = None
+    # the spectrum needs only the character table; it sizes the one engine.
+    # Built first, so a component index out of range refuses before any work
+    spec = linearization_spec(cfg, character_table(cfg.group_kind, cfg.group_n))
     fam = family_spec(cfg)
     if fam is not None:
         conditions = check_conditions(fam, grid=cfg.boundary_grid)
@@ -208,8 +211,6 @@ def run_analyze(cfg: AnalysisConfig, skip_geometry: bool = False,
     if not geometry_ok:
         watermark = "hypotheses unverified"
 
-    # the spectrum needs only the character table; it sizes the one engine
-    spec = linearization_spec(cfg, character_table(cfg.group_kind, cfg.group_n))
     summary = spectral_summary(spec)
     modes = list(summary.active_modes)
     if not summary.nondegenerate:

@@ -252,3 +252,33 @@ def test_cli_real_failures_exit_with_their_codes(capsys):
     err = capsys.readouterr().err
     assert "TruncationInstability: fold 4 too close" in err
     assert "InadmissibleLevel: base level 30" in err
+
+
+@pytest.mark.parametrize("key,value,message", [
+    ("truncation_base", "64", "truncation_base must be an integer >= 1, got '64'"),
+    ("truncation_base", -8, "truncation_base must be an integer >= 1, got -8"),
+    ("boundary_grid", "abc", "boundary_grid must be an integer >= 2, got 'abc'"),
+    ("boundary_grid", 0, "boundary_grid must be an integer >= 2, got 0"),
+    ("boundary_grid", 1, "boundary_grid must be an integer >= 2, got 1"),
+    ("degenerate_search_bound", "x", "degenerate_search_bound must be an integer >= 0, got 'x'"),
+    ("tolerances", {"stab": "tight"}, "tolerances must map names to numbers"),
+    ("irrep", "minus_index:x", "the index must be a nonnegative integer"),
+    ("irrep", "minus_index:99", "dihedral:8 has 7 minus components"),
+])
+def test_cli_bad_config_values_exit_30(tmp_path, capsys, key, value, message):
+    # every bad value is a configuration error (exit 30), not an internal
+    # error (exit 31); geometry is not skipped, so an out-of-range component
+    # index must be refused before the geometry gate
+    from revdeg import cli
+
+    raw = json.loads(example_config_text())
+    if key == "irrep":
+        raw["representation"][0]["irrep"] = value
+    else:
+        raw[key] = value
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(raw))
+    assert cli.main(["analyze", "--config", str(p)]) == 30
+    err = capsys.readouterr().err
+    assert err.startswith("invalid configuration:")
+    assert message in err

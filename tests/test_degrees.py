@@ -9,6 +9,7 @@ import pytest
 import numpy as np
 
 from revdeg import burnside as br
+from revdeg.chars import as_int
 from revdeg.degrees import STAB_TOL, DegreeEngine, IncompleteLattice, _stabilizer_errors
 from revdeg.lattice import TruncationInstability
 from revdeg.spectra import LinearizationSpec, spectral_summary
@@ -249,7 +250,7 @@ def test_unclosed_stabilizer_raises_on_every_visit(monkeypatch):
     for _ in range(2):
         with pytest.raises(IncompleteLattice):
             eng.isotropy_classes(0, 0)
-    assert (0, step) not in eng._stab_class
+    assert np.array([0, step], dtype=np.int32).tobytes() not in eng._stab_class
 
 
 def stabilizer_errors_reference(mats, p):
@@ -332,4 +333,44 @@ def test_lookup_hit_still_refuses(monkeypatch):
     for _ in range(2):
         with pytest.raises(TruncationInstability):
             eng.isotropy_classes(0, 0)
-    assert tuple(z16_lo.tolist()) not in eng._stab_class
+    assert z16_lo.astype(np.int32).tobytes() not in eng._stab_class
+
+
+def fixed_dim_reference(eng, k, l, cid, level):
+    """The character average of DegreeEngine.fixed_dim at one level, member
+    by member: the reference for its per-(k, level) rotation factor."""
+    lat = eng.lattice
+    chi = eng.table.irreps[eng.minus[l]].char
+    total = 0.0
+    for idx in lat._rep_array(cid, level).tolist():
+        o2, ge = divmod(idx, lat.ng)
+        rot = 1.0 if k == 0 else (0.0 if o2 >= level else 2 * np.cos(2 * np.pi * k * o2 / level))
+        total += rot * chi[ge]
+    return total / lat.order_of(cid, level)
+
+
+@pytest.mark.parametrize("kind,n,base_level", [
+    ("dihedral", 8, 32), ("dihedral", 3, None), ("dihedral", 6, None), ("cyclic", 4, None),
+])
+def test_fixed_dim_matches_member_average(kind, n, base_level):
+    # every class interned by the isotropy runs of modes 0-2, on modes 0-3:
+    # the dimension at both levels, or the refusal when the levels differ
+    eng = DegreeEngine(kind, n, base_level=base_level)
+    for k in (0, 1, 2):
+        for l in range(eng.component_count()):
+            try:
+                eng.isotropy_classes(k, l)
+            except TruncationInstability:
+                pass
+    lat = eng.lattice
+    eng._fix_cache.clear()
+    for cid in range(len(lat.classes)):
+        for k in range(4):
+            for l in range(eng.component_count()):
+                dims = {as_int(fixed_dim_reference(eng, k, l, cid, level))
+                        for level in (lat.m_lo, lat.m_hi)}
+                if len(dims) == 1:
+                    assert eng.fixed_dim(k, l, cid) == dims.pop()
+                else:
+                    with pytest.raises(TruncationInstability):
+                        eng.fixed_dim(k, l, cid)

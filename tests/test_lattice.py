@@ -22,6 +22,7 @@ from revdeg.lattice import (
     InadmissibleLevel,
     O2Desc,
     TruncationInstability,
+    row_order,
 )
 from revdeg.spectra import LinearizationSpec, spectral_summary
 from test_groups import gamma_z2_and_subgroups
@@ -65,6 +66,58 @@ def lift_reference(lat, members, level):
         raise TruncationInstability("mixed full/finite fibers")
     return AmalgamData(o2, tuple(rot_all), tuple(refl_all),
                        tuple(sorted(rot_fin)), tuple(sorted(refl_fin)))
+
+
+def lift_before_split(lat, members, level):
+    """ClassLattice.lift as it was before its level check was split out: it
+    decides both refusals while building the Fractions of every member set."""
+    o2_idx, ge = np.divmod(np.asarray(members, dtype=np.int64), lat.ng)
+    refl = o2_idx >= level
+    t = o2_idx % level
+    rot = ~refl
+    d = np.unique(t[rot]).size
+    has_refl = bool(refl.any())
+    full = d == level
+    if full:
+        o2 = O2Desc("O2") if has_refl else O2Desc("SO2")
+    else:
+        if d > level // 4:
+            raise TruncationInstability(
+                f"fold {d} too close to truncation level {level}; raise the base level")
+        o2 = O2Desc("D", d) if has_refl else O2Desc("Z", d)
+    parts = []
+    for mask in (rot, refl):
+        t_part, ge_part = t[mask], ge[mask]
+        if full:
+            counts = np.bincount(ge_part, minlength=lat.ng)
+            if np.any((counts > 0) & (counts < level)):
+                raise TruncationInstability(
+                    "mixed full/finite fibers; raise the base level")
+            parts.append(tuple(np.flatnonzero(counts == level).tolist()))
+            continue
+        order = np.lexsort((ge_part, t_part))
+        parts.append(tuple(zip([Fraction(t, level) for t in t_part[order].tolist()],
+                               ge_part[order].tolist())))
+    if full:
+        return AmalgamData(o2, parts[0], parts[1], (), ())
+    return AmalgamData(o2, (), (), parts[0], parts[1])
+
+
+def assert_decided_as_before(lat, members, level):
+    """_level_check, lift and lookup give lift_before_split's O(2)-part (and
+    lift its AmalgamData), or its refusal with the same message."""
+    try:
+        want = lift_before_split(lat, members, level)
+    except TruncationInstability as e:
+        for decide in (lat._level_check, lat.lift, lat.lookup):
+            with pytest.raises(TruncationInstability) as got:
+                decide(members, level)
+            assert str(got.value) == str(e)
+    else:
+        assert lat._level_check(members, level) == want.o2
+        got = lat.lift(members, level)
+        assert got == want and repr(got) == repr(want)
+        assert lat.lookup(members, level)[1] == want.o2
 
 
 def truncate_reference(lat, data, level):
@@ -328,6 +381,70 @@ def test_lift_and_half_twist_match_per_member_reference(gamma_index, level, seed
             assert_truncate_matches_reference(lat, got, other)
     twisted = tuple(lat.half_twist(members, level).tolist())
     assert twisted == half_twist_reference(lat, members, level)
+
+
+@given(st.integers(0, len(GAMMAS) - 1), st.sampled_from([8, 16, 32]), SUBGROUP_SEEDS,
+       st.booleans(), st.sampled_from(["subgroup", "conjugate", "subset"]),
+       st.integers(0, 2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_level_check_and_lookup_decide_as_lift_did(gamma_index, level, seed, coarse, form,
+                                                   draw):
+    # a drawn subgroup is interned first, so that it and its conjugates hit
+    # the orbit index; a subset of it (a fibre cut short, say) mostly misses
+    lat = lattice_for(gamma_index, level)
+    members = random_subgroup(lat, level, seed, coarse)
+    try:
+        lat.ensure_handle(members, level)
+    except TruncationInstability:
+        pass
+    rng = np.random.default_rng(draw)
+    if form == "conjugate":
+        members = conjugate_members(lat.group_lo, int(rng.integers(lat.group_lo.order)), members)
+        if rng.random() < 0.5:
+            members = lat.half_twist(members, level)
+    elif form == "subset":
+        members = np.asarray(members)[rng.random(len(members)) < rng.random()]
+    assert_decided_as_before(lat, members, level)
+
+
+def test_every_orbit_row_decided_as_before(engine8, natural):
+    # every row the index holds, at the level its class was interned at and
+    # at the other level, where truncate built it
+    engine8.basic_degree(0, natural)
+    engine8.basic_degree(1, natural)
+    lat = engine8.lattice
+    for cid in range(len(lat.classes)):
+        for level in (lat.m_lo, lat.m_hi):
+            for row in lat._orbits[(cid, level)]:
+                assert lat._find_class(row, level) is not None
+                assert_decided_as_before(lat, row, level)
+
+
+def test_lookup_refuses_hit_above_fold_limit():
+    # Z16 and D16 interned at level 64 (fold 16 = 64 // 4) put their level-32
+    # rows into the orbit index; fold 16 is above 32 // 4, so lookup refuses
+    # every one of them, with lift's message
+    lat = ClassLattice("dihedral", 8, 32)
+    for gens in ([lat.encode(4, False, 0, lat.m_hi)],
+                 [lat.encode(4, False, 0, lat.m_hi), lat.encode(0, True, 0, lat.m_hi)]):
+        cid = lat.ensure_handle(closure(lat.group_hi, gens).members, lat.m_hi)
+        assert lat.classes[cid].o2.fold == 16
+        assert lat.lookup(lat._rep_array(cid, lat.m_hi), lat.m_hi) == (cid, lat.classes[cid].o2)
+        for row in lat._orbits[(cid, lat.m_lo)]:
+            assert lat._find_class(row, lat.m_lo) == cid
+            with pytest.raises(TruncationInstability,
+                               match="fold 16 too close to truncation level 32"):
+                lat.lookup(row, lat.m_lo)
+            assert_decided_as_before(lat, row, lat.m_lo)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.sampled_from([1, 2, 7, 230]),
+       st.sampled_from([2, 256, 70000, 2**31 - 1]))
+@settings(max_examples=100, deadline=None)
+def test_row_order_is_lexsort_order(draw, n_rows, width, bound):
+    # rows with repeats (bound 2) and values of one to four significant bytes
+    rows = np.random.default_rng(draw).integers(0, bound, size=(n_rows, width), dtype=np.int32)
+    assert np.array_equal(rows[row_order(rows)], rows[np.lexsort(rows.T[::-1])])
 
 
 def test_n_count_mask_matches_member_sets(engine8, natural):
