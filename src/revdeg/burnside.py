@@ -60,11 +60,11 @@ class BurnsideElement:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def multiply(self, other: "BurnsideElement", extend: bool = True) -> "BurnsideElement":
+    def multiply(self, other: "BurnsideElement") -> "BurnsideElement":
         out: dict[int, int] = {}
         for ci, a in self.coeffs:
             for cj, b in other.coeffs:
-                for cid, m in self.lattice.product_classes(ci, cj, extend=extend).items():
+                for cid, m in self.lattice.product_classes(ci, cj).items():
                     out[cid] = out.get(cid, 0) + a * b * m
         return BurnsideElement.from_dict(self.lattice, out)
 

@@ -173,10 +173,3 @@ def natural_component(t: CharacterTable) -> int:
         if ir.dim == 2 and ir.name.startswith(("rho1", "rot1")):
             return l
     raise ValueError("group has no 2-dimensional natural component")
-
-
-def multiplicity(t: CharacterTable, values: np.ndarray, irrep_index: int) -> int:
-    """Multiplicity of an irrep in a real character, exact-integer checked."""
-    ir = t.irreps[irrep_index]
-    ip = float(np.dot(values, ir.char[t.group.inverse])) / t.group.order
-    return as_int(ip / ir.frobenius, f"multiplicity of {ir.name}")

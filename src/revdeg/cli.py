@@ -16,13 +16,11 @@ from pathlib import Path
 from . import burnside as br
 from .burnside import InconsistentDegreeData
 from .chars import NonIntegralAverage
-from .config import AnalysisConfig, ConfigError, example_config_text, family_spec, parse_config
+from .config import AnalysisConfig, ConfigError, example_config_text, family_spec, int_field, parse_config
 from .degrees import DegreeEngine, IncompleteLattice, RouteDisagreement
 from .geometry import FIGURE_HEADER, check_conditions, figure_data
-from .groups import direct_product, gamma_z2_subgroups, make_cyclic, make_gamma, subgroup_classes
-from .lattice import ClassEscape, InadmissibleLevel, TruncationInstability
-from .names import names_for_gamma_z2
-from .report import base_level, run_analyze
+from .lattice import InadmissibleLevel, TruncationInstability, gamma_z2_classes
+from .report import make_engine, run_analyze
 from .spectra import SignNotCertified
 
 EXIT_OK = 0
@@ -30,7 +28,7 @@ EXIT_NO_CERTIFICATES = 10
 EXIT_HYPOTHESES_FAILED = 20
 EXIT_INTERNAL = 30  # ConfigError, no domain to check, or a non-empty stability diff
 EXIT_UNEXPECTED = 31
-# each typed failure of the engine has its own code
+# each typed failure of the engine has its own code; 38 is retired, not reused
 EXIT_FAILURES = {
     TruncationInstability: 32,
     IncompleteLattice: 33,
@@ -38,23 +36,30 @@ EXIT_FAILURES = {
     SignNotCertified: 35,
     NonIntegralAverage: 36,
     InconsistentDegreeData: 37,
-    ClassEscape: 38,
     InadmissibleLevel: 39,
 }
 
 
+def _checked(value, name: str, least: int):
+    """A command-line integer (None when absent), refused (ConfigError) as
+    config.int_field refuses a field of that name."""
+    problems: list[str] = []
+    int_field({name: value}, name, None, least, problems)
+    if problems:
+        raise ConfigError(problems)
+    return value
+
+
 def _load_config(args) -> AnalysisConfig:
-    """The configuration, its truncation level overridden by --truncation."""
+    """The configuration, its truncation level overridden by --truncation;
+    --truncation and --grid are checked as truncation_base and boundary_grid."""
     cfg = parse_config(example_config_text() if args.config == "example"
                        else Path(args.config).read_text())
-    if getattr(args, "truncation", None):
-        cfg = replace(cfg, truncation_base=args.truncation)
+    _checked(getattr(args, "grid", None), "boundary_grid", 2)
+    truncation = _checked(getattr(args, "truncation", None), "truncation_base", 1)
+    if truncation is not None:
+        cfg = replace(cfg, truncation_base=truncation)
     return cfg
-
-
-def _engine(cfg: AnalysisConfig, modes=()) -> DegreeEngine:
-    """Engine at report.base_level for the Fourier modes the command computes."""
-    return DegreeEngine(cfg.group_kind, cfg.group_n, base_level=base_level(cfg, modes))
 
 
 def _out_path(text: str) -> Path:
@@ -68,8 +73,11 @@ def _out_path(text: str) -> Path:
 
 
 def _token_mode(token: str) -> int | None:
-    """The mode k of a deg:k token; None for a class label."""
-    return int(token.split(":")[1]) if token.startswith("deg:") else None
+    """The mode k of a deg:k token, checked as --mode is; None for anything
+    else, which is taken for a class label."""
+    k = token.removeprefix("deg:")
+    is_mode = k != token and k.removeprefix("-").isdecimal()
+    return _checked(int(k), "mode", 0) if is_mode else None
 
 
 def _emit(text: str, args) -> None:
@@ -88,17 +96,11 @@ def cmd_analyze(args) -> int:
 
 def cmd_group_info(args) -> int:
     cfg = _load_config(args)
-    kind, n = cfg.group_kind, cfg.group_n
-    gz = direct_product(make_gamma(kind, n), make_cyclic(2))
-    classes = subgroup_classes(gz, gamma_z2_subgroups(kind, n))
-    names = names_for_gamma_z2(
-        n if kind == "dihedral" else None,
-        [c.representative.members for c in classes])
+    gz, classes, names = gamma_z2_classes(cfg.group_kind, cfg.group_n)
     lines = [f"subgroup classes of {gz.name} ({len(classes)} classes):"]
-    for c in classes:
-        nm = names.get(c.representative.members, c.name)
-        lines.append(f"  {nm}: order {len(c.representative)}, "
-                     f"{c.n_conjugates} conjugates, Weyl order {c.weyl_order}")
+    lines += [f"  {nm}: order {len(c.representative)}, "
+              f"{c.n_conjugates} conjugates, Weyl order {c.weyl_order}"
+              for c, nm in zip(classes, names)]
     _emit("\n".join(lines) + "\n", args)
     return EXIT_OK
 
@@ -110,7 +112,7 @@ def _default_component(engine: DegreeEngine) -> int:
         return 0
 
 
-def _element_for_token(engine: DegreeEngine, cfg: AnalysisConfig, token: str):
+def _element_for_token(engine: DegreeEngine, token: str):
     k = _token_mode(token)
     if k is not None:
         return engine.basic_degree(k, _default_component(engine))
@@ -123,12 +125,12 @@ def _element_for_token(engine: DegreeEngine, cfg: AnalysisConfig, token: str):
         return br.generator(engine.lattice, engine.lattice.class_id_by_label(token))
     except KeyError:
         known = ", ".join(sorted(engine.lattice.labels))
-        raise SystemExit(f"unknown class label {token!r}; known labels: {known}")
+        raise ConfigError([f"unknown class label {token!r}; known labels: {known}"])
 
 
 def cmd_basic_degree(args) -> int:
     cfg = _load_config(args)
-    engine = _engine(cfg, [args.mode])
+    engine = make_engine(cfg, [_checked(args.mode, "mode", 0)])
     l = _default_component(engine)
     e = engine.basic_degree(args.mode, l)
     _emit(f"deg[V({args.mode},{l})] = {e.render()}\n", args)
@@ -138,9 +140,9 @@ def cmd_basic_degree(args) -> int:
 def cmd_burnside_mul(args) -> int:
     cfg = _load_config(args)
     modes = [k for k in map(_token_mode, (args.left, args.right)) if k is not None]
-    engine = _engine(cfg, modes)
-    left = _element_for_token(engine, cfg, args.left)
-    right = _element_for_token(engine, cfg, args.right)
+    engine = make_engine(cfg, modes)
+    left = _element_for_token(engine, args.left)
+    right = _element_for_token(engine, args.right)
     _emit(f"{left.multiply(right).render()}\n", args)
     return EXIT_OK
 
@@ -151,7 +153,7 @@ def cmd_geometry_check(args) -> int:
     if fam is None:
         _emit("no domain in configuration\n", args)
         return EXIT_INTERNAL
-    rep = check_conditions(fam, grid=args.grid or cfg.boundary_grid)
+    rep = check_conditions(fam, grid=cfg.boundary_grid if args.grid is None else args.grid)
     lines = [f"{k}: {v}" for k, v in sorted(rep.status.items())]
     lines += [f"{k} = {v:.9g}" for k, v in sorted(rep.constants.items())]
     _emit("\n".join(lines) + "\n", args)
@@ -163,7 +165,7 @@ def cmd_figure_data(args) -> int:
     if cfg.domain is None:
         _emit("no domain in configuration\n", args)
         return EXIT_INTERNAL
-    rows = figure_data(cfg.domain, grid=args.grid or 1024)
+    rows = figure_data(cfg.domain, grid=1024 if args.grid is None else args.grid)
     lines = [FIGURE_HEADER]
     lines += [",".join(f"{v:.12g}" for v in row) for row in rows]
     _emit("\n".join(lines) + "\n", args)
@@ -174,7 +176,7 @@ def cmd_oracle_stability(args) -> int:
     """Recompute containment counts and generator products for the working
     set of the example pipeline at both levels; print the diff (must be empty)."""
     cfg = _load_config(args)
-    engine = _engine(cfg)
+    engine = make_engine(cfg, ())
     nat = engine.natural_component() if cfg.group_kind == "dihedral" else 0
     engine.basic_degree(0, nat)
     engine.basic_degree(1, nat)

@@ -40,11 +40,9 @@ class AnalysisConfig:
     mu: dict[str, tuple]                  # label -> mu row (Fractions or floats)
     domain: DomainSpec | None
     family: bool
-    safe_side: bool
     degenerate_search_bound: int
     truncation_base: int | None
     boundary_grid: int
-    tolerances: dict[str, float]
 
 
 def _to_number(x):
@@ -55,10 +53,10 @@ def _to_number(x):
     return float(x)
 
 
-def _int_field(raw: dict, name: str, default, least: int, problems: list[str]):
+def int_field(raw: dict, name: str, default, least: int, problems: list[str]):
     """raw[name], which must be an integer >= least, else default when the
     key is absent (or null, where the default is None); a violation is added
-    to problems."""
+    to problems.  The CLI checks its integer arguments with it too."""
     v = raw.get(name, default)
     if v is None and default is None:
         return None
@@ -136,34 +134,24 @@ def parse_config(text: str) -> AnalysisConfig:
         if domain is not None:
             problems.extend(domain.validate())
 
-    search_bound = _int_field(raw, "degenerate_search_bound", FOLD_SEARCH_BOUND, 0, problems)
-    truncation_base = _int_field(raw, "truncation_base", None, 1, problems)
-    boundary_grid = _int_field(raw, "boundary_grid", 4096, 2, problems)
-    tolerances = {}
-    try:
-        tolerances = {str(k): float(v) for k, v in raw.get("tolerances", {}).items()}
-    except (AttributeError, TypeError, ValueError):
-        problems.append(f"tolerances must map names to numbers, got {raw['tolerances']!r}")
+    search_bound = int_field(raw, "degenerate_search_bound", FOLD_SEARCH_BOUND, 0, problems)
+    truncation_base = int_field(raw, "truncation_base", None, 1, problems)
+    boundary_grid = int_field(raw, "boundary_grid", 4096, 2, problems)
 
-    cfg = None
-    if not problems:
-        cfg = AnalysisConfig(
-            group_kind=kind,
-            group_n=n,
-            delays_m=m,
-            assignments=tuple(assignments),
-            mu=mu,
-            domain=domain,
-            family=bool(raw.get("family", True)),
-            safe_side=bool(raw.get("safe_side", True)),
-            degenerate_search_bound=search_bound,
-            truncation_base=truncation_base,
-            boundary_grid=boundary_grid,
-            tolerances=tolerances,
-        )
     if problems:
         raise ConfigError(problems)
-    return cfg
+    return AnalysisConfig(
+        group_kind=kind,
+        group_n=n,
+        delays_m=m,
+        assignments=tuple(assignments),
+        mu=mu,
+        domain=domain,
+        family=bool(raw.get("family", True)),
+        degenerate_search_bound=search_bound,
+        truncation_base=truncation_base,
+        boundary_grid=boundary_grid,
+    )
 
 
 def resolve_components(cfg: AnalysisConfig, table: CharacterTable) -> dict[str, int]:

@@ -19,22 +19,20 @@ with closure and interned.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import burnside as br
 from .burnside import BurnsideElement, recurrence, unit
 from .chars import CharacterTable, as_int, character_table, minus_irreps, natural_component
 from .groups import closure
-from .lattice import ClassLattice, O2Desc, TruncationInstability
+from .lattice import ClassLattice, TruncationInstability
 from .spectra import (
     FOLD_SEARCH_BOUND,
     LinearizationSpec,
     SpectralSummary,
     degenerate_fold_search,
     spectral_summary,
-    xi,
 )
 
 STAB_TOL = 1e-7
@@ -94,7 +92,7 @@ class DegreeEngine:
         self.table: CharacterTable = character_table(kind, n)
         self.minus = minus_irreps(self.table)
         if base_level is None:
-            # a fixed default; analyze and the CLI size theirs by report.base_level
+            # a fixed default; analyze and the CLI size theirs by report.make_engine
             base_level = 4 * math.lcm(n, 4, 2)
         self.lattice = ClassLattice(kind, n, base_level)
         self._mat_cache: dict = {}
@@ -305,20 +303,17 @@ class DegreeEngine:
                     f"class {lat.labels[cid]} fixes a vector of V({k},{l}) but lies "
                     f"under no sampled isotropy class")
 
+    def _maximal(self, cands) -> list[int]:
+        """The members of cands under no other member (lattice.leq), sorted."""
+        return sorted(c for c in cands
+                      if not any(d != c and self.lattice.leq(c, d) for d in cands))
+
     def maximal_orbit_types(self, k: int, l: int) -> list[int]:
-        iso = self.isotropy_classes(k, l)
-        candidates = [c for c in iso if c != 0]
-        out = [c for c in candidates
-               if not any(d != c and self.lattice.leq(c, d) for d in candidates)]
-        return sorted(out)
+        return self._maximal([c for c in self.isotropy_classes(k, l) if c != 0])
 
     def maximal_orbit_types_mode(self, k: int, components: list[int]) -> list[int]:
-        cands: set[int] = set()
-        for l in components:
-            cands.update(self.maximal_orbit_types(k, l))
-        out = [c for c in cands
-               if not any(d != c and self.lattice.leq(c, d) for d in cands)]
-        return sorted(out)
+        return self._maximal(set().union(*(self.maximal_orbit_types(k, l)
+                                           for l in components)))
 
     # -- degrees ----------------------------------------------------------------
 

@@ -293,6 +293,18 @@ def second_fundamental(spec: DomainSpec, theta: float, z: float) -> float:
 # -- condition checks and a-priori constants -------------------------------------
 
 
+def _boundary_samples(spec: DomainSpec, grid: int):
+    """grid angles and, at each, the boundary radius, |grad eta| and kappa."""
+    thetas = np.linspace(0.0, 2 * np.pi, grid, endpoint=False)
+    r = boundary_radius(spec, thetas)
+    return thetas, r, grad_norm_on_boundary(spec, thetas, r), curvature(spec, thetas, r)
+
+
+def _grid_pad(values: np.ndarray) -> float:
+    """The heuristic padding of the module docstring: 2 max|diff| of samples."""
+    return 2.0 * float(np.max(np.abs(np.diff(values)))) + 1e-9
+
+
 @dataclass(frozen=True)
 class FFamilySpec:
     """Right-hand side (|z|^2 + 1) grad eta(x) + mu_0 x + sum mu_j y^j."""
@@ -338,13 +350,8 @@ def check_conditions(fam: FFamilySpec, grid: int = 4096) -> ConditionReport:
     yields "inconclusive".
     """
     dom, notes = fam.domain, []
-    thetas = np.linspace(0.0, 2 * np.pi, grid, endpoint=False)
-    r = boundary_radius(dom, thetas)
-    gn = grad_norm_on_boundary(dom, thetas, r)
-    ka = curvature(dom, thetas, r)
-    # crude theta-Lipschitz padding from successive differences
-    pad_g = 2.0 * float(np.max(np.abs(np.diff(gn)))) + 1e-9
-    pad_k = 2.0 * float(np.max(np.abs(np.diff(ka)))) + 1e-9
+    thetas, _, gn, ka = _boundary_samples(dom, grid)
+    pad_g, pad_k = _grid_pad(gn), _grid_pad(ka)
     musum = fam.mu_abs_sum
     r_bound = dom.bound_radius
     status, witness = {}, {}
@@ -355,16 +362,9 @@ def check_conditions(fam: FFamilySpec, grid: int = 4096) -> ConditionReport:
     witness["A4_grad_plus_kappa"] = float(thetas[int(np.argmin(gn + ka))])
     for name, margin, pad in (("A4_grad_minus_mu", margin_a4a, pad_g),
                               ("A4_grad_plus_kappa", margin_a4b, pad_g + pad_k)):
-        if margin > pad:
-            status[name] = "pass"
-        elif margin <= 0:
-            status[name] = "fail"
-        else:
-            status[name] = "inconclusive"
-    status["A4"] = ("pass" if status["A4_grad_minus_mu"] == status["A4_grad_plus_kappa"] == "pass"
-                    else ("fail" if "fail" in (status["A4_grad_minus_mu"],
-                                               status["A4_grad_plus_kappa"])
-                          else "inconclusive"))
+        status[name] = "pass" if margin > pad else ("fail" if margin <= 0 else "inconclusive")
+    parts = {status["A4_grad_minus_mu"], status["A4_grad_plus_kappa"]}
+    status["A4"] = "fail" if "fail" in parts else ("pass" if parts == {"pass"} else "inconclusive")
 
     if dom.published_grad_bounds is not None:
         lo, hi = dom.published_grad_bounds
@@ -398,13 +398,10 @@ def check_a4_prime(fam: FFamilySpec, grid: int = 2048) -> str:
     """Alternative touching-condition checker through the smallest shape
     eigenvalue, which in the plane is the curvature itself:
     min_C(|grad eta| + kappa) - R * sum|mu| >= 0 (pass/fail/inconclusive)."""
-    dom = fam.domain
-    thetas = np.linspace(0.0, 2 * np.pi, grid, endpoint=False)
-    r = boundary_radius(dom, thetas)
-    vals = grad_norm_on_boundary(dom, thetas, r) + curvature(dom, thetas, r)
-    pad = 2.0 * float(np.max(np.abs(np.diff(vals)))) + 1e-9
-    margin = float(np.min(vals)) - dom.bound_radius * fam.mu_abs_sum
-    if margin > pad:
+    _, _, gn, ka = _boundary_samples(fam.domain, grid)
+    vals = gn + ka
+    margin = float(np.min(vals)) - fam.domain.bound_radius * fam.mu_abs_sum
+    if margin > _grid_pad(vals):
         return "pass"
     if margin < 0:
         return "fail"
@@ -455,10 +452,7 @@ def apriori_n(fam: FFamilySpec, m_bound: float, grad_max: float) -> float:
 
 def figure_data(spec: DomainSpec, grid: int = 1024) -> list[tuple[float, ...]]:
     """Rows (theta, boundary r, kappa, |grad eta|, |grad eta| + kappa)."""
-    thetas = np.linspace(0.0, 2 * np.pi, grid, endpoint=False)
-    r = boundary_radius(spec, thetas)
-    k = curvature(spec, thetas, r)
-    g = grad_norm_on_boundary(spec, thetas, r)
+    thetas, r, g, k = _boundary_samples(spec, grid)
     return list(zip(*(col.tolist() for col in (thetas, r, k, g, g + k))))
 
 FIGURE_HEADER = "theta,boundary_r,kappa,grad_norm,grad_norm_plus_kappa"

@@ -46,6 +46,7 @@ import numpy as np
 from .groups import (
     FiniteGroup,
     ProductGroup,
+    SubgroupClass,
     SubgroupHandle,
     conjugate_members,
     direct_product,
@@ -68,14 +69,6 @@ class TruncationInstability(RuntimeError):
 
 class InadmissibleLevel(ValueError):
     """Truncation level not divisible by a required fold."""
-
-
-class ClassEscape(RuntimeError):
-    """A product produced a class outside the working set (extend disabled)."""
-
-    def __init__(self, labels):
-        super().__init__(f"product escapes working set at classes: {labels}")
-        self.labels = labels
 
 
 @dataclass(frozen=True)
@@ -125,6 +118,16 @@ def trunc_group(gamma_z2: FiniteGroup, m: int) -> ProductGroup:
     return ProductGroup(make_dihedral(m), gamma_z2)
 
 
+def gamma_z2_classes(kind: str, n: int) -> tuple[FiniteGroup, list[SubgroupClass], list[str]]:
+    """Gamma x Z2, its subgroup classes and the printed name of each class
+    (names_for_gamma_z2 where it has one, else the class's own name)."""
+    gz = direct_product(make_gamma(kind, n), make_cyclic(2))
+    classes = subgroup_classes(gz, gamma_z2_subgroups(kind, n))
+    names = names_for_gamma_z2(n if kind == "dihedral" else None,
+                               [c.representative.members for c in classes])
+    return gz, classes, [names.get(c.representative.members, c.name) for c in classes]
+
+
 def row_order(rows: np.ndarray) -> np.ndarray:
     """The permutation that sorts the rows of a 2-D array of non-negative
     int32 values lexicographically: big-endian bytes of non-negative ints
@@ -142,7 +145,7 @@ class ClassLattice:
     """
 
     def __init__(self, kind: str, n: int, base_level: int):
-        self.gamma_z2 = direct_product(make_gamma(kind, n), make_cyclic(2))
+        self.gamma_z2, self._finite_classes, self._finite_names = gamma_z2_classes(kind, n)
         self.ng = self.gamma_z2.order
         if base_level % 4 != 0:
             raise InadmissibleLevel(f"base level {base_level} must be divisible by 4")
@@ -150,13 +153,9 @@ class ClassLattice:
         self.m_hi = 2 * base_level
         self.group_lo = trunc_group(self.gamma_z2, self.m_lo)
         self.group_hi = trunc_group(self.gamma_z2, self.m_hi)
-        self._finite_classes = subgroup_classes(self.gamma_z2, gamma_z2_subgroups(kind, n))
         # every subgroup of Gamma x Z2, as sorted members -> its class id
         self._finite_class_of = {conj: c.class_id for c in self._finite_classes
                                  for conj in c.conjugates}
-        self._finite_names = names_for_gamma_z2(
-            n if kind == "dihedral" else None,
-            [c.representative.members for c in self._finite_classes])
         self.classes: list[AmalgamData] = []
         self.labels: list[str] = []
         # (class id, level) -> the class's full-group orbit at level, as
@@ -317,10 +316,7 @@ class ClassLattice:
         return cid
 
     def finite_class_name(self, mem) -> str:
-        mem = tuple(int(v) for v in sorted(mem))
-        cid = self._finite_class_id(mem)
-        rep = self._finite_classes[cid].representative.members
-        return self._finite_names.get(rep, self._finite_classes[cid].name)
+        return self._finite_names[self._finite_class_id(tuple(int(v) for v in sorted(mem)))]
 
     def ensure_handle(self, members, level: int) -> int:
         """Intern the class of a truncated subgroup; returns its class id."""
@@ -494,7 +490,7 @@ class ClassLattice:
 
     # -- products -------------------------------------------------------------
 
-    def product_classes(self, i: int, j: int, extend: bool = True) -> dict[int, int]:
+    def product_classes(self, i: int, j: int) -> dict[int, int]:
         """Burnside generator product (H)*(K), H = class i, K = class j, by
         double-coset counting: each double coset HxK adds one to the class of
         H ∩ xKx^-1 when that class has finite Weyl group.  Verified at both
@@ -510,7 +506,7 @@ class ClassLattice:
             other = key[1]
             result = {other: 1} if self.finite_weyl(other) else {}
         else:
-            results = [self._product_at(i, j, level, extend)
+            results = [self._product_at(i, j, level)
                        for level in (self.m_lo, self.m_hi)]
             if results[0] != results[1]:
                 raise TruncationInstability(
@@ -519,7 +515,7 @@ class ClassLattice:
         self._mul_cache[key] = result
         return dict(result)
 
-    def _product_at(self, i: int, j: int, level: int, extend: bool) -> dict[int, int]:
+    def _product_at(self, i: int, j: int, level: int) -> dict[int, int]:
         """product_classes at one level, visiting the double cosets in
         increasing order of their least elements (classes are interned in
         that order).
@@ -542,11 +538,9 @@ class ClassLattice:
         for x in double_cosets(g, h, k, meeting):
             kc = conjugate_members(g, x, k)
             inter = kc[in_h[kc]]
-            cid, _ = self.lookup(inter, level)
-            if cid is None:
-                if not extend:
-                    raise ClassEscape([self._describe(inter, level)])
-                cid = self.ensure_handle(inter, level)
+            known = len(self.classes)
+            cid = self.ensure_handle(inter, level)
+            if cid >= known:
                 self.escape_log.append(f"extended working set: {self.labels[cid]}")
             if self.finite_weyl(cid):
                 coeffs[cid] = coeffs.get(cid, 0) + 1
@@ -611,10 +605,6 @@ class ClassLattice:
             raise InadmissibleLevel(f"unsupported level {level}")
         key = np.sort(np.asarray(members, dtype=np.int32)).tobytes()
         return self._class_of[level].get(key)
-
-    def _describe(self, members, level: int) -> str:
-        data = self.lift(members, level)
-        return f"{data.o2.label()}-class of order {len(members)} at level {level}"
 
     # -- printable labels ------------------------------------------------------
 

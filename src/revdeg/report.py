@@ -170,13 +170,13 @@ def _fmt(v):
     return str(v)
 
 
-def base_level(cfg: AnalysisConfig, active_modes) -> int:
-    """The configured truncation level (the CLI's --truncation sets it), else
-    4·lcm(n, 2, k·n for every active Fourier mode k)."""
-    if cfg.truncation_base:
-        return cfg.truncation_base
+def make_engine(cfg: AnalysisConfig, active_modes) -> DegreeEngine:
+    """The engine for cfg's group at the configured truncation level (the
+    CLI's --truncation sets it), else at 4·lcm(n, 2, k·n for every active
+    Fourier mode k)."""
     n = cfg.group_n
-    return 4 * math.lcm(n, 2, *(k * n for k in active_modes if k >= 1))
+    level = cfg.truncation_base or 4 * math.lcm(n, 2, *(k * n for k in active_modes if k >= 1))
+    return DegreeEngine(cfg.group_kind, n, base_level=level)
 
 
 def run_analyze(cfg: AnalysisConfig, skip_geometry: bool = False,
@@ -219,8 +219,7 @@ def run_analyze(cfg: AnalysisConfig, skip_geometry: bool = False,
         if s_fold:
             modes += list(range(s_fold, summary.kstar + 1, 2 * s_fold))
     if engine is None:
-        engine = DegreeEngine(cfg.group_kind, cfg.group_n,
-                              base_level=base_level(cfg, modes))
+        engine = make_engine(cfg, modes)
     degrees = engine.existence_analysis(spec, summary, cfg.degenerate_search_bound)
     notes.extend(degrees.notes)
     notes.extend(sorted(set(engine.lattice.escape_log)))

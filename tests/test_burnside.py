@@ -91,24 +91,3 @@ def test_render_parse_roundtrip(lat):
     e = BurnsideElement.from_dict(lat, {0: 1, 1: -2})
     assert parse_rendered(lat, e.render()).coeffs == e.coeffs
     assert parse_rendered(lat, BurnsideElement(lat, ()).render()).is_zero()
-
-
-def test_class_escape_when_extension_disabled():
-    from revdeg.groups import closure
-    from revdeg.lattice import ClassEscape, ClassLattice
-    lat2 = ClassLattice("dihedral", 8, 32)
-    g = lat2.group_lo
-    # the full-graph class (rotation index 4a paired with gamma rotation a)
-    gens = [lat2.encode(4, False, 1 * 2, 32),       # (rot 4, r, +1)
-            lat2.encode(0, True, 8 * 2, 32),        # (refl 0, s, +1)
-            lat2.encode(16, False, 0 * 2 + 1, 32)]  # (rot pi, 1, -1)
-    graph = closure(g, gens).members
-    assert len(graph) == 32
-    cid = lat2.ensure_handle(graph, lat2.m_lo)
-    # its self-product needs intermediate graph classes not yet in the set
-    with pytest.raises(ClassEscape):
-        lat2.product_classes(cid, cid, extend=False)
-    before = len(lat2.classes)
-    lat2._mul_cache.clear()
-    lat2.product_classes(cid, cid, extend=True)
-    assert len(lat2.classes) > before

@@ -1,5 +1,6 @@
 """Degree pipeline: basic degrees, maximal orbit types, existence analysis."""
 
+import math
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -374,3 +375,44 @@ def test_fixed_dim_matches_member_average(kind, n, base_level):
                 else:
                     with pytest.raises(TruncationInstability):
                         eng.fixed_dim(k, l, cid)
+
+
+
+# the Gammas of the benchmark's gamma_sweep, at their default level 4·lcm(n, 4)
+# raised to a multiple of 8n, so that the mode-2 folds of D4 and Z4, which the
+# sweep records as refused, fit too
+SWEEP_GAMMAS = [("dihedral", n) for n in (1, 2, 3, 4, 6)] + [("cyclic", n) for n in (2, 3, 4, 6)]
+
+
+def _maximal_as_before(lat, cands) -> list[int]:
+    """The maximal filter as each of maximal_orbit_types and
+    maximal_orbit_types_mode spelled it before they shared one."""
+    return sorted([c for c in cands if not any(d != c and lat.leq(c, d) for d in cands)])
+
+
+@pytest.mark.parametrize("kind,n", SWEEP_GAMMAS, ids=lambda v: str(v))
+def test_maximal_orbit_types_mode_is_maximal_of_union(monkeypatch, kind, n):
+    eng = DegreeEngine(kind, n, base_level=4 * math.lcm(n, 4, 2 * n))
+    lat = eng.lattice
+    comps = list(range(eng.component_count()))
+    calls = []
+    leq = lat.leq
+    monkeypatch.setattr(lat, "leq", lambda i, j: calls.append((i, j)) or leq(i, j))
+    for k in (0, 1, 2):
+        for l in comps:
+            eng.isotropy_classes(k, l)
+        calls.clear()
+        got = eng.maximal_orbit_types_mode(k, comps)
+        got_calls = list(calls)
+        # the same leq pairs, in the same order, as before (n_count can refuse)
+        calls.clear()
+        cands: set[int] = set()
+        for l in comps:
+            cands.update(_maximal_as_before(
+                lat, [c for c in eng.isotropy_classes(k, l) if c != 0]))
+        assert got == _maximal_as_before(lat, cands)
+        assert got_calls == calls
+        # the maximal elements of the per-component union, by n_count
+        union = set().union(*(eng.maximal_orbit_types(k, l) for l in comps))
+        assert got == sorted(c for c in union
+                             if not any(d != c and lat.n_count(c, d) > 0 for d in union))

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from revdeg import lattice as lattice_module
 from revdeg.degrees import DegreeEngine
 from revdeg.groups import closure, conjugate_members, double_cosets
-from revdeg.lattice import ClassEscape, ClassLattice, TruncationInstability
+from revdeg.lattice import ClassLattice, TruncationInstability
 from revdeg.spectra import LinearizationSpec
 
 
@@ -24,7 +24,7 @@ def is_cyclic_fold(lat, members, level) -> bool:
     return lat.lift(members, level).o2.kind == "Z"
 
 
-def oracle_product(lat, i, j, extend=True):
+def oracle_product(lat, i, j):
     """(i)*(j) over every double coset at both levels, cyclic folds skipped
     through lift; cached like product_classes, so it can stand in for it."""
     key = (min(i, j), max(i, j))
@@ -41,8 +41,6 @@ def oracle_product(lat, i, j, extend=True):
                 continue
             cid = lat._find_class(inter, level)
             if cid is None:
-                if not extend:
-                    raise ClassEscape([lat._describe(inter, level)])
                 cid = lat.ensure_handle(inter, level)
                 lat.escape_log.append(f"extended working set: {lat.labels[cid]}")
             if lat.finite_weyl(cid):
@@ -170,3 +168,22 @@ def test_product_refuses_fold_too_close_to_level():
         lat.product_classes(cid, cid)
     with pytest.raises(TruncationInstability):
         oracle_product(lat, cid, cid)
+
+
+def test_product_extends_working_set_and_logs_new_classes():
+    # the full-graph class (rotation index 4a paired with gamma rotation a):
+    # its self-product needs intermediate graph classes not yet interned,
+    # and each is logged once, in interning order
+    lat = ClassLattice("dihedral", 8, 32)
+    gens = [lat.encode(4, False, 1 * 2, 32),       # (rot 4, r, +1)
+            lat.encode(0, True, 8 * 2, 32),        # (refl 0, s, +1)
+            lat.encode(16, False, 0 * 2 + 1, 32)]  # (rot pi, 1, -1)
+    graph = closure(lat.group_lo, gens).members
+    assert len(graph) == 32
+    cid = lat.ensure_handle(graph, lat.m_lo)
+    before = len(lat.classes)
+    lat.product_classes(cid, cid)
+    new = lat.labels[before:]
+    assert new
+    assert [e for e in lat.escape_log if e.startswith("extended working set: ")] == \
+        [f"extended working set: {label}" for label in new]
