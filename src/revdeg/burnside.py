@@ -1,11 +1,11 @@
 """The Burnside ring A(G) as a sparse integer module over a ClassLattice.
 
-Two independent product routes are provided: double-coset orbit counting in
-the dihedral truncation (via ClassLattice.product_classes, which enumerates
-only the double cosets whose intersection holds a reflection unless both
-factors contain SO(2)) and, for finite groups without the O(2) factor, a
-brute-force orbit partition of the product of coset spaces.  The recurrence converts fixed-space Brouwer degrees into
-coefficients and back.
+Products count double cosets: ClassLattice.product_classes (only the double
+cosets whose intersection holds a reflection, unless both factors contain
+SO(2)) and, for finite groups without the O(2) factor, finite_product, both
+through groups.coset_intersections; brute_orbit_product partitions the
+product of coset spaces as an independent oracle.  The recurrence converts
+fixed-space Brouwer degrees into coefficients and back.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import FiniteGroup, SubgroupClass, SubgroupHandle, conjugate_members, double_cosets, is_conjugate
+from .groups import FiniteGroup, SubgroupClass, coset_intersections
 from .lattice import ClassLattice
 
 
@@ -143,14 +143,11 @@ def reconstruct(e: BurnsideElement, ids) -> dict[int, int]:
 def finite_product(g: FiniteGroup, classes: list[SubgroupClass],
                    i: int, j: int) -> dict[int, int]:
     """(H_i)*(H_j) in A(g) by double-coset counting (all Weyl groups finite)."""
-    h = np.asarray(classes[i].representative.members, dtype=np.int64)
-    k = np.asarray(classes[j].representative.members, dtype=np.int64)
-    hset = frozenset(int(v) for v in h)
+    class_of = {conj: c.class_id for c in classes for conj in c.conjugates}
     out: dict[int, int] = {}
-    for x in double_cosets(g, h, k):
-        kc = conjugate_members(g, x, k)
-        inter = tuple(sorted(hset.intersection(kc.tolist())))
-        cid = _classify(g, classes, inter)
+    for inter in coset_intersections(g, classes[i].representative.members,
+                                     classes[j].representative.members):
+        cid = class_of[tuple(inter.tolist())]
         out[cid] = out.get(cid, 0) + 1
     return out
 
@@ -158,6 +155,7 @@ def finite_product(g: FiniteGroup, classes: list[SubgroupClass],
 def brute_orbit_product(g: FiniteGroup, classes: list[SubgroupClass],
                         i: int, j: int) -> dict[int, int]:
     """(H_i)*(H_j) by direct orbit partition of G/H_i x G/H_j."""
+    class_of = {conj: c.class_id for c in classes for conj in c.conjugates}
     act_i, reps_i = _coset_action(g, classes[i].representative.members)
     act_j, reps_j = _coset_action(g, classes[j].representative.members)
     ni, nj = act_i.shape[1], act_j.shape[1]
@@ -171,7 +169,7 @@ def brute_orbit_product(g: FiniteGroup, classes: list[SubgroupClass],
         pts = orbit_a * nj + orbit_b
         seen[np.unique(pts)] = True
         stab = np.nonzero(pts == p)[0]
-        cid = _classify(g, classes, tuple(int(v) for v in stab))
+        cid = class_of[tuple(stab.tolist())]
         out[cid] = out.get(cid, 0) + 1
     return out
 
@@ -190,12 +188,3 @@ def _coset_action(g: FiniteGroup, members) -> tuple[np.ndarray, list[int]]:
         reps.append(x)
     action = coset_of[g.table[:, np.asarray(reps, dtype=np.int64)]]
     return action, reps
-
-
-def _classify(g: FiniteGroup, classes: list[SubgroupClass], members: tuple[int, ...]) -> int:
-    handle = SubgroupHandle(g, members)
-    for c in classes:
-        if len(c.representative.members) == len(members) and \
-                is_conjugate(g, handle, c.representative):
-            return c.class_id
-    raise ValueError("subgroup does not belong to any class (incomplete class list)")

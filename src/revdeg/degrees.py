@@ -7,18 +7,10 @@ recurrence, the degree of the linearization by two independent routes
 summed fixed-space parities), the invariant omega, maximal orbit types by
 certified stabilizer sampling, mode parities, and the existence decision
 procedure for both the nondegenerate and the degenerate spectrum case.
-
-A sampled stabilizer is looked up in the lattice's orbit index before it is
-lifted or closed (ClassLattice.lookup): a stabilizer found there is a
-conjugate of a truncated closed subgroup, so it is a subgroup already, and
-its class gives its O(2)-part; only a hit whose fold is too close to the
-level, or a miss, is checked against the level, and only a miss is checked
-with closure and interned.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,12 +18,12 @@ import numpy as np
 from .burnside import BurnsideElement, recurrence, unit
 from .chars import CharacterTable, as_int, character_table, minus_irreps, natural_component
 from .groups import closure
-from .lattice import ClassLattice, TruncationInstability
+from .lattice import ClassLattice, default_level
 from .spectra import (
     FOLD_SEARCH_BOUND,
     LinearizationSpec,
     SpectralSummary,
-    degenerate_fold_search,
+    analysed_modes,
     spectral_summary,
 )
 
@@ -91,10 +83,9 @@ class DegreeEngine:
         self.kind, self.n = kind, n
         self.table: CharacterTable = character_table(kind, n)
         self.minus = minus_irreps(self.table)
-        if base_level is None:
-            # a fixed default; analyze and the CLI size theirs by report.make_engine
-            base_level = 4 * math.lcm(n, 4, 2)
-        self.lattice = ClassLattice(kind, n, base_level)
+        # analyze and the CLI size their level by lattice.level_for_modes
+        self.lattice = ClassLattice(
+            kind, n, default_level(n) if base_level is None else base_level)
         self._mat_cache: dict = {}
         self._fix_cache: dict = {}
         # (k, level) -> 2cos(2 pi k t / level) at rotation t, 0 at reflections
@@ -158,21 +149,18 @@ class DegreeEngine:
         """dim of the class-cid fixed subspace of W_k (x) V_l^-, stable across
         both truncation levels."""
         key = (k, l, cid)
-        if key in self._fix_cache:
-            return self._fix_cache[key]
-        lat = self.lattice
-        chi = self.table.irreps[self.minus[l]].char
-        dims = []
-        for level in (lat.m_lo, lat.m_hi):
-            o2_idx, ge = np.divmod(lat._rep_array(cid, level), lat.ng)
-            vals = chi[ge] if k == 0 else chi[ge] * self._rotation_factor(k, level)[o2_idx]
-            dims.append(as_int(float(np.sum(vals)) / len(vals),
-                               f"fixed dim of {lat.labels[cid]} on V({k},{l})"))
-        if dims[0] != dims[1]:
-            raise TruncationInstability(
-                f"fixed dim of {lat.labels[cid]} on V({k},{l}) differs between levels")
-        self._fix_cache[key] = dims[0]
-        return dims[0]
+        if key not in self._fix_cache:
+            lat = self.lattice
+            chi = self.table.irreps[self.minus[l]].char
+            what = f"fixed dim of {lat.labels[cid]} on V({k},{l})"
+
+            def at(level: int) -> int:
+                o2_idx, ge = np.divmod(lat._rep_array(cid, level), lat.ng)
+                vals = chi[ge] if k == 0 else chi[ge] * self._rotation_factor(k, level)[o2_idx]
+                return as_int(float(np.sum(vals)) / len(vals), what)
+
+            self._fix_cache[key] = lat.at_both_levels(at, what)
+        return self._fix_cache[key]
 
     def _rotation_factor(self, k: int, level: int) -> np.ndarray:
         """The character of W_k at each O(2) index of D_level: 2cos(2 pi k t /
@@ -387,25 +375,19 @@ class DegreeEngine:
         certificates: list[Certificate] = []
         max_types: dict[int, list[int]] = {}
 
+        s_fold, test_modes = analysed_modes(summary, fold_search_bound)
         if summary.nondegenerate:
             degA = self.degree_of_linearization(summary)
             om = unit(self.lattice) - degA
             for (k, l), m in sorted(summary.multiplicities.items()):
                 if m:
                     basic[(k, l)] = self.basic_degree(k, l)
-            test_modes = [k for k in summary.active_modes if k >= 1]
-            s_fold = None
         else:
             degA = None
             om = None
-            s_fold = degenerate_fold_search(summary, fold_search_bound)
-            if s_fold is None:
-                notes.append("degenerate spectrum: no admissible fold s found "
-                             "within the search bound")
-                test_modes = []
-            else:
-                notes.append(f"degenerate spectrum: using fold s = {s_fold}")
-                test_modes = [q for q in range(s_fold, summary.kstar + 1, 2 * s_fold)]
+            notes.append("degenerate spectrum: no admissible fold s found within the "
+                         "search bound" if s_fold is None
+                         else f"degenerate spectrum: using fold s = {s_fold}")
 
         active_components = sorted({l for (k, l), m in summary.multiplicities.items() if m})
         for k in test_modes:

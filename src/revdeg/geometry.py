@@ -35,6 +35,10 @@ class BoundaryGradientVanishes(ValueError):
     """|grad eta| = 0 on the boundary: the regular-value condition fails."""
 
 
+class GridTooCoarse(ValueError):
+    """A boundary grid of fewer than two angles, too few for a grid padding."""
+
+
 @dataclass(frozen=True)
 class Term:
     coef: float
@@ -294,7 +298,10 @@ def second_fundamental(spec: DomainSpec, theta: float, z: float) -> float:
 
 
 def _boundary_samples(spec: DomainSpec, grid: int):
-    """grid angles and, at each, the boundary radius, |grad eta| and kappa."""
+    """grid angles and, at each, the boundary radius, |grad eta| and kappa;
+    a grid below 2 is refused (GridTooCoarse)."""
+    if grid < 2:
+        raise GridTooCoarse(f"boundary grid must have at least 2 angles, got {grid}")
     thetas = np.linspace(0.0, 2 * np.pi, grid, endpoint=False)
     r = boundary_radius(spec, thetas)
     return thetas, r, grad_norm_on_boundary(spec, thetas, r), curvature(spec, thetas, r)

@@ -420,3 +420,15 @@ def double_cosets(g: Group, h_members, k_members, meeting=None) -> list[int]:
             done[covered] = True
             reps.append(int(covered.min()))
     return sorted(reps)
+
+
+def coset_intersections(g: Group, h_members, k_members, meeting=None):
+    """H ∩ xKx^-1, as sorted members, for each double coset HxK that
+    double_cosets yields (with meeting as there), in its order: the one
+    double-coset kernel of the class products."""
+    h = np.asarray(h_members, dtype=np.int64)
+    in_h = np.zeros(g.order, dtype=bool)
+    in_h[h] = True
+    for x in double_cosets(g, h, k_members, meeting):
+        kc = conjugate_members(g, x, k_members)
+        yield kc[in_h[kc]]

@@ -9,8 +9,12 @@ Truncating at level M maps angle q to index q*M in D_M; lifting inverts this
 and promotes folds that track M to SO(2)/O(2).
 
 Conjugacy over the full group is conjugacy in the truncation extended by the
-half-step rotation twist (the normalizer of D_M in O(2) is D_2M), and every
-count is computed at the working level M and re-verified at 2M.
+half-step rotation twist (the normalizer of D_M in O(2) is D_2M).
+
+This module alone decides truncation levels: level_for_modes sizes the base
+level M (default_level is the fixed level of an engine given none), and
+ClassLattice.at_both_levels computes every Weyl order, containment count,
+product and fixed dimension at M and at 2M and refuses a mismatch.
 
 Each interned class keeps its full-group orbit once per level, as a sorted,
 read-only int32 array with one row of members per conjugate; row 0 (the
@@ -20,13 +24,10 @@ The walk that builds an orbit also gives the class's Weyl order at that
 level, by orbit-stabilizer, so no normalizer is formed for it.
 
 Every member set met by the engine goes through lookup, which probes the
-index first.  The level check (a fold too close to the level, or mixed
-fibres under a full fold: TruncationInstability) runs without Fractions, on
-a miss or on a hit whose class is a finite fold above level // 4; a hit
-needs nothing else, since rows at the level the class was interned at passed
-lift, rows truncated to the other level have whole fibres, and both refusals
-are invariant under conjugation.  lift builds Fractions only for a new
-class's representative.
+index first and runs the level check (a fold too close to the level, or
+mixed fibres under a full fold) without Fractions, and only where lookup
+says it is needed.  lift builds Fractions only for a new class's
+representative.
 
 Products of classes count double cosets.  When a factor has a finite
 O(2)-part, only the double cosets whose intersection holds a reflection can
@@ -38,6 +39,7 @@ is enumerated.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -48,9 +50,8 @@ from .groups import (
     ProductGroup,
     SubgroupClass,
     SubgroupHandle,
-    conjugate_members,
+    coset_intersections,
     direct_product,
-    double_cosets,
     gamma_z2_subgroups,
     make_cyclic,
     make_dihedral,
@@ -112,6 +113,24 @@ class AmalgamData:
         return n + len(self.rot_fin) + len(self.refl_fin)
 
 
+def level_for_modes(n: int, modes) -> int:
+    """The base level M for Gamma = D_n or Z_n and the Fourier modes to be
+    computed: 4·lcm(n, 2, k·n for every mode k >= 1), doubled while M/4 is
+    below K·lcm(n, 2), K the highest mode.  A mode-k fold is at most
+    k·lcm(n, 2), the largest order in Gamma x Z2, and lift refuses a fold
+    above M/4.  Only odd n doubles: modes 0..2, or a lone even mode K."""
+    ks = [k for k in modes if k >= 1]
+    level = 4 * math.lcm(n, 2, *(k * n for k in ks))
+    while level < 4 * max(ks, default=0) * math.lcm(n, 2):
+        level *= 2
+    return level
+
+
+def default_level(n: int) -> int:
+    """The base level of an engine given none, whatever its modes."""
+    return 4 * math.lcm(n, 4)
+
+
 def trunc_group(gamma_z2: FiniteGroup, m: int) -> ProductGroup:
     """D_M x (Gamma x Z2); o2 index = idx // |Gamma x Z2| (rotations < M).
     Multiplied by index arithmetic, so no |G|^2 table is built."""
@@ -147,8 +166,8 @@ class ClassLattice:
     def __init__(self, kind: str, n: int, base_level: int):
         self.gamma_z2, self._finite_classes, self._finite_names = gamma_z2_classes(kind, n)
         self.ng = self.gamma_z2.order
-        if base_level % 4 != 0:
-            raise InadmissibleLevel(f"base level {base_level} must be divisible by 4")
+        if base_level < 4 or base_level % 4 != 0:
+            raise InadmissibleLevel(f"base level {base_level} must be a positive multiple of 4")
         self.m_lo = base_level
         self.m_hi = 2 * base_level
         self.group_lo = trunc_group(self.gamma_z2, self.m_lo)
@@ -323,22 +342,27 @@ class ClassLattice:
         cid, _ = self.lookup(members, level)
         if cid is not None:
             return cid
-        # new class: canonical representative = lex-min conjugate at each level
-        cid = len(self.classes)
-        orbit, weyl = self.conjugates_full(members, level)
-        data = self.lift(orbit[0], level)
+        # new class: canonical representative = lex-min conjugate at each
+        # level; everything that can refuse runs before the lattice changes
+        walks = {level: self.conjugates_full(members, level)}
+        data = self.lift(walks[level][0][0], level)
         other = self.m_hi if level == self.m_lo else self.m_lo
-        orbit_other, weyl_other = self.conjugates_full(self.truncate(data, other), other)
+        walks[other] = self.conjugates_full(self.truncate(data, other), other)
+        label = self._format(data)
+        # a cyclic fold's Weyl group contains SO(2)/fold: infinite, and its
+        # truncated orders grow with the level
+        weyl = None if data.o2.kind == "Z" else self.at_both_levels(
+            lambda m: walks[m][1], f"Weyl order of {label}")
+        cid = len(self.classes)
         self.classes.append(data)
-        for lv, rows, w in ((level, orbit, weyl), (other, orbit_other, weyl_other)):
+        self._weyl.append(weyl)
+        for lv, (rows, w) in walks.items():
             self._orbits[(cid, lv)] = rows
             self._level_weyl[(cid, lv)] = w
             index = self._class_of[lv]
             # each row's bytes, as _find_class encodes a member set
             for key in rows.view(f"V{rows.itemsize * rows.shape[1]}").ravel().tolist():
                 index.setdefault(key, cid)  # an earlier class keeps a shared member set
-        self._weyl.append(self._weyl_stable(cid))
-        label = self._format(cid)
         base, k = label, 2
         while label in self._by_label:
             label = f"{base}#{k}"  # distinct classes sharing printed Goursat data
@@ -365,15 +389,6 @@ class ClassLattice:
         """|N(rep)|/|rep| in the truncation at level, from the orbit walk
         that interned the class (conjugates_full)."""
         return self._level_weyl[(cid, level)]
-
-    def _weyl_stable(self, cid: int) -> int | None:
-        if self.classes[cid].o2.kind == "Z":
-            return None  # cyclic O(2)-part: Weyl group contains SO(2)/fold
-        w_lo = self._weyl_at(cid, self.m_lo)
-        w_hi = self._weyl_at(cid, self.m_hi)
-        if w_lo != w_hi:
-            return None
-        return w_lo
 
     def exact_weyl(self, cid: int) -> int | None:
         """|W(S)| in the full O(2) x Gamma x Z2, from the class's AmalgamData
@@ -451,6 +466,16 @@ class ClassLattice:
                     for q, ge in data.refl_fin]
         return tuple(sorted(members))
 
+    def at_both_levels(self, at, what: str):
+        """at(M), once at(2M) is found equal to it: the one comparison of the
+        two truncation levels.  A mismatch raises TruncationInstability
+        naming what differs."""
+        lo, hi = at(self.m_lo), at(self.m_hi)
+        if lo != hi:
+            raise TruncationInstability(
+                f"{what} differs between levels {self.m_lo} and {self.m_hi}: {lo} vs {hi}")
+        return lo
+
     def weyl(self, cid: int) -> int | None:
         return self._weyl[cid]
 
@@ -460,14 +485,10 @@ class ClassLattice:
     def n_count(self, i: int, j: int) -> int:
         """Number of conjugates of class j's representative containing class i's."""
         key = (i, j)
-        if key in self._n_cache:
-            return self._n_cache[key]
-        counts = [self._n_count_at(i, j, level) for level in (self.m_lo, self.m_hi)]
-        if counts[0] != counts[1]:
-            raise TruncationInstability(
-                f"n({self.labels[i]},{self.labels[j]}) differs between levels: {counts}")
-        self._n_cache[key] = counts[0]
-        return counts[0]
+        if key not in self._n_cache:
+            self._n_cache[key] = self.at_both_levels(
+                lambda m: self._n_count_at(i, j, m), f"n({self.labels[i]},{self.labels[j]})")
+        return self._n_cache[key]
 
     def _n_count_at(self, i: int, j: int, level: int) -> int:
         """n_count at one level: the conjugates of class j, as rows of member
@@ -506,12 +527,8 @@ class ClassLattice:
             other = key[1]
             result = {other: 1} if self.finite_weyl(other) else {}
         else:
-            results = [self._product_at(i, j, level)
-                       for level in (self.m_lo, self.m_hi)]
-            if results[0] != results[1]:
-                raise TruncationInstability(
-                    f"product ({self.labels[i]})*({self.labels[j]}) differs between levels")
-            result = results[0]
+            result = self.at_both_levels(lambda m: self._product_at(i, j, m),
+                                         f"product ({self.labels[i]})*({self.labels[j]})")
         self._mul_cache[key] = result
         return dict(result)
 
@@ -527,17 +544,12 @@ class ClassLattice:
         all their intersections, which may have a finite Weyl group with no
         reflection, and every double coset is visited.
         """
-        g = self.group_at(level)
-        h, k = self._rep_array(i, level), self._rep_array(j, level)
         meeting = None
         if self.classes[i].o2.kind in ("D", "Z") or self.classes[j].o2.kind in ("D", "Z"):
             meeting = self._reflection_conjugators(i, j, level)
-        in_h = np.zeros(g.order, dtype=bool)
-        in_h[h] = True
         coeffs: dict[int, int] = {}
-        for x in double_cosets(g, h, k, meeting):
-            kc = conjugate_members(g, x, k)
-            inter = kc[in_h[kc]]
+        for inter in coset_intersections(self.group_at(level), self._rep_array(i, level),
+                                         self._rep_array(j, level), meeting):
             known = len(self.classes)
             cid = self.ensure_handle(inter, level)
             if cid >= known:
@@ -608,8 +620,7 @@ class ClassLattice:
 
     # -- printable labels ------------------------------------------------------
 
-    def _format(self, cid: int) -> str:
-        data = self.classes[cid]
+    def _format(self, data: AmalgamData) -> str:
         g_all = data.truncated_order(self.m_lo) == self.group_lo.order
         if g_all:
             return "(G)"

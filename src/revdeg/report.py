@@ -10,7 +10,6 @@ Printed Burnside elements re-parse to the identical element.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -19,7 +18,8 @@ from .chars import character_table
 from .config import AnalysisConfig, family_spec, linearization_spec
 from .degrees import DegreeEngine, DegreeReport
 from .geometry import ConditionReport, check_conditions
-from .spectra import SpectralSummary, spectral_summary
+from .lattice import level_for_modes
+from .spectra import SpectralSummary, analysed_modes, spectral_summary
 
 PUBLISHED_FORM_NOTES = [
     "mode eigenvalues are computed from the full delay sum; the published "
@@ -170,13 +170,11 @@ def _fmt(v):
     return str(v)
 
 
-def make_engine(cfg: AnalysisConfig, active_modes) -> DegreeEngine:
+def make_engine(cfg: AnalysisConfig, modes) -> DegreeEngine:
     """The engine for cfg's group at the configured truncation level (the
-    CLI's --truncation sets it), else at 4·lcm(n, 2, k·n for every active
-    Fourier mode k)."""
-    n = cfg.group_n
-    level = cfg.truncation_base or 4 * math.lcm(n, 2, *(k * n for k in active_modes if k >= 1))
-    return DegreeEngine(cfg.group_kind, n, base_level=level)
+    CLI's --truncation sets it), else at level_for_modes of the modes."""
+    level = cfg.truncation_base or level_for_modes(cfg.group_n, modes)
+    return DegreeEngine(cfg.group_kind, cfg.group_n, base_level=level)
 
 
 def run_analyze(cfg: AnalysisConfig, skip_geometry: bool = False,
@@ -212,14 +210,10 @@ def run_analyze(cfg: AnalysisConfig, skip_geometry: bool = False,
         watermark = "hypotheses unverified"
 
     summary = spectral_summary(spec)
-    modes = list(summary.active_modes)
-    if not summary.nondegenerate:
-        from .spectra import degenerate_fold_search
-        s_fold = degenerate_fold_search(summary, cfg.degenerate_search_bound)
-        if s_fold:
-            modes += list(range(s_fold, summary.kstar + 1, 2 * s_fold))
     if engine is None:
-        engine = make_engine(cfg, modes)
+        # the active modes, and on a degenerate spectrum the modes tested
+        engine = make_engine(cfg, summary.active_modes
+                             + analysed_modes(summary, cfg.degenerate_search_bound)[1])
     degrees = engine.existence_analysis(spec, summary, cfg.degenerate_search_bound)
     notes.extend(degrees.notes)
     notes.extend(sorted(set(engine.lattice.escape_log)))

@@ -207,3 +207,14 @@ def degenerate_fold_search(summary: SpectralSummary,
         if all(q not in bad for q in range(s, top + 1, 2 * s)):
             return s
     return None
+
+
+def analysed_modes(summary: SpectralSummary,
+                 bound: int = FOLD_SEARCH_BOUND) -> tuple[int | None, list[int]]:
+    """The fold s of a degenerate spectrum (else None) and the modes k >= 1
+    whose maximal orbit types the existence analysis tests: the active
+    modes, or the odd multiples of s up to K* (none when no s <= bound)."""
+    if summary.nondegenerate:
+        return None, [k for k in summary.active_modes if k >= 1]
+    s = degenerate_fold_search(summary, bound)
+    return s, [] if s is None else list(range(s, summary.kstar + 1, 2 * s))

@@ -9,6 +9,7 @@ from revdeg.config import family_spec, load_example
 from revdeg.geometry import (
     BoundaryGradientVanishes,
     FFamilySpec,
+    GridTooCoarse,
     NotStarShaped,
     OriginSingularity,
     PolarTrigPolynomial,
@@ -17,6 +18,7 @@ from revdeg.geometry import (
     apriori_m_log,
     apriori_n,
     boundary_radius,
+    check_a4_prime,
     check_conditions,
     circle_domain,
     curvature,
@@ -234,9 +236,21 @@ def test_figure_data_columns(octagon):
 
 
 def test_a4_prime_checker(octagon):
-    from revdeg.geometry import check_a4_prime
     assert check_a4_prime(FFamilySpec(octagon, (-3.0,)), grid=512) == "fail"
     assert check_a4_prime(FFamilySpec(circle_domain(1.0), (-1.0,)), grid=256) == "pass"
+
+
+@pytest.mark.parametrize("grid", [0, 1, -3])
+def test_grid_below_two_is_refused(octagon, grid):
+    # no neighbouring samples, so no grid padding: every grid check refuses
+    # with the typed error, not a bare numpy error or an empty table
+    fam = FFamilySpec(octagon, (-3.0,))
+    for check in (lambda: check_conditions(fam, grid=grid),
+                  lambda: check_a4_prime(fam, grid=grid),
+                  lambda: figure_data(octagon, grid=grid)):
+        with pytest.raises(GridTooCoarse, match=f"at least 2 angles, got {grid}$"):
+            check()
+    assert len(figure_data(octagon, grid=2)) == 2
 
 
 def test_boundary_gradient_vanishes_error():

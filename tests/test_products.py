@@ -149,7 +149,7 @@ def test_unit_product_has_no_coset_pass(monkeypatch, engine8, natural):
         lat._mul_cache.pop((0, j), None)
         want[j] = oracle_product(lat, 0, j)
         lat._mul_cache.pop((0, j))
-    monkeypatch.setattr(lattice_module, "double_cosets", None)
+    monkeypatch.setattr(lattice_module, "coset_intersections", None)
     for j, coeffs in want.items():
         assert lat.product_classes(0, j) == lat.product_classes(j, 0) == coeffs
         assert coeffs == ({j: 1} if lat.finite_weyl(j) else {})

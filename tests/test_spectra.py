@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from revdeg.spectra import (
     LinearizationSpec,
     ReversibilityError,
+    analysed_modes,
     cutoff_certificate,
     degenerate_fold_search,
     mode_sum,
@@ -70,6 +71,22 @@ def test_degenerate_fold_avoids_odd_multiples():
     assert summ.degenerate_modes == (2,)
     # odd multiples of 1 are 1, 3, 5, ... all avoiding {2}
     assert degenerate_fold_search(summ) == 1
+
+
+@pytest.mark.parametrize("mu,want", [
+    (F(-6), (None, [1, 2])),     # nondegenerate: the active modes from 1
+    (F(-1, 2), (None, [])),      # only mode 0 active
+    (F(-1), (2, [2])),           # xi_1 = 0: fold 2, the odd multiples of 2 up to K* = 2
+    (F(-4), (1, [1, 3])),        # xi_2 = 0: fold 1, the odd modes up to K* = 3
+])
+def test_analysed_modes(mu, want):
+    summ = spectral_summary(LinearizationSpec(1, {0: (mu,)}, {0: 1}))
+    assert analysed_modes(summ) == want
+
+
+def test_analysed_modes_without_a_fold_within_the_bound():
+    summ = spectral_summary(LinearizationSpec(1, {0: (F(-1),)}, {0: 1}))
+    assert analysed_modes(summ, bound=1) == (None, [])
 
 
 def test_published_form_even_m_flagged():
