@@ -167,7 +167,7 @@ def brute_orbit_product(g: FiniteGroup, classes: list[SubgroupClass],
         a, b = divmod(p, nj)
         orbit_a, orbit_b = act_i[:, a], act_j[:, b]
         pts = orbit_a * nj + orbit_b
-        seen[np.unique(pts)] = True
+        seen[pts] = True
         stab = np.nonzero(pts == p)[0]
         cid = class_of[tuple(stab.tolist())]
         out[cid] = out.get(cid, 0) + 1

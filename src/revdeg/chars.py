@@ -102,7 +102,7 @@ def _element_class_count(g: FiniteGroup) -> int:
         if seen[a]:
             continue
         orbit = g.table[g.table[np.arange(g.order), a], g.inverse[np.arange(g.order)]]
-        seen[np.unique(orbit)] = True
+        seen[orbit] = True
         count += 1
     return count
 

@@ -7,6 +7,13 @@ recurrence, the degree of the linearization by two independent routes
 summed fixed-space parities), the invariant omega, maximal orbit types by
 certified stabilizer sampling, mode parities, and the existence decision
 procedure for both the nondegenerate and the degenerate spectrum case.
+
+The stabilizer sampler draws nothing at random.  Besides structured points,
+it takes the stabilizer of a generic point as the kernel {g : M_g = I} of the
+representation, and the stabilizer of a generic point of each fixed space
+V^H as the pointwise fixer {g : M_g P_H = P_H} of V^H's projector; both are
+decided at the tolerance STAB_TOL, and every found class is certified
+against the fixed-space dimensions.
 """
 
 from __future__ import annotations
@@ -31,15 +38,17 @@ STAB_TOL = 1e-7
 
 
 def _stabilizer_errors(mats: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """max_i |(M_g p - p)_i| for every stacked matrix M_g, all M_g p from one
-    product of the stacked rows.  The maximum runs over the d <= 4
-    coordinates one column at a time: a reduction along a short last axis
-    costs several times more."""
+    """max |M_g p - p| over the entries, for every stacked matrix M_g; p is a
+    point (shape (d,)) or d points as the columns of a (d, d) matrix.  All
+    M_g p come from one (|G|·d, d) product of the stacked rows.  The maximum
+    runs over the d or d·d entries one column at a time: a reduction along a
+    short last axis costs several times more."""
     d = p.shape[0]
-    prod = (mats.reshape(-1, d) @ p).reshape(-1, d)
-    err = np.abs(prod[:, 0] - p[0])
-    for i in range(1, d):
-        np.maximum(err, np.abs(prod[:, i] - p[i]), out=err)
+    prod = (mats.reshape(-1, d) @ p).reshape(len(mats), -1)
+    ref = p.ravel()
+    err = np.abs(prod[:, 0] - ref[0])
+    for i in range(1, len(ref)):
+        np.maximum(err, np.abs(prod[:, i] - ref[i]), out=err)
     return err
 
 
@@ -188,15 +197,17 @@ class DegreeEngine:
         return np.array([x0, x1, x2, x3])
 
     def _sample_points(self, k: int, l: int) -> list[np.ndarray]:
+        """Structured points of W_k (x) V_l^-, then, in dimension > 1, the
+        identity matrix: its stabilizer is the kernel {g : M_g = I}, the
+        stabilizer of a generic point."""
         dl = self.component_dim(l)
-        rng = np.random.default_rng(11)
         pts: list[np.ndarray] = []
         if k == 0 and dl == 1:
             pts.append(np.array([1.0]))
         elif (k == 0 and dl == 2) or (k >= 1 and dl == 1):
             angles = [j * np.pi / (2 * self.n) for j in range(4 * self.n)]
             pts.extend(np.array([np.cos(a), np.sin(a)]) for a in angles)
-            pts.append(rng.normal(size=2))
+            pts.append(np.eye(2))
         else:
             pts.append(self._uv_vector(k, l, 1.0, 0.0))
             pts.append(self._uv_vector(k, l, 0.0, 1.0))
@@ -205,12 +216,13 @@ class DegreeEngine:
                     a = j * np.pi / (2 * self.n)
                     pts.append(self._uv_vector(k, l, 1.0, rho * complex(np.cos(a), np.sin(a))))
             pts.append(self._uv_vector(k, l, 1.0, complex(0.7234, 1.3817)))
-            pts.append(rng.normal(size=4))
+            pts.append(np.eye(4))
         return pts
 
     def _stabilizer(self, mats: np.ndarray, p: np.ndarray) -> np.ndarray:
         """Members g of the truncation with |M_g p - p| below the tolerance
-        (the errors of _stabilizer_errors)."""
+        (the errors of _stabilizer_errors): the stabilizer of a point p, or
+        the pointwise fixer of the columns of a matrix p."""
         err = _stabilizer_errors(mats, p)
         members = np.nonzero(err < STAB_TOL * max(1.0, float(np.abs(p).max())))[0]
         return members
@@ -225,30 +237,20 @@ class DegreeEngine:
         level = lat.m_lo
         g = lat.group_at(level)
         mats = self.rep_matrices(k, l, level)
-        found: set[int] = set()
+        found: set[int | None] = set()  # None: a cyclic fold
         for p in self._sample_points(k, l):
-            cid = self._class_of_stabilizer(g, self._stabilizer(mats, p), level)
-            if cid is not None:
-                found.add(cid)
-        # probe fixed spaces of everything currently known, including classes
-        # discovered for other components, until no new classes appear
-        rng = np.random.default_rng(7)
-        frontier = True
-        while frontier:
-            frontier = False
-            for cid in range(len(lat.classes)):
-                if not lat.finite_weyl(cid):
-                    continue
-                if self.fixed_dim(k, l, cid) == 0:
-                    continue
+            found.add(self._class_of_stabilizer(g, self._stabilizer(mats, p), level))
+        # probe the fixed space V^H of every class known so far, including
+        # classes discovered for other components and those this loop
+        # interns, once each: a generic point of V^H is fixed exactly by the
+        # pointwise fixer {g : M_g P_H = P_H} of its projector P_H
+        cid = 0
+        while cid < len(lat.classes):
+            if lat.finite_weyl(cid) and self.fixed_dim(k, l, cid):
                 proj = self.fixed_projector(k, l, cid, level)
-                p = proj @ rng.normal(size=proj.shape[0])
-                if np.abs(p).max() < 1e-9:
-                    continue
-                new = self._class_of_stabilizer(g, self._stabilizer(mats, p), level)
-                if new is not None and new not in found:
-                    found.add(new)
-                    frontier = True
+                found.add(self._class_of_stabilizer(g, self._stabilizer(mats, proj), level))
+            cid += 1
+        found.discard(None)
         iso = sorted(found)
         self._certify_isotropy(k, l, iso)
         self._iso_cache[key] = iso

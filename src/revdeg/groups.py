@@ -183,11 +183,17 @@ class ProductGroup:
         nb = self._nb
         a1, a2 = divmod(np.atleast_1d(np.asarray(a, dtype=np.int64)), nb)
         b = np.atleast_1d(np.asarray(b, dtype=np.int64))
+        in_b = np.zeros(self.order, dtype=bool)
+        in_b[b] = True
+        in_b1 = np.zeros(self.order, dtype=bool)  # b's first parts, second part 0
+        in_b1[b - b % nb] = True
         cols = self._conj_a[:, a1]
-        x1, ai = np.nonzero((cols[..., None] == np.unique(b - b % nb)).any(axis=-1))
+        x1, ai = np.nonzero(in_b1[cols])
         conj = cols[x1, ai][:, None] + self._conj_b[:, a2[ai]].T
         xs = x1[:, None] * nb + np.arange(nb)
-        return np.unique(xs[(conj[..., None] == b).any(axis=-1)])
+        out = np.zeros(self.order, dtype=bool)
+        out[xs[in_b[conj]]] = True
+        return np.flatnonzero(out)
 
 
 Group = FiniteGroup | ProductGroup
@@ -330,13 +336,6 @@ def weyl_order(g: Group, h: SubgroupHandle) -> int:
     return q
 
 
-def is_conjugate(g: Group, h1: SubgroupHandle, h2: SubgroupHandle) -> bool:
-    if len(h1) != len(h2):
-        return False
-    row = np.asarray(h2.members, dtype=np.int32)
-    return bool((orbit_walk(g, h1.members) == row).all(axis=1).any())
-
-
 def gamma_z2_subgroups(kind: str, n: int) -> list[tuple[int, ...]]:
     """Every subgroup of Gamma x Z2, Gamma = D_n or Z_n, as sorted members
     in direct_product(Gamma, Z2) indexing ((h, z) at 2h + z), sorted by
@@ -411,7 +410,9 @@ def double_cosets(g: Group, h_members, k_members, meeting=None) -> list[int]:
     if meeting is None:
         xs = np.flatnonzero(label == np.arange(g.order))
     else:
-        xs = np.unique(np.asarray(meeting, dtype=np.int64))
+        in_meeting = np.zeros(g.order, dtype=bool)
+        in_meeting[np.asarray(meeting, dtype=np.int64)] = True
+        xs = np.flatnonzero(in_meeting)
     done = np.zeros(g.order, dtype=bool)
     reps = []
     for x in xs.tolist():

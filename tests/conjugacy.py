@@ -1,0 +1,13 @@
+"""The conjugacy reference of the tests: two subgroups are conjugate when
+one's member row turns up in the orbit walk of the other."""
+
+import numpy as np
+
+from revdeg.groups import Group, SubgroupHandle, orbit_walk
+
+
+def is_conjugate(g: Group, h1: SubgroupHandle, h2: SubgroupHandle) -> bool:
+    if len(h1) != len(h2):
+        return False
+    row = np.asarray(h2.members, dtype=np.int32)
+    return bool((orbit_walk(g, h1.members) == row).all(axis=1).any())

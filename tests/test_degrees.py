@@ -255,9 +255,10 @@ def test_unclosed_stabilizer_raises_on_every_visit(monkeypatch):
 
 
 def stabilizer_errors_reference(mats, p):
-    """The error of every element from |G| stacked products M_g p: the
-    reference for DegreeEngine._stabilizer, which uses one 2-D product."""
-    return np.abs(mats @ p - p[None, :]).max(axis=1)
+    """The error of every element from |G| stacked products M_g p, p a point
+    or a matrix of points: the reference for DegreeEngine._stabilizer, which
+    uses one 2-D product."""
+    return np.abs(mats @ p - p).reshape(len(mats), -1).max(axis=1)
 
 
 STABILIZER_CASES = ([("dihedral", n, None) for n in range(1, 7)]
@@ -265,12 +266,10 @@ STABILIZER_CASES = ([("dihedral", n, None) for n in range(1, 7)]
                     + [("dihedral", 8, 64)])
 
 
-@pytest.mark.parametrize("kind,n,base_level", STABILIZER_CASES)
-def test_stabilizer_decisions_match_stacked_reference_with_margin(
-        monkeypatch, kind, n, base_level):
-    # every sample point and fixed-space probe of modes 0-2: the member set
-    # is the stacked reference's, and no error lies near the tolerance
-    # (members at most 1e-6 of it, non-members at least 100 times it)
+def _recorded_stabilizer_inputs(monkeypatch, kind, n, base_level):
+    """(mats, p, members) of every _stabilizer call of modes 0-2: the
+    structured sample points, the kernel's identity matrix and every fixed
+    space's projector; at least one matrix input was seen."""
     calls = []
     stabilizer = DegreeEngine._stabilizer
 
@@ -281,9 +280,18 @@ def test_stabilizer_decisions_match_stacked_reference_with_margin(
 
     monkeypatch.setattr(DegreeEngine, "_stabilizer", recorded)
     _isotropy_run(kind, n, base_level, (0, 1, 2))
-    assert calls
+    assert any(p.ndim == 2 for _, p, _ in calls)
+    return calls
+
+
+@pytest.mark.parametrize("kind,n,base_level", STABILIZER_CASES)
+def test_stabilizer_decisions_match_stacked_reference_with_margin(
+        monkeypatch, kind, n, base_level):
+    # every sample point, kernel and fixed-space fixer of modes 0-2: the
+    # member set is the stacked reference's, and no error lies near the
+    # tolerance (members at most 1e-6 of it, non-members at least 100 times it)
     worst_member, least_other = 0.0, np.inf
-    for mats, p, members in calls:
+    for mats, p, members in _recorded_stabilizer_inputs(monkeypatch, kind, n, base_level):
         tol = STAB_TOL * max(1.0, float(np.abs(p).max()))
         ratio = stabilizer_errors_reference(mats, p) / tol
         assert np.array_equal(members, np.flatnonzero(ratio < 1))
@@ -299,24 +307,49 @@ def test_stabilizer_decisions_match_stacked_reference_with_margin(
 @pytest.mark.parametrize("kind,n", [("dihedral", n) for n in range(1, 7)]
                          + [("cyclic", n) for n in range(1, 7)])
 def test_stabilizer_errors_equal_row_max_bit_for_bit(monkeypatch, kind, n):
-    # every sample point and fixed-space probe of modes 0-2: the running
-    # maximum over the coordinates gives the errors of a maximum along the
-    # rows of the same 2-D product, to the bit
-    calls = []
-    stabilizer = DegreeEngine._stabilizer
-
-    def recorded(self, mats, p):
-        calls.append((mats, p))
-        return stabilizer(self, mats, p)
-
-    monkeypatch.setattr(DegreeEngine, "_stabilizer", recorded)
-    _isotropy_run(kind, n, None, (0, 1, 2))
-    assert calls
-    for mats, p in calls:
+    # every sample point, kernel and fixed-space fixer of modes 0-2: the
+    # running maximum over the entries gives the errors of a maximum along
+    # the rows of the same 2-D product, to the bit
+    for mats, p, _ in _recorded_stabilizer_inputs(monkeypatch, kind, n, None):
         d = p.shape[0]
-        want = np.abs((mats.reshape(-1, d) @ p).reshape(-1, d) - p).max(axis=1)
+        want = np.abs((mats.reshape(-1, d) @ p).reshape(len(mats), -1) - p.ravel()).max(axis=1)
         got = _stabilizer_errors(mats, p)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("kind,n,base_level", STABILIZER_CASES)
+def test_exact_generic_stabilizers_equal_seeded_draws(kind, n, base_level):
+    # the oracle of the exact sampler: on every component of modes 0-2, the
+    # kernel {g : M_g = I} is the stabilizer of a default_rng(11) normal
+    # point, and the fixer {g : M_g P_H = P_H} of every class's fixed space
+    # is the stabilizer of P_H times default_rng(7) normal draws, one draw
+    # per class in class order, over the lattice the run leaves behind
+    eng = DegreeEngine(kind, n, base_level=base_level)
+    done = []
+    for k in (0, 1, 2):
+        for l in range(eng.component_count()):
+            try:
+                eng.isotropy_classes(k, l)
+            except TruncationInstability:
+                continue
+            done.append((k, l))
+    level = eng.lattice.m_lo
+    checked = 0
+    for k, l in done:
+        mats = eng.rep_matrices(k, l, level)
+        d = mats.shape[1]
+        if d > 1:
+            point = np.random.default_rng(11).normal(size=d)
+            assert np.array_equal(eng._stabilizer(mats, np.eye(d)), eng._stabilizer(mats, point))
+        rng = np.random.default_rng(7)
+        for cid in range(len(eng.lattice.classes)):
+            proj = eng.fixed_projector(k, l, cid, level)
+            if round(float(np.trace(proj))) == 0:
+                continue
+            p = proj @ rng.normal(size=d)
+            assert np.array_equal(eng._stabilizer(mats, proj), eng._stabilizer(mats, p))
+            checked += 1
+    assert checked
 
 
 def test_lookup_hit_still_refuses(monkeypatch):

@@ -5,6 +5,7 @@ import functools
 import numpy as np
 import pytest
 
+from conjugacy import is_conjugate
 from revdeg.groups import (
     InvalidGroupParameter,
     SubgroupHandle,
@@ -13,7 +14,6 @@ from revdeg.groups import (
     direct_product,
     double_cosets,
     gamma_z2_subgroups,
-    is_conjugate,
     make_cyclic,
     make_dihedral,
     make_gamma,

@@ -1,7 +1,11 @@
-"""Every module of the package uses every name it imports.  The check reads
-the source with the standard library's ast module only."""
+"""Every module of the package uses every name it imports and none reads
+numpy.random; the checks read the source with the standard library's ast
+module only.  A revdeg run, in a fresh interpreter, loads no numpy.random or
+numpy.ma module that import numpy alone does not."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -51,3 +55,74 @@ def test_checker_finds_unused_names():
 @pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
 def test_module_uses_every_import(module):
     assert unused_imports((PACKAGE / module).read_text()) == []
+
+
+def random_reads(source: str) -> list[str]:
+    """The places a module reaches numpy.random: an np.random or
+    numpy.random attribute read, or an import of numpy.random or of random
+    from numpy, as "line: what"."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Attribute) and node.attr == "random"
+                and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")):
+            found.append((node.lineno, f"{node.value.id}.random"))
+        elif isinstance(node, ast.Import):
+            found += [(node.lineno, f"import {a.name}") for a in node.names
+                      if a.name.startswith("numpy.random")]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            if node.module.startswith("numpy.random") or (
+                    node.module == "numpy" and any(a.name == "random" for a in node.names)):
+                found.append((node.lineno, f"from {node.module} import"))
+    return [f"{line}: {what}" for line, what in sorted(found)]
+
+
+def test_checker_finds_numpy_random_reads():
+    source = ("import numpy as np\nimport numpy.random\nfrom numpy import random as r\n"
+              "from numpy.random import default_rng\nimport random\n"
+              "x = np.random.default_rng(7)\ny = numpy.random\nz = random.random()\n"
+              "w = np.linalg.norm\n")
+    assert random_reads(source) == ["2: import numpy.random", "3: from numpy import",
+                                    "4: from numpy.random import", "6: np.random",
+                                    "7: numpy.random"]
+    assert random_reads("import numpy as np\nv = np.ones(3)\n") == []
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_module_reads_no_numpy_random(module):
+    assert random_reads((PACKAGE / module).read_text()) == []
+
+
+RUN_LOADS = """
+import sys
+from fractions import Fraction
+
+import numpy
+
+
+def loaded():
+    return {m for m in sys.modules if m.split(".")[:2] in (["numpy", "random"], ["numpy", "ma"])}
+
+
+before = loaded()
+from revdeg import cli
+from revdeg.degrees import DegreeEngine
+from revdeg.spectra import LinearizationSpec
+
+cli.main(["analyze", "--config", "example", "--format", "machine",
+          "--unsafe-skip-geometry", "--out", sys.argv[1]])
+engine = DegreeEngine("dihedral", 8, base_level=64)
+nat = engine.natural_component()
+engine.existence_analysis(LinearizationSpec(1, {nat: (Fraction(-6),)}, {nat: 1}))
+print(sorted(loaded() - before))
+"""
+
+
+def test_run_loads_no_numpy_random_or_ma(tmp_path):
+    # numpy 1.x loads both with numpy itself; numpy 2.x loads them only on
+    # use, so the run must not use them
+    out = tmp_path / "report.json"
+    r = subprocess.run([sys.executable, "-c", RUN_LOADS, str(out)],
+                       capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert out.exists()
+    assert r.stdout.strip() == "[]"

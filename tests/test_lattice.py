@@ -8,12 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conjugacy import is_conjugate
 from revdeg.degrees import DegreeEngine
 from revdeg.groups import (
     SubgroupHandle,
     closure,
     conjugate_members,
-    is_conjugate,
     normalizer,
 )
 from revdeg.lattice import (
