@@ -178,7 +178,7 @@ def cmd_oracle_stability(args) -> int:
     orders were checked so as each class was interned."""
     cfg = _load_config(args)
     engine = make_engine(cfg, ())
-    nat = engine.natural_component() if cfg.group_kind == "dihedral" else 0
+    nat = _default_component(engine)
     engine.basic_degree(0, nat)
     engine.basic_degree(1, nat)
     lat = engine.lattice

@@ -157,7 +157,8 @@ def parse_config(text: str) -> AnalysisConfig:
 def resolve_components(cfg: AnalysisConfig, table: CharacterTable) -> dict[str, int]:
     """Map user labels to internal minus-component indices (the order of
     chars.minus_irreps, which DegreeEngine shares).  An index past the
-    group's minus components is a ConfigError."""
+    group's minus components, or "natural" on a Gamma with no 2-dimensional
+    irrep (D1, D2, Z1, Z2), is a ConfigError."""
     out = {}
     count = len(minus_irreps(table))
     problems = []
@@ -165,7 +166,11 @@ def resolve_components(cfg: AnalysisConfig, table: CharacterTable) -> dict[str, 
         if a.selector == "gamma_trivial":
             out[a.label] = 0
         elif a.selector == "natural":
-            out[a.label] = natural_component(table)
+            try:
+                out[a.label] = natural_component(table)
+            except ValueError:
+                problems.append(f"irrep 'natural' for {a.label!r}: {cfg.group_kind}:"
+                                f"{cfg.group_n} has no 2-dimensional natural component")
         else:
             out[a.label] = int(a.selector.split(":", 1)[1])
             if out[a.label] >= count:

@@ -1,14 +1,20 @@
 """Planar symmetric domains D = eta^-1(-inf, 0): evaluation, curvature,
 Hartman-Nagumo condition checks, and the a-priori derivative bounds.
 
-eta is a polar trigonometric polynomial sum of c * r^p * cos/sin(q*theta);
-PolarTrigPolynomial.derivative(a, b, r, theta) evaluates d^a_r d^b_theta eta.
-Cartesian derivatives come from the polar chain rule; the boundary is
-parameterized by angle through the unique positive root of eta(. , theta)
-(star-shaped domains).  boundary_radius, grad_norm_on_boundary and curvature
-take a float angle and return a float, or an array of angles and return an
-array of its shape, solved in one vectorized bisection and Newton pass;
-passing the radii already solved (r=...) lets a grid check solve once.
+eta is a polar trigonometric polynomial sum of c * r^p * cos/sin(q*theta).
+Its one evaluator is PolarGrid, eta at fixed angles: PolarTrigPolynomial.at
+computes each term's cos(q*theta) or sin(q*theta) once for an array of
+angles, and PolarGrid.derivative(a, b, r) then evaluates d^a_r d^b_theta eta
+at any r.  PolarTrigPolynomial.derivative and eval_polar are one-off calls
+to it, and the grid loops (the bisection and Newton steps of
+boundary_radius, the chain rule of the gradient and Hessian) build it once
+per grid rather than once per step.  Cartesian derivatives come from the
+polar chain rule; the boundary is parameterized by angle through the unique
+positive root of eta(. , theta) (star-shaped domains).  boundary_radius,
+grad_norm_on_boundary and curvature take a float angle and return a float,
+or an array of angles and return an array of its shape, solved in one
+vectorized bisection and Newton pass; passing the radii already solved
+(r=...) lets a grid check solve once.
 Strict inequalities over grids are checked against a padding of twice the
 largest difference between neighbouring grid samples, a heuristic and not a
 proven bound between grid points; a margin inside the padding reports an
@@ -56,24 +62,16 @@ class PolarTrigPolynomial:
         return PolarTrigPolynomial(tuple(
             Term(float(c), int(p), int(q), str(kind)) for c, p, q, kind in entries))
 
+    def at(self, theta) -> "PolarGrid":
+        """eta at the fixed angles theta, to evaluate at many radii."""
+        return PolarGrid(self.terms, np.asarray(theta, float))
+
     def derivative(self, a: int, b: int, r, theta):
         """d^a/dr^a d^b/dtheta^b eta at (r, theta), broadcast over arrays."""
-        r, theta = np.asarray(r, float), np.asarray(theta, float)
-        total = np.zeros(np.broadcast(r, theta).shape)
-        for t in self.terms:
-            if t.p < a or (b and not t.q):
-                continue
-            # the b-th theta-derivative of cos walks cos, -sin, -cos, sin;
-            # sin enters that cycle at its last step
-            step = (b + (3 if t.kind == "sin" else 0)) % 4
-            sign = -1 if step in (1, 2) else 1
-            trig = np.cos if step in (0, 2) else np.sin
-            coef = sign * t.coef * math.perm(t.p, a) * t.q ** b
-            total = total + coef * r ** (t.p - a) * trig(t.q * theta)
-        return total
+        return self.at(theta).derivative(a, b, r)
 
     def eval_polar(self, r, theta):
-        return self.derivative(0, 0, r, theta)
+        return self.at(theta).derivative(0, 0, r)
 
     def grad_coef_bound(self, radius: float) -> tuple[float, float]:
         """(sum |c| p R^{p-1}, sum |c| q R^{p-1}): certified bounds for |eta_r|
@@ -81,6 +79,37 @@ class PolarTrigPolynomial:
         br = sum(abs(t.coef) * t.p * radius ** max(t.p - 1, 0) for t in self.terms)
         bt = sum(abs(t.coef) * t.q * radius ** max(t.p - 1, 0) for t in self.terms)
         return br, bt
+
+
+class PolarGrid:
+    """A polar trig polynomial at fixed angles theta.  Each term's angular
+    factor, cos(q*theta) or sin(q*theta), is computed on first use and kept,
+    so evaluating at many radii recomputes no trig function."""
+
+    def __init__(self, terms: tuple[Term, ...], theta: np.ndarray):
+        self.terms, self.theta = terms, theta
+        self._factors: dict[tuple[bool, int], np.ndarray] = {}
+
+    def _factor(self, use_cos: bool, q: int) -> np.ndarray:
+        f = self._factors.get((use_cos, q))
+        if f is None:
+            f = self._factors[use_cos, q] = (np.cos if use_cos else np.sin)(q * self.theta)
+        return f
+
+    def derivative(self, a: int, b: int, r):
+        """d^a/dr^a d^b/dtheta^b eta at (r, theta), r broadcast against theta."""
+        r = np.asarray(r, float)
+        total = np.zeros(np.broadcast(r, self.theta).shape)
+        for t in self.terms:
+            if t.p < a or (b and not t.q):
+                continue
+            # the b-th theta-derivative of cos walks cos, -sin, -cos, sin;
+            # sin enters that cycle at its last step
+            step = (b + (3 if t.kind == "sin" else 0)) % 4
+            sign = -1 if step in (1, 2) else 1
+            coef = sign * t.coef * math.perm(t.p, a) * t.q ** b
+            total = total + coef * r ** (t.p - a) * self._factor(step in (0, 2), t.q)
+        return total
 
 
 @dataclass(frozen=True)
@@ -195,7 +224,8 @@ def _grad_xy(eta: PolarTrigPolynomial, x, y):
     """(eta_x, eta_y) away from the origin by the polar chain rule; arrays
     broadcast."""
     r, th = np.hypot(x, y), np.arctan2(y, x)
-    fr, ft = eta.derivative(1, 0, r, th), eta.derivative(0, 1, r, th)
+    grid = eta.at(th)
+    fr, ft = grid.derivative(1, 0, r), grid.derivative(0, 1, r)
     c, s = np.cos(th), np.sin(th)
     return (c * fr - s * ft / r, s * fr + c * ft / r)
 
@@ -203,7 +233,8 @@ def _grad_xy(eta: PolarTrigPolynomial, x, y):
 def _hess_xy(eta: PolarTrigPolynomial, x, y):
     """(eta_xx, eta_xy, eta_yy) away from the origin, as _grad_xy."""
     r, th = np.hypot(x, y), np.arctan2(y, x)
-    fr, ft, frr, frt, ftt = (eta.derivative(a, b, r, th)
+    grid = eta.at(th)
+    fr, ft, frr, frt, ftt = (grid.derivative(a, b, r)
                              for a, b in ((1, 0), (0, 1), (2, 0), (1, 1), (0, 2)))
     c, s = np.cos(th), np.sin(th)
     xx = (c * c * frr - 2 * c * s * (frt / r - ft / r ** 2)
@@ -233,16 +264,17 @@ def boundary_radius(spec: DomainSpec, theta, tol: float = 1e-12):
     bracket is narrower than 1e-15."""
     if not spec.star_shaped:
         raise NotStarShaped("boundary_radius requires a star-shaped domain")
-    eta, th = spec.eta, _angles(theta)
+    th = _angles(theta)
+    grid = spec.eta.at(th)
     lo = np.zeros(th.shape)
     hi = np.full(th.shape, spec.bound_radius * (1 + 1e-9))
-    bad = (eta.eval_polar(lo, th) >= 0) | (eta.eval_polar(hi, th) <= 0)
+    bad = (grid.derivative(0, 0, lo) >= 0) | (grid.derivative(0, 0, hi) <= 0)
     if bad.any():
         raise NotStarShaped(f"no sign change along theta = {th[bad][0]}")
     bisecting = np.ones(th.shape, bool)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        below = eta.eval_polar(mid, th) < 0
+        below = grid.derivative(0, 0, mid) < 0
         lo = np.where(bisecting & below, mid, lo)
         hi = np.where(bisecting & ~below, mid, hi)
         bisecting &= hi - lo >= 1e-15
@@ -251,10 +283,10 @@ def boundary_radius(spec: DomainSpec, theta, tol: float = 1e-12):
     r = 0.5 * (lo + hi)
     polishing = np.ones(th.shape, bool)     # a zero slope ends an angle's Newton steps
     for _ in range(8):
-        f, df = eta.eval_polar(r, th), eta.derivative(1, 0, r, th)
+        f, df = grid.derivative(0, 0, r), grid.derivative(1, 0, r)
         polishing &= df != 0
         r[polishing] -= f[polishing] / df[polishing]
-    bad = np.abs(eta.eval_polar(r, th)) > tol
+    bad = np.abs(grid.derivative(0, 0, r)) > tol
     if bad.any():
         raise NotStarShaped(f"root polish failed at theta = {th[bad][0]}")
     return _shaped(r, theta)

@@ -3,7 +3,13 @@
 Elements are indexed 0..order-1 with the identity at index 0.  Two kinds of
 group share one interface: ``mul``, ``inv`` and ``conjugate`` on ints or
 index arrays (broadcast like numpy), ``prepare`` for an operand used in many
-products, an ``inverse`` array and ``generators``.
+products, an ``inverse`` array, ``generators``, and the conjugations by the
+generators stacked in one read-only int32 table of shape (len(generators),
+order), ``gen_conjugation_table``, whose row i is the permutation
+y -> x y x^-1 for x = generators[i].  ``gen_conjugations`` maps each
+generator to its row, a view of that table, and holds no second copy.
+Orbit walks conjugate by the generators over and over, so they read the
+table (``conjugate_members`` with x=None) in one gather per round.
 
 - ``FiniteGroup`` keeps an explicit multiplication table.  The small groups
   (Gamma, Gamma x Z2, the groups of the tests) are built this way.
@@ -23,7 +29,7 @@ by Goursat's lemma (gamma_z2_subgroups).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -45,6 +51,13 @@ class FiniteGroup:
     table: np.ndarray
     inverse: np.ndarray
     generators: tuple[int, ...]
+    gen_conjugation_table: np.ndarray = field(init=False, repr=False)
+    gen_conjugations: dict[int, np.ndarray] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        table, rows = _gen_conjugations(self)
+        object.__setattr__(self, "gen_conjugation_table", table)
+        object.__setattr__(self, "gen_conjugations", rows)
 
     def mul(self, a, b):
         """a*b for element indices or index arrays."""
@@ -60,6 +73,18 @@ class FiniteGroup:
     def prepare(self, a):
         """An operand of many ``mul`` calls; the table reads indices as they are."""
         return np.asarray(a)
+
+
+def _gen_conjugations(g) -> tuple[np.ndarray, dict[int, np.ndarray]]:
+    """g's read-only int32 table of the conjugations by its generators, and
+    each generator's row of it (a view).  The rows are filled one at a time,
+    so no temporary of the table's size is formed."""
+    idx = np.arange(g.order)
+    table = np.empty((len(g.generators), g.order), dtype=np.int32)
+    for row, x in zip(table, g.generators):
+        row[:] = g.conjugate(x, idx)
+    table.setflags(write=False)
+    return table, dict(zip(g.generators, table))
 
 
 def _finish(name: str, table: np.ndarray, generators: tuple[int, ...]) -> FiniteGroup:
@@ -128,9 +153,11 @@ class ProductGroup:
     """The direct product a x b with direct_product's indexing and
     generators, but no |G|^2 table: an index splits into its a- and b-parts,
     and products and conjugates go through the factors' tables.  Conjugation
-    by each generator is precomputed as a permutation of the elements
-    (``gen_conjugations``), since orbit walks conjugate by generators over
-    and over.  Instances are compared by identity."""
+    by the generators is precomputed, as for FiniteGroup, in one read-only
+    int32 table of shape (len(generators), order)
+    (``gen_conjugation_table``), and ``gen_conjugations`` maps a generator
+    to its row, a view of that table; ``conjugate`` by a single generator
+    reads its row.  Instances are compared by identity."""
 
     def __init__(self, a: FiniteGroup, b: FiniteGroup):
         nb = b.order
@@ -148,8 +175,7 @@ class ProductGroup:
         self.inverse = a.inverse[ia] * nb + b.inverse[ib]
         # conjugate() looks generators up here, so the table starts empty
         self.gen_conjugations: dict[int, np.ndarray] = {}
-        self.gen_conjugations = {x: self.conjugate(x, np.arange(self.order))
-                                 for x in self.generators}
+        self.gen_conjugation_table, self.gen_conjugations = _gen_conjugations(self)
 
     def _split(self, a):
         return a if isinstance(a, _Parts) else divmod(a, self._nb)
@@ -261,25 +287,32 @@ def closure(g: Group, seed) -> SubgroupHandle:
     return SubgroupHandle(g, tuple(np.flatnonzero(in_h).tolist()))
 
 
-def conjugate_members(g: Group, x: int, members) -> np.ndarray:
-    """x * members * x^-1, sorted along the last axis (a row per member set)."""
-    return np.sort(g.conjugate(x, np.asarray(members, dtype=np.int64)))
+def conjugate_members(g: Group, x: int | None, members) -> np.ndarray:
+    """x * members * x^-1, sorted along the last axis (a row per member set).
+    x=None conjugates by every generator of g at once, with a new leading
+    axis of one block per generator, in the order of g.generators: one
+    gather from g.gen_conjugation_table and one in-place sort."""
+    if x is not None:
+        return np.sort(g.conjugate(x, np.asarray(members, dtype=np.int64)))
+    out = np.take(g.gen_conjugation_table, members, axis=1)
+    out.sort(axis=-1)
+    return out
 
 
 def orbit_walk(g: Group, start) -> np.ndarray:
     """Distinct conjugates under g of one member set, as the sorted-member
     rows of an int32 array, row 0 the sorted start, the rest in the order
-    reached breadth first by g's generators.  Each frontier is conjugated as
-    one block per generator, and a conjugate is new when the bytes of its
-    row are, so no row becomes a tuple."""
-    gens = g.generators if g.generators else (0,)
+    reached breadth first by g's generators.  Each frontier is conjugated by
+    every generator in one conjugate_members call, whose rows come one block
+    per generator in generator order, and a conjugate is new when the bytes
+    of its row are, so no row becomes a tuple."""
     frontier = np.sort(np.asarray(start, dtype=np.int32))[None, :]
-    void = f"V{frontier.itemsize * frontier.shape[1]}"
+    k = frontier.shape[1]
+    void = f"V{frontier.itemsize * k}"
     seen = {frontier.tobytes()}
     found = [frontier]
     while len(frontier):
-        block = np.concatenate([conjugate_members(g, x, frontier) for x in gens])
-        block = block.astype(np.int32, copy=False)
+        block = conjugate_members(g, None, frontier).reshape(-1, k)
         fresh = []
         for i, key in enumerate(block.view(void).ravel().tolist()):
             if key not in seen:

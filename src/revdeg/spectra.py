@@ -6,9 +6,12 @@ Mode-k eigenvalue on the l-th antipodal component:
 
 computed from the complex-exponential form of the linearization (the full
 delay sum), not from the folded half-sum, whose even-m correction term is
-re-derived separately and only reported for comparison.  For m in
-{1, 2, 3, 4, 6} every cosine is rational and the arithmetic is exact; other
-m use floats with a certified sign margin.
+re-derived separately and only reported for comparison.  A mode k is
+computed exactly when every cos(2*pi*j*k/m) is rational, which by Niven's
+theorem is when every j*k/m mod 1 is one of 0, 1/6, 1/4, 1/3, 1/2, 2/3,
+3/4, 5/6.  That holds for every mode when m is 1, 2, 3, 4 or 6, and for
+other m at some modes (every multiple of m among them, where each
+cosine is 1).  The other modes use floats with a certified sign margin.
 """
 
 from __future__ import annotations
@@ -18,17 +21,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 
-EXACT_M = {1, 2, 3, 4, 6}
 SIGN_MARGIN = 1e-9
 
-# 2*cos(2*pi/m) rational cases: cos table for exact m
-_COS_TABLE = {
-    1: {0: Fraction(1)},
-    2: {0: Fraction(1), 1: Fraction(-1)},
-    3: {0: Fraction(1), 1: Fraction(-1, 2), 2: Fraction(-1, 2)},
-    4: {0: Fraction(1), 1: Fraction(0), 2: Fraction(-1), 3: Fraction(0)},
-    6: {0: Fraction(1), 1: Fraction(1, 2), 2: Fraction(-1, 2), 3: Fraction(-1),
-        4: Fraction(-1, 2), 5: Fraction(1, 2)},
+# cos(2*pi*x) for the x in [0, 1) where it is rational (Niven's theorem)
+_RATIONAL_COS = {
+    Fraction(0): Fraction(1), Fraction(1, 6): Fraction(1, 2), Fraction(1, 4): Fraction(0),
+    Fraction(1, 3): Fraction(-1, 2), Fraction(1, 2): Fraction(-1),
+    Fraction(2, 3): Fraction(-1, 2), Fraction(3, 4): Fraction(0),
+    Fraction(5, 6): Fraction(1, 2),
 }
 
 
@@ -78,19 +78,21 @@ class LinearizationSpec:
         return float(sum(abs(x) for x in self.mu[l]))
 
 
-def _cos(j: int, k: int, m: int):
-    if m in EXACT_M:
-        return _COS_TABLE[m][(j * k) % m]
-    return math.cos(2 * math.pi * ((j * k) % m) / m)
+def _mode_cosines(k: int, m: int) -> list:
+    """cos(2*pi*j*k/m) for j = 0..m-1: Fractions when every one is
+    rational, else floats."""
+    turns = [Fraction((j * k) % m, m) for j in range(m)]
+    if all(x in _RATIONAL_COS for x in turns):
+        return [_RATIONAL_COS[x] for x in turns]
+    return [math.cos(2 * math.pi * ((j * k) % m) / m) for j in range(m)]
 
 
 def mode_sum(spec: LinearizationSpec, k: int, l: int):
     """S_k^l = sum_j cos(2*pi*j*k/m) mu_j^l (exact when possible)."""
-    row = spec.mu[l]
-    exact = spec.m in EXACT_M and all(isinstance(x, Rational) for x in row)
+    row, cos = spec.mu[l], _mode_cosines(k, spec.m)
+    exact = isinstance(cos[0], Fraction) and all(isinstance(x, Rational) for x in row)
     total = Fraction(0) if exact else 0.0
-    for j, mu_j in enumerate(row):
-        c = _cos(j, k, spec.m)
+    for c, mu_j in zip(cos, row):
         total += (c if exact else float(c)) * (mu_j if exact else float(mu_j))
     return total
 
@@ -106,10 +108,10 @@ def xi(spec: LinearizationSpec, k: int, l: int):
 def xi_published_form(spec: LinearizationSpec, k: int, l: int):
     """The folded half-sum variant with the published even-m correction
     (subtracting the half-index term); differs from xi for even m."""
-    m, row = spec.m, spec.mu[l]
+    m, row, cos = spec.m, spec.mu[l], _mode_cosines(k, spec.m)
     r = (m - 1) // 2
     eps = 1 if m % 2 == 0 else 0
-    s = row[0] + sum(2 * _cos(j, k, m) * row[j] for j in range(1, r + 1))
+    s = row[0] + sum(2 * cos[j] * row[j] for j in range(1, r + 1))
     if eps:
         s -= row[r]
     denom = 1 + k * k

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -317,3 +318,58 @@ def test_cli_bad_config_values_exit_30(tmp_path, capsys, key, value, message):
     err = capsys.readouterr().err
     assert err.startswith("invalid configuration:")
     assert message in err
+
+
+def _one_entry_config(tmp_path, kind, n, m, irrep, mu):
+    p = tmp_path / "config.json"
+    p.write_text(json.dumps({
+        "group": {"kind": kind, "n": n}, "delays_m": m,
+        "representation": [{"label": "p", "irrep": irrep, "multiplicity": 1}],
+        "mu": {"p": mu}}))
+    return str(p)
+
+
+@pytest.mark.parametrize("kind,n", [("dihedral", 1), ("dihedral", 2),
+                                    ("cyclic", 1), ("cyclic", 2)])
+def test_cli_natural_without_a_plane_irrep_exits_30(tmp_path, capsys, kind, n):
+    # D1, D2, Z1 and Z2 have no 2-dimensional irrep: "natural" is a listed
+    # configuration problem, not an internal error
+    from revdeg import cli
+
+    p = _one_entry_config(tmp_path, kind, n, 1, "natural", ["-3"])
+    assert cli.main(["analyze", "--unsafe-skip-geometry", "--config", p]) == 30
+    err = capsys.readouterr().err
+    assert err.startswith("invalid configuration:")
+    assert f"irrep 'natural' for 'p': {kind}:{n} has no 2-dimensional natural component" in err
+
+
+def test_cli_oracle_stability_on_a_gamma_without_a_plane_irrep(tmp_path, capsys):
+    # oracle-stability picks its component as basic-degree does, so it runs
+    # wherever analyze runs
+    from revdeg import cli
+
+    p = _one_entry_config(tmp_path, "dihedral", 2, 1, "gamma_trivial", ["-3"])
+    assert cli.main(["analyze", "--unsafe-skip-geometry", "--config", p]) == 0
+    assert cli.main(["oracle-stability", "--config", p]) == 0
+    assert "stability diff empty over" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("kind,n,irrep,mu", [
+    ("cyclic", 5, "gamma_trivial", ["1", "-12", "-1", "-1", "-12"]),
+    ("dihedral", 4, "natural", ["-5", "-1", "-9", "-9", "-1"]),
+])
+def test_cli_exactly_degenerate_mode_outside_the_exact_delay_counts(
+        tmp_path, capsys, kind, n, irrep, mu):
+    # m = 5: at k = 5 every cos(2 pi j k / m) is 1, so xi = 0 exactly; the
+    # mode is computed exactly and the spectrum is degenerate, not refused
+    # as an uncertified sign (exit 35)
+    from revdeg import cli
+    from revdeg.spectra import LinearizationSpec, spectral_summary, xi
+
+    spec = LinearizationSpec(5, {0: tuple(Fraction(v) for v in mu)}, {0: 1})
+    assert xi(spec, 5, 0) == 0 and isinstance(xi(spec, 1, 0), float)
+    assert 5 in spectral_summary(spec).degenerate_modes
+    p = _one_entry_config(tmp_path, kind, n, 5, irrep, mu)
+    code = cli.main(["analyze", "--unsafe-skip-geometry", "--format", "machine", "--config", p])
+    assert code == (10 if kind == "cyclic" else 0)
+    assert "SignNotCertified" not in capsys.readouterr().err

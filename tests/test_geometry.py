@@ -265,13 +265,63 @@ def test_boundary_gradient_vanishes_error():
                 fn(dom, theta)
 
 
+# d^b/dtheta^b of cos(q theta) and sin(q theta) is sign * q^b * trig(q theta)
+_THETA_DERIVATIVE = {
+    ("cos", 0): (1, np.cos), ("cos", 1): (-1, np.sin), ("cos", 2): (-1, np.cos),
+    ("sin", 0): (1, np.sin), ("sin", 1): (1, np.cos), ("sin", 2): (-1, np.sin),
+}
+
+
+def _reference_derivative(eta, a, b, r, theta):
+    """d^a_r d^b_theta eta one term at a time, each term's trig function
+    evaluated afresh at every call: the reference for PolarGrid, which keeps
+    the angular factors of a fixed theta.  Terms that the derivative
+    annihilates are left out, as they would add 0 * r^(p - a), which is not a
+    number at r = 0."""
+    r, theta = np.asarray(r, float), np.asarray(theta, float)
+    total = np.zeros(np.broadcast(r, theta).shape)
+    for t in eta.terms:
+        if t.p < a or (b > 0 and t.q == 0):
+            continue
+        sign, trig = _THETA_DERIVATIVE[t.kind, b]
+        coef = sign * t.coef * math.perm(t.p, a) * t.q ** b
+        total = total + coef * r ** (t.p - a) * trig(t.q * theta)
+    return total
+
+
+def test_polar_grid_matches_term_by_term_reference():
+    # cos, sin and q = 0 terms of every radial power up to 3; every (a, b)
+    # in {0, 1, 2}^2, at scalar and array radii, repeated on one grid (the
+    # second call reads the kept factors); the same products in the same
+    # order, so equal to the last bit
+    eta = PolarTrigPolynomial.from_list(
+        [(1.5, 3, 2, "cos"), (-0.7, 2, 3, "sin"), (2.0, 1, 0, "cos"),
+         (0.4, 2, 0, "sin"), (-1.0, 0, 0, "cos"), (0.3, 3, 5, "sin"), (0.9, 0, 4, "cos")])
+    theta = np.linspace(-1.0, 7.0, 29)
+    grid = eta.at(theta)
+    for r in (0.0, 0.8, np.linspace(0.0, 1.3, 29)):
+        for a in range(3):
+            for b in range(3):
+                want = _reference_derivative(eta, a, b, r, theta)
+                for _ in range(2):
+                    assert np.array_equal(grid.derivative(a, b, r), want), (a, b)
+                assert np.array_equal(eta.derivative(a, b, r, theta), want), (a, b)
+    rs, ths = np.linspace(0.1, 1.2, 5)[:, None], theta[None, :]
+    assert np.array_equal(eta.eval_polar(rs, ths), _reference_derivative(eta, 0, 0, rs, ths))
+    assert eta.eval_polar(0.5, 0.25) == _reference_derivative(eta, 0, 0, 0.5, 0.25)
+
+
 def _scalar_boundary_radius(spec, theta):
     """Reference: the one-angle bisection and Newton polish that
-    boundary_radius runs for every angle of an array at once."""
+    boundary_radius runs for every angle of an array at once, through the
+    term-by-term evaluator."""
+    def eta(a, r):
+        return float(_reference_derivative(spec.eta, a, 0, r, theta))
+
     lo, hi = 0.0, spec.bound_radius * (1 + 1e-9)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if float(spec.eta.eval_polar(mid, theta)) < 0:
+        if eta(0, mid) < 0:
             lo = mid
         else:
             hi = mid
@@ -279,10 +329,10 @@ def _scalar_boundary_radius(spec, theta):
             break
     r = 0.5 * (lo + hi)
     for _ in range(8):
-        df = float(spec.eta.derivative(1, 0, r, theta))
+        df = eta(1, r)
         if df == 0:
             break
-        r -= float(spec.eta.eval_polar(r, theta)) / df
+        r -= eta(0, r) / df
     return r
 
 

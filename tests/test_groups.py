@@ -11,6 +11,7 @@ from revdeg.groups import (
     SubgroupHandle,
     _right_coset_least,
     closure,
+    conjugate_members,
     direct_product,
     double_cosets,
     gamma_z2_subgroups,
@@ -61,15 +62,16 @@ def check_group_axioms(g) -> None:
 
 
 def orbit_walk_reference(g, start):
-    """orbit_walk one member set and one generator at a time."""
-    gens = g.generators if g.generators else (0,)
+    """orbit_walk one generator and one member set at a time, through
+    g.conjugate: each round takes the generators in order and, for each,
+    the frontier in order."""
     frontier = [start]
     seen = {start}
     out = [start]
     while frontier:
         nxt = []
-        for mem in frontier:
-            for x in gens:
+        for x in g.generators:
+            for mem in frontier:
                 c = tuple(np.sort(g.conjugate(x, np.asarray(mem, dtype=np.int64))).tolist())
                 if c not in seen:
                     seen.add(c)
@@ -400,22 +402,44 @@ def test_truncation_group_matches_dense_product(gamma, m, seed):
 
 
 def test_orbit_walk_matches_per_member_reference():
-    # every subgroup of the dense D8 x Z2 and of the trivial group, then
-    # subgroups of a truncation group: the same orbit as int32 rows, the
-    # sorted start first, each conjugate once
-    cases = [(g, mem) for g in (d8xz2(), make_cyclic(1)) for mem in all_subgroups_reference(g)]
-    g = trunc_group(direct_product(make_dihedral(3), make_cyclic(2)), 8)
+    # every subgroup of dense Gamma x Z2 groups (n even and odd) and of the
+    # trivial group, then subgroups of truncation groups of odd n at two
+    # levels: the same orbit as int32 rows in the same order, the sorted
+    # start first, each conjugate once
+    dense = [direct_product(make_gamma(kind, n), make_cyclic(2))
+             for kind, n in (("dihedral", 8), ("dihedral", 3), ("cyclic", 5))]
+    cases = [(g, mem) for g in dense + [make_cyclic(1)] for mem in all_subgroups_reference(g)]
     rng = np.random.default_rng(5)
-    for _ in range(40):
-        cases.append((g, closure(g, rng.integers(0, g.order, size=rng.integers(1, 3))
-                                 .tolist()).members))
+    for gz in dense[1:]:
+        for m in (4, 8):
+            g = trunc_group(gz, m)
+            for _ in range(20):
+                seed = rng.integers(0, g.order, size=rng.integers(1, 3)).tolist()
+                cases.append((g, closure(g, seed).members))
     for g, mem in cases:
         rows = orbit_walk(g, mem[::-1])
         want = orbit_walk_reference(g, mem)
         assert rows.dtype == np.int32 and rows.shape == (len(want), len(mem))
-        got = [tuple(r) for r in rows.tolist()]
-        assert got[0] == mem
-        assert sorted(got) == sorted(want)
+        assert [tuple(r) for r in rows.tolist()] == want
+
+
+@pytest.mark.parametrize("g", [
+    make_cyclic(1), make_dihedral(5), direct_product(make_dihedral(3), make_cyclic(2)),
+    trunc_group(direct_product(make_cyclic(3), make_cyclic(2)), 4),
+    trunc_group(direct_product(make_dihedral(5), make_cyclic(2)), 8)],
+    ids=lambda g: g.name)
+def test_generator_conjugations_are_views_of_one_table(g):
+    # one read-only int32 table, a row per generator in generator order;
+    # gen_conjugations holds views of its rows, not copies
+    table, idx = g.gen_conjugation_table, np.arange(g.order)
+    assert table.dtype == np.int32 and table.shape == (len(g.generators), g.order)
+    assert not table.flags.writeable
+    assert list(g.gen_conjugations) == list(g.generators)
+    for i, (x, row) in enumerate(g.gen_conjugations.items()):
+        assert row.base is table and np.shares_memory(row, table[i])
+        assert np.array_equal(row, g.conjugate(np.full(g.order, x), idx))
+        assert np.array_equal(conjugate_members(g, x, idx[:, None]).ravel(), row)
+    assert np.array_equal(conjugate_members(g, None, idx[:, None])[..., 0], table)
 
 
 @given(st.sampled_from(GAMMAS), st.sampled_from([4, 8]), st.integers(0, 10 ** 6),

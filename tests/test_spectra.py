@@ -1,5 +1,6 @@
 """Spectral data of the linearization."""
 
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -119,3 +120,26 @@ def test_all_mu_zero_is_degenerate():
     summ = spectral_summary(s)
     assert xi(s, 0, 0) == 0
     assert 0 in summ.degenerate_modes and not summ.nondegenerate
+
+
+NIVEN = {F(0), F(1, 6), F(1, 4), F(1, 3), F(1, 2), F(2, 3), F(3, 4), F(5, 6)}
+
+
+@given(st.integers(1, 12), st.integers(0, 30), st.lists(st.integers(-6, 6), min_size=7, max_size=7))
+@settings(max_examples=80, deadline=None)
+def test_mode_sum_exact_exactly_where_every_cosine_is_rational(m, k, values):
+    # a mode is exact when every j k / m mod 1 has a rational cosine (Niven's
+    # theorem), whatever m is; every mode is when m is 1, 2, 3, 4 or 6; the
+    # exact value agrees with the float sum, and for odd m with the folded
+    # half-sum
+    row = [F(values[min(j, m - j)]) for j in range(m)]
+    spec = LinearizationSpec(m, {0: tuple(row)}, {0: 1})
+    s = mode_sum(spec, k, 0)
+    rational = all(F(j * k % m, m) in NIVEN for j in range(m))
+    assert isinstance(s, F) == rational
+    if m in (1, 2, 3, 4, 6):
+        assert rational
+    floats = sum(math.cos(2 * math.pi * j * k / m) * float(v) for j, v in enumerate(row))
+    assert abs(float(s) - floats) < 1e-9
+    if rational and m % 2:
+        assert xi(spec, k, 0) == xi_published_form(spec, k, 0)
