@@ -2,8 +2,9 @@
 
 Subcommands: analyze, group-info, basic-degree, burnside-mul, geometry-check,
 figure-data, oracle-stability.  Exit codes: 0 certificates emitted, 10 clean
-run without certificates, 20 hypotheses failed, 30 configuration error,
-31 unexpected internal error, 32-39 one per typed failure (EXIT_FAILURES).
+run without certificates, 20 hypotheses failed, 30 configuration error (a
+domain the geometry cannot solve among them), 31 unexpected internal error,
+32-39 one per typed failure (EXIT_FAILURES).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from .burnside import InconsistentDegreeData
 from .chars import NonIntegralAverage
 from .config import AnalysisConfig, ConfigError, example_config_text, family_spec, int_field, parse_config
 from .degrees import DegreeEngine, IncompleteLattice, RouteDisagreement
-from .geometry import FIGURE_HEADER, check_conditions, figure_data
+from .geometry import FIGURE_HEADER, UnsolvableDomain, check_conditions, figure_data
 from .lattice import InadmissibleLevel, TruncationInstability, gamma_z2_classes
 from .report import make_engine, run_analyze
 from .spectra import SignNotCertified
@@ -26,7 +27,7 @@ from .spectra import SignNotCertified
 EXIT_OK = 0
 EXIT_NO_CERTIFICATES = 10
 EXIT_HYPOTHESES_FAILED = 20
-EXIT_INTERNAL = 30  # ConfigError, or no domain to check
+EXIT_INTERNAL = 30  # ConfigError, a domain the geometry cannot solve, or none
 EXIT_UNEXPECTED = 31
 # each typed failure of the engine has its own code; 38 is retired, not reused
 EXIT_FAILURES = {
@@ -244,6 +245,9 @@ def main(argv=None) -> int:
         return args.fn(args)
     except ConfigError as e:
         sys.stderr.write(str(e) + "\n")
+        return EXIT_INTERNAL
+    except UnsolvableDomain as e:
+        sys.stderr.write(f"{type(e).__name__}: {e}\n")
         return EXIT_INTERNAL
     except tuple(EXIT_FAILURES) as e:
         sys.stderr.write(f"{type(e).__name__}: {e}\n")

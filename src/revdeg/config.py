@@ -2,13 +2,14 @@
 
 A configuration fixes the symmetry group, the representation assignment
 (user label -> irreducible component and isotypic multiplicity), the delay
-count and mu table, the domain, and engine toggles.  Parsing collects every
+count and mu table, the domain, and engine settings.  Parsing collects every
 violation rather than stopping at the first.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -39,30 +40,68 @@ class AnalysisConfig:
     assignments: tuple[RepAssignment, ...]
     mu: dict[str, tuple]                  # label -> mu row (Fractions or floats)
     domain: DomainSpec | None
-    family: bool
     degenerate_search_bound: int
     truncation_base: int | None
     boundary_grid: int
 
 
 def _to_number(x):
-    if isinstance(x, str):
+    """An exact Fraction for a string or an integer, else a finite float;
+    a bool or a non-finite float is refused (ValueError)."""
+    if isinstance(x, bool):
+        raise ValueError(f"not a number: {x!r}")
+    if isinstance(x, (str, int)):
         return Fraction(x)
-    if isinstance(x, int):
-        return Fraction(x)
-    return float(x)
+    v = float(x)
+    if not math.isfinite(v):
+        raise ValueError(f"not finite: {x!r}")
+    return v
 
 
-def int_field(raw: dict, name: str, default, least: int, problems: list[str]):
+def int_field(raw: dict, name: str, default, least: int, problems: list[str],
+              what: str | None = None):
     """raw[name], which must be an integer >= least, else default when the
-    key is absent (or null, where the default is None); a violation is added
-    to problems.  The CLI checks its integer arguments with it too."""
+    key is absent (or null, where the default is None).  A violation is
+    added to problems, naming the field as what (default: name), and gives
+    None.  The CLI checks its integer arguments with it too."""
     v = raw.get(name, default)
     if v is None and default is None:
         return None
     if isinstance(v, bool) or not isinstance(v, int) or v < least:
-        problems.append(f"{name} must be an integer >= {least}, got {v!r}")
+        problems.append(f"{what or name} must be an integer >= {least}, got {v!r}")
+        return None
     return v
+
+
+def _true_field(raw: dict, name: str, why: str, problems: list[str],
+                what: str | None = None) -> None:
+    """A field that may be omitted or set only to true; what as in int_field."""
+    if raw.get(name, True) is not True:
+        problems.append(f"{what or name} must be true ({why}), got {raw[name]!r}")
+
+
+def _parse_domain(d, n: int, problems: list[str]) -> DomainSpec | None:
+    """The domain block's DomainSpec, None when it has a problem; symmetry
+    defaults to n."""
+    try:
+        eta = PolarTrigPolynomial.from_list(d["terms"])
+        radius = float(d["R"])
+        bounds = d.get("published_grad_bounds")
+    except (KeyError, TypeError, ValueError) as e:
+        problems.append(f"bad domain block: {e}")
+        return None
+    found = len(problems)
+    symmetry = int_field(d, "symmetry", n, 1, problems, "domain.symmetry")
+    if not math.isfinite(radius) or radius <= 0:
+        problems.append(f"domain.R must be finite and > 0, got {d['R']!r}")
+    _true_field(d, "star_shaped", "the boundary is solved along rays", problems,
+                "domain.star_shaped")
+    if len(problems) > found:
+        return None
+    domain = DomainSpec(eta, symmetry, radius,
+                        published_grad_bounds=tuple(bounds) if bounds else None)
+    problems.extend(domain.validate())
+    return domain
 
 
 def parse_config(text: str) -> AnalysisConfig:
@@ -73,29 +112,22 @@ def parse_config(text: str) -> AnalysisConfig:
         raise ConfigError([f"not valid JSON: {e}"]) from e
 
     kind = raw.get("group", {}).get("kind", "dihedral")
-    n = raw.get("group", {}).get("n", 0)
     if kind not in ("dihedral", "cyclic"):
         problems.append(f"group.kind must be dihedral or cyclic, got {kind!r}")
-    if not isinstance(n, int) or n < 1:
-        problems.append(f"group.n must be a positive integer, got {n!r}")
-
-    m = raw.get("delays_m", 1)
-    if not isinstance(m, int) or m < 1:
-        problems.append(f"delays_m must be a positive integer, got {m!r}")
+    n = int_field(raw.get("group", {}), "n", 0, 1, problems, "group.n")
+    m = int_field(raw, "delays_m", 1, 1, problems)
 
     assignments = []
     for entry in raw.get("representation", []):
         label = entry.get("label", "?")
         sel = entry.get("irrep", "natural")
-        mult = entry.get("multiplicity", 1)
+        mult = int_field(entry, "multiplicity", 1, 0, problems, f"multiplicity for {label!r}")
         if not isinstance(sel, str) or (sel not in ("gamma_trivial", "natural")
                                         and not sel.startswith("minus_index:")):
             problems.append(f"unknown irrep selector {sel!r} for {label!r}")
         elif sel.startswith("minus_index:") and not sel.split(":", 1)[1].isdecimal():
             problems.append(f"irrep {sel!r} for {label!r}: the index must be a "
                             "nonnegative integer")
-        if not isinstance(mult, int) or mult < 0:
-            problems.append(f"multiplicity for {label!r} must be a nonnegative integer")
         assignments.append(RepAssignment(label, sel, mult))
     if not assignments:
         problems.append("representation assignment is empty")
@@ -105,9 +137,9 @@ def parse_config(text: str) -> AnalysisConfig:
         try:
             vals = tuple(_to_number(x) for x in row)
         except (ValueError, TypeError):
-            problems.append(f"mu row for {label!r} is not numeric")
+            problems.append(f"mu row for {label!r} is not numeric and finite")
             continue
-        if isinstance(m, int) and len(vals) != m:
+        if m is not None and len(vals) != m:
             problems.append(f"mu row for {label!r} has length {len(vals)}, expected {m}")
         for j in range(1, len(vals)):
             if vals[j] != vals[len(vals) - j]:
@@ -121,18 +153,8 @@ def parse_config(text: str) -> AnalysisConfig:
 
     domain = None
     if "domain" in raw:
-        d = raw["domain"]
-        try:
-            eta = PolarTrigPolynomial.from_list(d["terms"])
-            bounds = d.get("published_grad_bounds")
-            domain = DomainSpec(
-                eta, int(d.get("symmetry", n or 1)), float(d["R"]),
-                star_shaped=bool(d.get("star_shaped", True)),
-                published_grad_bounds=tuple(bounds) if bounds else None)
-        except (KeyError, TypeError, ValueError) as e:
-            problems.append(f"bad domain block: {e}")
-        if domain is not None:
-            problems.extend(domain.validate())
+        domain = _parse_domain(raw["domain"], n or 1, problems)
+    _true_field(raw, "family", "omit domain to skip the geometry", problems)
 
     search_bound = int_field(raw, "degenerate_search_bound", FOLD_SEARCH_BOUND, 0, problems)
     truncation_base = int_field(raw, "truncation_base", None, 1, problems)
@@ -147,7 +169,6 @@ def parse_config(text: str) -> AnalysisConfig:
         assignments=tuple(assignments),
         mu=mu,
         domain=domain,
-        family=bool(raw.get("family", True)),
         degenerate_search_bound=search_bound,
         truncation_base=truncation_base,
         boundary_grid=boundary_grid,
@@ -189,7 +210,7 @@ def linearization_spec(cfg: AnalysisConfig, table: CharacterTable) -> Linearizat
 
 
 def family_spec(cfg: AnalysisConfig) -> FFamilySpec | None:
-    if cfg.domain is None or not cfg.family:
+    if cfg.domain is None:
         return None
     label = cfg.assignments[0].label
     return FFamilySpec(cfg.domain, tuple(float(v) for v in cfg.mu[label]))

@@ -7,6 +7,9 @@ recurrence, the degree of the linearization by two independent routes
 summed fixed-space parities), the invariant omega, maximal orbit types by
 certified stabilizer sampling, mode parities, and the existence decision
 procedure for both the nondegenerate and the degenerate spectrum case.
+The tests keep an independent sign oracle: the sign of the linearization on
+each fixed space, from explicit projector bases rather than the parity
+formula.
 
 The stabilizer sampler draws nothing at random.  Besides structured points,
 it takes the stabilizer of a generic point as the kernel {g : M_g = I} of the
@@ -148,9 +151,6 @@ class DegreeEngine:
         mats.setflags(write=False)
         self._mat_cache[key] = mats
         return mats
-
-    def rep_dim(self, k: int, l: int) -> int:
-        return (1 if k == 0 else 2) * self.component_dim(l)
 
     # -- fixed-space dimensions -------------------------------------------------
 
@@ -419,43 +419,3 @@ class DegreeEngine:
             degenerate_fold=s_fold,
             notes=notes,
         )
-
-    # -- independent sign oracle ---------------------------------------------------
-
-    def linearization_matrix(self, spec: LinearizationSpec, k: int, l: int) -> np.ndarray:
-        """Real matrix of the mode-k linearization block on W_k (x) V_l^-,
-        assembled from the delay sum (not from the eigenvalue formula)."""
-        dl = self.component_dim(l)
-        dim = self.rep_dim(k, l)
-        acc = np.zeros((dim, dim))
-        for j, mu_j in enumerate(spec.mu[l]):
-            ang = 2 * np.pi * j * k / spec.m
-            if k == 0:
-                acc += float(mu_j) * np.eye(dl)
-            else:
-                rot = np.array([[np.cos(ang), -np.sin(ang)],
-                                [np.sin(ang), np.cos(ang)]])
-                acc += float(mu_j) * np.kron(rot, np.eye(dl))
-        return np.eye(dim) + (acc - np.eye(dim)) / (1 + k * k)
-
-    def d_sign_oracle(self, spec: LinearizationSpec, cid: int,
-                      summary: SpectralSummary) -> int:
-        """Sign of det of the linearization restricted to the cid-fixed space,
-        via explicit projector bases; independent of the parity formula."""
-        level = self.lattice.m_lo
-        sign = 1
-        for k in range(summary.kstar + 1):
-            for l in spec.components:
-                r = self.fixed_dim(k, l, cid)
-                if r == 0:
-                    continue
-                proj = self.fixed_projector(k, l, cid, level)
-                w, vecs = np.linalg.eigh(proj)
-                basis = vecs[:, w > 0.5]
-                if basis.shape[1] != r:
-                    raise IncompleteLattice(
-                        f"projector rank {basis.shape[1]} != character dim {r}")
-                block = basis.T @ self.linearization_matrix(spec, k, l) @ basis
-                s, _ = np.linalg.slogdet(block)
-                sign *= int(s) ** spec.mult[l]
-        return sign

@@ -5,16 +5,17 @@ eta is a polar trigonometric polynomial sum of c * r^p * cos/sin(q*theta).
 Its one evaluator is PolarGrid, eta at fixed angles: PolarTrigPolynomial.at
 computes each term's cos(q*theta) or sin(q*theta) once for an array of
 angles, and PolarGrid.derivative(a, b, r) then evaluates d^a_r d^b_theta eta
-at any r.  PolarTrigPolynomial.derivative and eval_polar are one-off calls
-to it, and the grid loops (the bisection and Newton steps of
-boundary_radius, the chain rule of the gradient and Hessian) build it once
-per grid rather than once per step.  Cartesian derivatives come from the
-polar chain rule; the boundary is parameterized by angle through the unique
-positive root of eta(. , theta) (star-shaped domains).  boundary_radius,
-grad_norm_on_boundary and curvature take a float angle and return a float,
-or an array of angles and return an array of its shape, solved in one
-vectorized bisection and Newton pass; passing the radii already solved
-(r=...) lets a grid check solve once.
+at any r.  PolarTrigPolynomial.eval_polar is a one-off call to it, and the
+grid loops (the bisection and Newton steps of boundary_radius, the chain
+rule of the gradient and Hessian) build it once per grid rather than once
+per step.  Cartesian derivatives come from the polar chain rule, away from
+the origin; the boundary is parameterized by angle through the unique
+positive root of eta(. , theta), so the domain must be star-shaped, and a
+ray with no crossing or a boundary point where grad eta vanishes raises an
+UnsolvableDomain.  boundary_radius, grad_norm_on_boundary and curvature
+take a float angle and return a float, or an array of angles and return an
+array of its shape, solved in one vectorized bisection and Newton pass;
+passing the radii already solved (r=...) lets a grid check solve once.
 Strict inequalities over grids are checked against a padding of twice the
 largest difference between neighbouring grid samples, a heuristic and not a
 proven bound between grid points; a margin inside the padding reports an
@@ -29,15 +30,17 @@ from dataclasses import dataclass
 import numpy as np
 
 
-class OriginSingularity(ValueError):
-    """Gradient/Hessian at the origin undefined for this term set."""
+class UnsolvableDomain(ValueError):
+    """The boundary of the domain cannot be solved for as this module needs:
+    a ray with no single crossing, or a boundary point where grad eta
+    vanishes."""
 
 
-class NotStarShaped(ValueError):
+class NotStarShaped(UnsolvableDomain):
     """No boundary crossing found along a ray."""
 
 
-class BoundaryGradientVanishes(ValueError):
+class BoundaryGradientVanishes(UnsolvableDomain):
     """|grad eta| = 0 on the boundary: the regular-value condition fails."""
 
 
@@ -59,16 +62,17 @@ class PolarTrigPolynomial:
 
     @staticmethod
     def from_list(entries) -> "PolarTrigPolynomial":
-        return PolarTrigPolynomial(tuple(
-            Term(float(c), int(p), int(q), str(kind)) for c, p, q, kind in entries))
+        """Terms from (coef, p, q, kind) entries; a kind other than "cos" or
+        "sin" is refused (ValueError)."""
+        terms = tuple(Term(float(c), int(p), int(q), kind) for c, p, q, kind in entries)
+        for t in terms:
+            if t.kind not in ("cos", "sin"):
+                raise ValueError(f"term kind must be 'cos' or 'sin', got {t.kind!r}")
+        return PolarTrigPolynomial(terms)
 
     def at(self, theta) -> "PolarGrid":
         """eta at the fixed angles theta, to evaluate at many radii."""
         return PolarGrid(self.terms, np.asarray(theta, float))
-
-    def derivative(self, a: int, b: int, r, theta):
-        """d^a/dr^a d^b/dtheta^b eta at (r, theta), broadcast over arrays."""
-        return self.at(theta).derivative(a, b, r)
 
     def eval_polar(self, r, theta):
         return self.at(theta).derivative(0, 0, r)
@@ -121,7 +125,6 @@ class DomainSpec:
     eta: PolarTrigPolynomial
     symmetry_order: int
     bound_radius: float
-    star_shaped: bool = True
     published_grad_bounds: tuple[float, float] | None = None
 
     def validate(self) -> list[str]:
@@ -156,68 +159,6 @@ def circle_domain(radius: float = 1.0) -> DomainSpec:
     eta = PolarTrigPolynomial.from_list(
         [(1.0, 2, 0, "cos"), (-(radius ** 2), 0, 0, "cos")])
     return DomainSpec(eta, symmetry_order=1, bound_radius=radius * 1.001)
-
-
-def octagon_published_curvature(theta: float) -> float:
-    """Published closed-form boundary curvature of the octagonal domain."""
-    u8, u16 = math.cos(8 * theta), math.cos(16 * theta)
-    return (math.sqrt(2) * (-19 + 56 * u8 - 3 * u16) * (2 - u8) ** 1.25
-            / (13 - 8 * u8 - 3 * u16) ** 1.5)
-
-
-def octagon_published_gradient(theta: float) -> float:
-    """Published closed-form |grad eta| display for the octagonal boundary.
-
-    Note: this display is not consistent with direct differentiation of eta
-    away from the symmetry angles (the published curvature formula is); it is
-    kept verbatim as a comparison oracle for the published figure values.
-    """
-    u8 = math.cos(8 * theta)
-    val = 52 - 51 * u8 + 4 * math.cos(16 * theta) - math.cos(24 * theta)
-    return 2 * math.sqrt(val) / (2 - u8)
-
-
-# -- pointwise evaluation ------------------------------------------------------
-
-
-def eval_eta(spec: DomainSpec, x: float, y: float) -> float:
-    r = math.hypot(x, y)
-    if r == 0.0:
-        const = sum(t.coef for t in spec.eta.terms if t.p == 0 and
-                    (t.kind == "cos" if t.q == 0 else False))
-        return float(const)
-    return float(spec.eta.eval_polar(r, math.atan2(y, x)))
-
-
-def grad_eta(spec: DomainSpec, x: float, y: float) -> tuple[float, float]:
-    r = math.hypot(x, y)
-    if r == 0.0:
-        if any(t.p == 1 for t in spec.eta.terms):
-            raise OriginSingularity("gradient at the origin undefined: degree-1 terms")
-        return (0.0, 0.0)
-    return tuple(float(v) for v in _grad_xy(spec.eta, x, y))
-
-
-def hess_eta(spec: DomainSpec, x: float, y: float) -> tuple[float, float, float]:
-    """(eta_xx, eta_xy, eta_yy)."""
-    r = math.hypot(x, y)
-    if r == 0.0:
-        if any(t.p in (1, 2) and not (t.p == 2 and t.q in (0, 2)) for t in spec.eta.terms):
-            raise OriginSingularity("hessian at the origin undefined for this term set")
-        xx = xy = yy = 0.0
-        for t in spec.eta.terms:
-            if t.p != 2:
-                continue
-            if t.q == 0 and t.kind == "cos":
-                xx += 2 * t.coef
-                yy += 2 * t.coef
-            elif t.q == 2 and t.kind == "cos":
-                xx += 2 * t.coef
-                yy -= 2 * t.coef
-            elif t.q == 2 and t.kind == "sin":
-                xy += 2 * t.coef
-        return (xx, xy, yy)
-    return tuple(float(v) for v in _hess_xy(spec.eta, x, y))
 
 
 def _grad_xy(eta: PolarTrigPolynomial, x, y):
@@ -262,8 +203,6 @@ def boundary_radius(spec: DomainSpec, theta, tol: float = 1e-12):
     """Unique positive root of eta(., theta), by bisection plus Newton polish,
     solved for all angles at once; each angle stops bisecting when its own
     bracket is narrower than 1e-15."""
-    if not spec.star_shaped:
-        raise NotStarShaped("boundary_radius requires a star-shaped domain")
     th = _angles(theta)
     grid = spec.eta.at(th)
     lo = np.zeros(th.shape)
@@ -319,11 +258,6 @@ def curvature(spec: DomainSpec, theta, r=None):
     x, y, gx, gy, n = _boundary_gradient(spec, theta, r)
     xx, xy, yy = _hess_xy(spec.eta, x, y)
     return _shaped((xx * gy * gy - 2 * xy * gx * gy + yy * gx * gx) / n ** 3, theta)
-
-
-def second_fundamental(spec: DomainSpec, theta: float, z: float) -> float:
-    """Second fundamental form on tangent vectors: -kappa(theta) * z^2."""
-    return -curvature(spec, theta) * z * z
 
 
 # -- condition checks and a-priori constants -------------------------------------
@@ -433,27 +367,9 @@ def check_conditions(fam: FFamilySpec, grid: int = 4096) -> ConditionReport:
     return ConditionReport(status, witness, constants, notes)
 
 
-def check_a4_prime(fam: FFamilySpec, grid: int = 2048) -> str:
-    """Alternative touching-condition checker through the smallest shape
-    eigenvalue, which in the plane is the curvature itself:
-    min_C(|grad eta| + kappa) - R * sum|mu| >= 0 (pass/fail/inconclusive)."""
-    _, _, gn, ka = _boundary_samples(fam.domain, grid)
-    vals = gn + ka
-    margin = float(np.min(vals)) - fam.domain.bound_radius * fam.mu_abs_sum
-    if margin > _grid_pad(vals):
-        return "pass"
-    if margin < 0:
-        return "fail"
-    return "inconclusive"
-
-
 def phi_integral(a: float, b: float, w: float) -> float:
     """Phi(w) = integral_0^w u / (a + b u^2) du = ln(1 + (b/a) w^2) / (2b)."""
     return math.log1p(b / a * w * w) / (2 * b)
-
-
-def phi_integral_inv(a: float, b: float, y: float) -> float:
-    return math.sqrt(a / b * math.expm1(2 * b * y))
 
 
 def apriori_m_log(a: float, b: float, alpha: float, big_k: float,

@@ -180,8 +180,6 @@ class ClassLattice:
         # (class id, level) -> the class's full-group orbit at level, as
         # conjugates_full returns it; row 0 is the representative
         self._orbits: dict[tuple[int, int], np.ndarray] = {}
-        # (class id, level) -> Weyl order in the truncation at level
-        self._level_weyl: dict[tuple[int, int], int] = {}
         # (class id, level) -> one reflection per conjugacy class of
         # reflections inside the representative
         self._refl_reps: dict[tuple[int, int], list[int]] = {}
@@ -356,9 +354,8 @@ class ClassLattice:
         cid = len(self.classes)
         self.classes.append(data)
         self._weyl.append(weyl)
-        for lv, (rows, w) in walks.items():
+        for lv, (rows, _) in walks.items():
             self._orbits[(cid, lv)] = rows
-            self._level_weyl[(cid, lv)] = w
             index = self._class_of[lv]
             # each row's bytes, as _find_class encodes a member set
             for key in rows.view(f"V{rows.itemsize * rows.shape[1]}").ravel().tolist():
@@ -373,9 +370,6 @@ class ClassLattice:
         self._by_label[label] = cid
         return cid
 
-    def _rep_at(self, cid: int, level: int) -> tuple[int, ...]:
-        return tuple(self._rep_array(cid, level).tolist())
-
     def _rep_array(self, cid: int, level: int) -> np.ndarray:
         """The representative at level: row 0 of the class's orbit."""
         return self._orbits[(cid, level)][0]
@@ -384,11 +378,6 @@ class ClassLattice:
         return self._by_label[label]
 
     # -- Weyl orders, containment counts -------------------------------------
-
-    def _weyl_at(self, cid: int, level: int) -> int:
-        """|N(rep)|/|rep| in the truncation at level, from the orbit walk
-        that interned the class (conjugates_full)."""
-        return self._level_weyl[(cid, level)]
 
     def exact_weyl(self, cid: int) -> int | None:
         """|W(S)| in the full O(2) x Gamma x Z2, from the class's AmalgamData

@@ -4,7 +4,6 @@ run_analyze wires geometry verification, the spectral summary, degree
 computations and the existence decision into a ReportDocument with both a
 human-readable text form and a deterministic machine-readable JSON form
 (identical configuration text yields byte-identical machine output).
-Printed Burnside elements re-parse to the identical element.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .burnside import BurnsideElement
 from .chars import character_table
 from .config import AnalysisConfig, family_spec, linearization_spec
 from .degrees import DegreeEngine, DegreeReport
@@ -221,35 +219,3 @@ def run_analyze(cfg: AnalysisConfig, skip_geometry: bool = False,
     return ReportDocument(config_echo, conditions, summary, degrees,
                           watermark, notes,
                           (engine.lattice.m_lo, engine.lattice.m_hi), exit_code)
-
-
-# -- printed-element round trip ---------------------------------------------------
-
-
-def parse_labeled_element(lattice, pairs) -> BurnsideElement:
-    """Inverse of BurnsideElement.labeled(): [(label, coeff), ...] -> element."""
-    return BurnsideElement.from_dict(
-        lattice, {lattice.class_id_by_label(lbl): int(c) for lbl, c in pairs})
-
-
-def parse_rendered(lattice, text: str) -> BurnsideElement:
-    """Inverse of BurnsideElement.render()."""
-    text = text.strip()
-    if text == "0":
-        return BurnsideElement(lattice, ())
-    out: dict[int, int] = {}
-    sep = "\x1f"
-    for chunk in text.replace("- ", sep + "-").replace("+ ", sep + "+").split(sep):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        sign = -1 if chunk.startswith("-") else 1
-        body = chunk.lstrip("+- ").strip()
-        mag = 1
-        if not body.startswith("("):
-            digits = body[:body.index("(")]
-            mag = int(digits)
-            body = body[body.index("("):]
-        cid = lattice.class_id_by_label(body)
-        out[cid] = out.get(cid, 0) + sign * mag
-    return BurnsideElement.from_dict(lattice, out)

@@ -142,13 +142,6 @@ def cutoff(spec: LinearizationSpec) -> int:
     return kstar
 
 
-def cutoff_certificate(spec: LinearizationSpec, kstar: int) -> bool:
-    """True iff the bound proves xi_{k,l} > 0 for every k > kstar."""
-    k = kstar + 1
-    return all(1 - (1 + spec.abs_mu_sum(l)) / (1 + k * k) > 0
-               for l in spec.components)
-
-
 @dataclass(frozen=True)
 class SpectralSummary:
     spec: LinearizationSpec

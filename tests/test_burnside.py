@@ -1,18 +1,12 @@
-"""Burnside ring: module structure, products, recurrence, finite oracle."""
+"""Burnside ring: module structure, products, recurrence, finite oracle
+(tests/oracles.py)."""
 
 import numpy as np
 import pytest
 
+from oracles import brute_orbit_product, finite_product, parse_rendered, reconstruct
 from revdeg import burnside as br
-from revdeg.burnside import (
-    BurnsideElement,
-    InconsistentDegreeData,
-    brute_orbit_product,
-    finite_product,
-    reconstruct,
-    recurrence,
-    unit,
-)
+from revdeg.burnside import BurnsideElement, InconsistentDegreeData, recurrence, unit
 from revdeg.groups import (
     direct_product,
     gamma_z2_subgroups,
@@ -35,9 +29,9 @@ def test_module_ops(lat):
     e = br.generator(lat, 1)
     zero = BurnsideElement(lat, ())
     assert (e + zero).coeffs == e.coeffs
-    assert (e - e).is_zero()
-    assert e.scale(2).coeff(1) == 2
-    assert e.scale(0).is_zero()
+    assert (e - e).coeffs == ()
+    assert (e + e).as_dict() == {1: 2}
+    assert (-e).as_dict() == {1: -1}
 
 
 def test_unit_is_identity(lat):
@@ -87,7 +81,6 @@ def test_finite_oracle_spot_pairs():
 
 
 def test_render_parse_roundtrip(lat):
-    from revdeg.report import parse_rendered
     e = BurnsideElement.from_dict(lat, {0: 1, 1: -2})
     assert parse_rendered(lat, e.render()).coeffs == e.coeffs
-    assert parse_rendered(lat, BurnsideElement(lat, ()).render()).is_zero()
+    assert parse_rendered(lat, BurnsideElement(lat, ()).render()).coeffs == ()

@@ -8,8 +8,9 @@ from pathlib import Path
 
 import pytest
 
+from oracles import parse_labeled_element, parse_rendered
 from revdeg.config import ConfigError, example_config_text, load_example, parse_config
-from revdeg.report import parse_labeled_element, parse_rendered, run_analyze
+from revdeg.report import run_analyze
 
 
 def test_example_config_parses():
@@ -373,3 +374,58 @@ def test_cli_exactly_degenerate_mode_outside_the_exact_delay_counts(
     code = cli.main(["analyze", "--unsafe-skip-geometry", "--format", "machine", "--config", p])
     assert code == (10 if kind == "cyclic" else 0)
     assert "SignNotCertified" not in capsys.readouterr().err
+
+
+def _set(*path):
+    """An edit of a configuration's text: the value at path[:-1] set to
+    path[-1]."""
+    *keys, last, value = path
+
+    def edit(text):
+        raw = json.loads(text)
+        node = raw
+        for key in keys:
+            node = node[key]
+        node[last] = value
+        return json.dumps(raw)
+    return edit
+
+
+def _replace(old, new):
+    """An edit of a configuration's text, for values json.dumps does not
+    write (1e309)."""
+    return lambda text: text.replace(old, new)
+
+
+@pytest.mark.parametrize("edit,message", [
+    (_set("group", "n", True), "group.n must be an integer >= 1, got True"),
+    (_set("delays_m", True), "delays_m must be an integer >= 1, got True"),
+    (_set("representation", 0, "multiplicity", True),
+     "multiplicity for 'plane' must be an integer >= 0, got True"),
+    (_replace('"-3"', "NaN"), "mu row for 'plane' is not numeric and finite"),
+    (_replace('"-3"', "1e309"), "mu row for 'plane' is not numeric and finite"),
+    (_set("domain", "symmetry", 0), "domain.symmetry must be an integer >= 1, got 0"),
+    (_set("domain", "R", -1), "domain.R must be finite and > 0, got -1"),
+    (_replace('"R": 1.0', '"R": 1e309'), "domain.R must be finite and > 0, got inf"),
+    (_replace('"R": 1.0', '"R": NaN'), "domain.R must be finite and > 0, got nan"),
+    (_set("domain", "terms", 1, 3, "tan"),
+     "bad domain block: term kind must be 'cos' or 'sin', got 'tan'"),
+    (_set("domain", "star_shaped", False),
+     "domain.star_shaped must be true (the boundary is solved along rays), got False"),
+    (_set("family", False), "family must be true (omit domain to skip the geometry), got False"),
+    (_set("domain", "R", 0.5), "NotStarShaped: no sign change along theta = 0.0"),
+], ids=["n-true", "delays-true", "multiplicity-true", "mu-nan", "mu-inf", "symmetry-0",
+        "R-negative", "R-inf", "R-nan", "term-tan", "star-shaped-false", "family-false",
+        "R-inside-domain"])
+@pytest.mark.parametrize("command", ["analyze", "geometry-check", "figure-data"])
+def test_cli_bad_domain_and_integer_values_exit_30(tmp_path, capsys, command, edit, message):
+    # each of these exited 31 (an internal error) or ran on as if valid; the
+    # last is a valid configuration whose boundary the geometry cannot solve
+    from revdeg import cli
+
+    p = tmp_path / "config.json"
+    p.write_text(edit(example_config_text()))
+    assert cli.main([command, "--config", str(p)]) == 30
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert message in err

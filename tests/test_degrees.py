@@ -9,6 +9,7 @@ import pytest
 
 import numpy as np
 
+from oracles import d_sign_oracle
 from revdeg import burnside as br
 from revdeg.chars import as_int
 from revdeg.degrees import STAB_TOL, DegreeEngine, IncompleteLattice, _stabilizer_errors
@@ -120,7 +121,7 @@ def test_existence_analysis_certificates(engine8, natural):
     assert all(c.fold == 1 for c in rep.certificates)
     assert all(c.non_constant for c in rep.certificates)
     assert all(c.extended_orbit_type for c in rep.certificates)
-    assert rep.omega is not None and rep.omega.coeff(0) == 0
+    assert rep.omega is not None and rep.omega.as_dict().get(0, 0) == 0
 
 
 def test_no_negative_spectrum_gives_unit_degree(engine8, natural):
@@ -129,7 +130,7 @@ def test_no_negative_spectrum_gives_unit_degree(engine8, natural):
     assert summ.negative == ()
     deg = engine8.degree_of_linearization(summ)
     assert deg.labeled() == [("(G)", 1)]
-    assert engine8.omega(summ).is_zero()
+    assert engine8.omega(summ).coeffs == ()
     rep = engine8.existence_analysis(spec)
     assert rep.certificates == []
 
@@ -174,7 +175,7 @@ def test_sign_oracle_worked_example(engine8, natural):
             continue
         parity = sum(m * engine8.fixed_dim(k, l, cid)
                      for (k, l), m in summ.multiplicities.items() if m)
-        assert engine8.d_sign_oracle(spec, cid, summ) == (-1) ** parity
+        assert d_sign_oracle(engine8, spec, cid, summ) == (-1) ** parity
 
 
 def test_gamma_trivial_group(tmp_path):
@@ -238,7 +239,7 @@ def test_stabilizer_memo_keeps_ids_labels_and_classes(monkeypatch, kind, n, base
     assert lat.classes == lat_ref.classes
     for level in (lat.m_lo, lat.m_hi):
         for cid in range(len(lat.classes)):
-            assert lat._rep_at(cid, level) == lat_ref._rep_at(cid, level)
+            assert np.array_equal(lat._rep_array(cid, level), lat_ref._rep_array(cid, level))
 
 
 def test_unclosed_stabilizer_raises_on_every_visit(monkeypatch):

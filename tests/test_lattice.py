@@ -305,7 +305,7 @@ def test_orbit_lookup_matches_conjugacy(engine8, natural):
     rng = np.random.default_rng(11)
     for level in (lat.m_lo, lat.m_hi):
         g = lat.group_at(level)
-        reps = [lat._rep_at(cid, level) for cid in range(n_classes)]
+        reps = [tuple(lat._rep_array(cid, level).tolist()) for cid in range(n_classes)]
         for cid, rep in enumerate(reps):
             assert lat._find_class(rep, level) == cid
             for x in rng.integers(0, g.order, size=4):
@@ -454,7 +454,7 @@ def test_n_count_mask_matches_member_sets(engine8, natural):
     ids = range(len(lat.classes))
     for level in (lat.m_lo, lat.m_hi):
         for i in ids:
-            h = set(lat._rep_at(i, level))
+            h = set(lat._rep_array(i, level).tolist())
             for j in ids:
                 by_sets = sum(1 for c in lat._orbits[(j, level)].tolist() if h <= set(c))
                 assert lat._n_count_at(i, j, level) == by_sets
@@ -472,7 +472,7 @@ def assert_orbit_store(lat, rng):
             assert np.all(np.diff(rows, axis=1) > 0)
             as_tuples = [tuple(r) for r in rows.tolist()]
             assert as_tuples == sorted(set(as_tuples))
-            assert as_tuples[0] == lat._rep_at(cid, level)
+            assert as_tuples[0] == tuple(lat._rep_array(cid, level).tolist())
             for row in as_tuples:
                 shuffled = rng.permutation(row)
                 for members in (tuple(shuffled.tolist()), shuffled.tolist(),
@@ -501,16 +501,18 @@ def test_orbit_store_of_example_working_set(engine8, natural):
 
 def weyl_reference(lat, cid, level):
     """|N(rep)|/|rep| with the normalizer formed in the truncation at level:
-    the reference for _weyl_at, which reads orbit sizes."""
+    the reference for the Weyl order that conjugates_full reads from the
+    orbit size."""
     g = lat.group_at(level)
-    rep = lat._rep_at(cid, level)
+    rep = tuple(lat._rep_array(cid, level).tolist())
     return len(normalizer(g, SubgroupHandle(g, rep))) // len(rep)
 
 
 def assert_weyl_orders(lat):
     for cid in range(len(lat.classes)):
         for level in (lat.m_lo, lat.m_hi):
-            assert lat._weyl_at(cid, level) == weyl_reference(lat, cid, level)
+            weyl = lat.conjugates_full(lat._rep_array(cid, level), level)[1]
+            assert weyl == weyl_reference(lat, cid, level)
 
 
 @given(st.integers(0, len(GAMMAS) - 1), st.sampled_from([8, 16]), SUBGROUP_SEEDS,

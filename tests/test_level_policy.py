@@ -149,7 +149,7 @@ def test_cli_runs_odd_n_at_its_default_level(tmp_path, kind, n, irrep):
 
 
 def lattice_state(lat):
-    return (list(lat.classes), list(lat.labels), list(lat._weyl), dict(lat._level_weyl),
+    return (list(lat.classes), list(lat.labels), list(lat._weyl),
             {key: rows.tobytes() for key, rows in lat._orbits.items()},
             {lv: dict(index) for lv, index in lat._class_of.items()}, list(lat.escape_log))
 

@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import cutoff_certificate
 from revdeg.spectra import (
     LinearizationSpec,
     ReversibilityError,
     analysed_modes,
-    cutoff_certificate,
     degenerate_fold_search,
     mode_sum,
     spectral_summary,
