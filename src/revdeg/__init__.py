@@ -27,7 +27,6 @@ from .geometry import (
 from .groups import (
     FiniteGroup,
     SubgroupClass,
-    SubgroupHandle,
     direct_product,
     gamma_z2_subgroups,
     make_cyclic,
@@ -44,7 +43,7 @@ __all__ = [
     "CharacterTable", "ClassLattice", "DegreeEngine", "DegreeReport",
     "DomainSpec", "FFamilySpec", "FiniteGroup", "LinearizationSpec", "O2Desc",
     "PolarTrigPolynomial", "ReportDocument", "SpectralSummary",
-    "SubgroupClass", "SubgroupHandle", "apriori_m", "apriori_m_log",
+    "SubgroupClass", "apriori_m", "apriori_m_log",
     "apriori_n", "boundary_radius", "character_table", "check_conditions",
     "circle_domain", "curvature", "direct_product", "gamma_z2_subgroups",
     "load_example", "make_cyclic", "make_dihedral", "make_gamma",

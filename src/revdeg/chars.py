@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import FiniteGroup, direct_product, make_cyclic, make_dihedral, make_gamma
+from .groups import FiniteGroup, direct_product, make_cyclic, make_gamma
 
 INT_TOL = 1e-8
 
@@ -56,7 +56,6 @@ def _rot(theta: float) -> np.ndarray:
 
 
 def _dihedral_irreps(n: int) -> list[Irrep]:
-    g = make_dihedral(n)
     order = 2 * n
     rot_pow = np.arange(order) % n
     is_refl = np.arange(order) >= n

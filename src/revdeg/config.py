@@ -80,6 +80,18 @@ def _true_field(raw: dict, name: str, why: str, problems: list[str],
         problems.append(f"{what or name} must be true ({why}), got {raw[name]!r}")
 
 
+def _block(raw: dict, name: str, default, problems: list[str]):
+    """raw[name], else default when the key is absent; a value that is not
+    of default's JSON type (an object or an array) is added to problems and
+    gives default."""
+    v = raw.get(name, default)
+    if not isinstance(v, type(default)):
+        kind = "an object" if isinstance(default, dict) else "an array"
+        problems.append(f"{name} must be {kind}, got {v!r}")
+        return default
+    return v
+
+
 def _parse_domain(d, n: int, problems: list[str]) -> DomainSpec | None:
     """The domain block's DomainSpec, None when it has a problem; symmetry
     defaults to n."""
@@ -110,16 +122,28 @@ def parse_config(text: str) -> AnalysisConfig:
         raw = json.loads(text)
     except json.JSONDecodeError as e:
         raise ConfigError([f"not valid JSON: {e}"]) from e
+    if not isinstance(raw, dict):
+        raise ConfigError([f"the configuration must be an object, got {raw!r}"])
 
-    kind = raw.get("group", {}).get("kind", "dihedral")
+    group = _block(raw, "group", {}, problems)
+    kind = group.get("kind", "dihedral")
     if kind not in ("dihedral", "cyclic"):
         problems.append(f"group.kind must be dihedral or cyclic, got {kind!r}")
-    n = int_field(raw.get("group", {}), "n", 0, 1, problems, "group.n")
+    n = int_field(group, "n", 0, 1, problems, "group.n")
     m = int_field(raw, "delays_m", 1, 1, problems)
 
     assignments = []
-    for entry in raw.get("representation", []):
+    for entry in _block(raw, "representation", [], problems):
+        if not isinstance(entry, dict):
+            problems.append(f"a representation entry must be an object, got {entry!r}")
+            continue
         label = entry.get("label", "?")
+        if not isinstance(label, str):
+            problems.append(f"a representation label must be a string, got {label!r}")
+            continue
+        if label in (a.label for a in assignments):
+            problems.append(f"representation label {label!r} is given to two entries")
+            continue
         sel = entry.get("irrep", "natural")
         mult = int_field(entry, "multiplicity", 1, 0, problems, f"multiplicity for {label!r}")
         if not isinstance(sel, str) or (sel not in ("gamma_trivial", "natural")
@@ -133,7 +157,7 @@ def parse_config(text: str) -> AnalysisConfig:
         problems.append("representation assignment is empty")
 
     mu = {}
-    for label, row in raw.get("mu", {}).items():
+    for label, row in _block(raw, "mu", {}, problems).items():
         try:
             vals = tuple(_to_number(x) for x in row)
         except (ValueError, TypeError):
@@ -179,24 +203,32 @@ def resolve_components(cfg: AnalysisConfig, table: CharacterTable) -> dict[str, 
     """Map user labels to internal minus-component indices (the order of
     chars.minus_irreps, which DegreeEngine shares).  An index past the
     group's minus components, or "natural" on a Gamma with no 2-dimensional
-    irrep (D1, D2, Z1, Z2), is a ConfigError."""
+    irrep (D1, D2, Z1, Z2), is a ConfigError, and so are two entries on one
+    component, whose mu rows the spectrum could not both hold."""
     out = {}
     count = len(minus_irreps(table))
     problems = []
     for a in cfg.assignments:
         if a.selector == "gamma_trivial":
-            out[a.label] = 0
+            comp = 0
         elif a.selector == "natural":
             try:
-                out[a.label] = natural_component(table)
+                comp = natural_component(table)
             except ValueError:
                 problems.append(f"irrep 'natural' for {a.label!r}: {cfg.group_kind}:"
                                 f"{cfg.group_n} has no 2-dimensional natural component")
+                continue
         else:
-            out[a.label] = int(a.selector.split(":", 1)[1])
-            if out[a.label] >= count:
+            comp = int(a.selector.split(":", 1)[1])
+            if comp >= count:
                 problems.append(f"irrep {a.selector!r} for {a.label!r}: "
                                 f"{cfg.group_kind}:{cfg.group_n} has {count} minus components")
+                continue
+        same = [label for label, c in out.items() if c == comp]
+        if same:
+            problems.append(f"representation entries {same[0]!r} and {a.label!r} are both "
+                            f"minus component {comp}; give one entry per component")
+        out[a.label] = comp
     if problems:
         raise ConfigError(problems)
     return out

@@ -276,7 +276,7 @@ class DegreeEngine:
         cid, o2 = lat.lookup(members, level)
         cyclic = o2.kind == "Z"
         if cid is None:
-            if len(closure(g, members).members) != len(members):
+            if len(closure(g, members)) != len(members):
                 raise IncompleteLattice("stabilizer not closed at tolerance")
             if not cyclic:
                 cid = lat.ensure_handle(members, level)
@@ -344,9 +344,6 @@ class DegreeEngine:
                         for (k, l), m in summary.multiplicities.items() if m)
             d[cid] = (-1) ** total
         return recurrence(d, lat)
-
-    def omega(self, summary: SpectralSummary) -> BurnsideElement:
-        return unit(self.lattice) - self.degree_of_linearization(summary)
 
     # -- parities and existence --------------------------------------------------
 

@@ -199,10 +199,11 @@ def _shaped(values: np.ndarray, theta):
     return float(values[0]) if np.ndim(theta) == 0 else values.reshape(np.shape(theta))
 
 
-def boundary_radius(spec: DomainSpec, theta, tol: float = 1e-12):
+def boundary_radius(spec: DomainSpec, theta):
     """Unique positive root of eta(., theta), by bisection plus Newton polish,
     solved for all angles at once; each angle stops bisecting when its own
-    bracket is narrower than 1e-15."""
+    bracket is narrower than 1e-15, and a root whose |eta| exceeds 1e-12
+    after the polish is refused."""
     th = _angles(theta)
     grid = spec.eta.at(th)
     lo = np.zeros(th.shape)
@@ -225,7 +226,7 @@ def boundary_radius(spec: DomainSpec, theta, tol: float = 1e-12):
         f, df = grid.derivative(0, 0, r), grid.derivative(1, 0, r)
         polishing &= df != 0
         r[polishing] -= f[polishing] / df[polishing]
-    bad = np.abs(grid.derivative(0, 0, r)) > tol
+    bad = np.abs(grid.derivative(0, 0, r)) > 1e-12
     if bad.any():
         raise NotStarShaped(f"root polish failed at theta = {th[bad][0]}")
     return _shaped(r, theta)

@@ -1,15 +1,14 @@
 """Finite group machinery: dihedral/cyclic groups, direct products, subgroups.
 
 Elements are indexed 0..order-1 with the identity at index 0.  Two kinds of
-group share one interface: ``mul``, ``inv`` and ``conjugate`` on ints or
-index arrays (broadcast like numpy), ``prepare`` for an operand used in many
+group share one interface: ``mul`` and ``conjugate`` on ints or index
+arrays (broadcast like numpy), ``prepare`` for an operand used in many
 products, an ``inverse`` array, ``generators``, and the conjugations by the
 generators stacked in one read-only int32 table of shape (len(generators),
 order), ``gen_conjugation_table``, whose row i is the permutation
-y -> x y x^-1 for x = generators[i].  ``gen_conjugations`` maps each
-generator to its row, a view of that table, and holds no second copy.
-Orbit walks conjugate by the generators over and over, so they read the
-table (``conjugate_members`` with x=None) in one gather per round.
+y -> x y x^-1 for x = generators[i]; it is the one store of them.  Orbit
+walks conjugate by the generators over and over, so they read the table
+(``conjugate_members`` with x=None) in one gather per round.
 
 - ``FiniteGroup`` keeps an explicit multiplication table.  The small groups
   (Gamma, Gamma x Z2, the groups of the tests) are built this way.
@@ -20,8 +19,9 @@ table (``conjugate_members`` with x=None) in one gather per round.
   Its ``conjugators`` solves x a x^-1 = b in each factor's conjugation
   table.
 
-Everything downstream (conjugacy classes of subgroups, normalizers, double
-cosets) works on integer index arrays through that interface, so the heavy
+A subgroup is the sorted tuple of its members' indices.  Everything
+downstream (conjugacy classes of subgroups, normalizers, double cosets)
+works on integer index arrays through that interface, so the heavy
 paths vectorize with numpy.  The subgroups of Gamma x Z2 are not searched
 for: Gamma is dihedral or cyclic, so they are written down in closed form
 by Goursat's lemma (gamma_z2_subgroups).
@@ -52,19 +52,13 @@ class FiniteGroup:
     inverse: np.ndarray
     generators: tuple[int, ...]
     gen_conjugation_table: np.ndarray = field(init=False, repr=False)
-    gen_conjugations: dict[int, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
-        table, rows = _gen_conjugations(self)
-        object.__setattr__(self, "gen_conjugation_table", table)
-        object.__setattr__(self, "gen_conjugations", rows)
+        object.__setattr__(self, "gen_conjugation_table", _gen_conjugations(self))
 
     def mul(self, a, b):
         """a*b for element indices or index arrays."""
         return self.table[a, b]
-
-    def inv(self, a):
-        return self.inverse[a]
 
     def conjugate(self, x, a):
         """x * a * x^-1."""
@@ -75,16 +69,16 @@ class FiniteGroup:
         return np.asarray(a)
 
 
-def _gen_conjugations(g) -> tuple[np.ndarray, dict[int, np.ndarray]]:
-    """g's read-only int32 table of the conjugations by its generators, and
-    each generator's row of it (a view).  The rows are filled one at a time,
-    so no temporary of the table's size is formed."""
+def _gen_conjugations(g) -> np.ndarray:
+    """g's read-only int32 table of the conjugations by its generators.  The
+    rows are filled one at a time, so no temporary of the table's size is
+    formed."""
     idx = np.arange(g.order)
     table = np.empty((len(g.generators), g.order), dtype=np.int32)
     for row, x in zip(table, g.generators):
         row[:] = g.conjugate(x, idx)
     table.setflags(write=False)
-    return table, dict(zip(g.generators, table))
+    return table
 
 
 def _finish(name: str, table: np.ndarray, generators: tuple[int, ...]) -> FiniteGroup:
@@ -155,9 +149,7 @@ class ProductGroup:
     and products and conjugates go through the factors' tables.  Conjugation
     by the generators is precomputed, as for FiniteGroup, in one read-only
     int32 table of shape (len(generators), order)
-    (``gen_conjugation_table``), and ``gen_conjugations`` maps a generator
-    to its row, a view of that table; ``conjugate`` by a single generator
-    reads its row.  Instances are compared by identity."""
+    (``gen_conjugation_table``).  Instances are compared by identity."""
 
     def __init__(self, a: FiniteGroup, b: FiniteGroup):
         nb = b.order
@@ -173,9 +165,7 @@ class ProductGroup:
         self._conj_b = b.conjugate(eb[:, None], eb)
         ia, ib = np.divmod(np.arange(self.order), nb)
         self.inverse = a.inverse[ia] * nb + b.inverse[ib]
-        # conjugate() looks generators up here, so the table starts empty
-        self.gen_conjugations: dict[int, np.ndarray] = {}
-        self.gen_conjugation_table, self.gen_conjugations = _gen_conjugations(self)
+        self.gen_conjugation_table = _gen_conjugations(self)
 
     def _split(self, a):
         return a if isinstance(a, _Parts) else divmod(a, self._nb)
@@ -189,13 +179,8 @@ class ProductGroup:
         (a1, a2), (b1, b2) = self._split(a), self._split(b)
         return self._mul_a[a1, b1] + self._mul_b[a2, b2]
 
-    def inv(self, a):
-        return self.inverse[a]
-
     def conjugate(self, x, a):
-        """x * a * x^-1; a generator x reads its precomputed permutation."""
-        if isinstance(x, (int, np.integer)) and x in self.gen_conjugations:
-            return self.gen_conjugations[x][a]
+        """x * a * x^-1."""
         (x1, x2), (a1, a2) = self._split(x), self._split(a)
         return self._conj_a[x1, a1] + self._conj_b[x2, a2]
 
@@ -229,23 +214,12 @@ Group = FiniteGroup | ProductGroup
 
 
 @dataclass(frozen=True)
-class SubgroupHandle:
-    """A subgroup of ``group`` as a sorted tuple of element indices."""
-
-    group: Group
-    members: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-
-@dataclass(frozen=True)
 class SubgroupClass:
     """A conjugacy class of subgroups.  ``conjugates`` holds every member of
     the class as a sorted member tuple, in increasing order, so a class can
     be found by looking up any of its subgroups."""
 
-    representative: SubgroupHandle
+    representative: tuple[int, ...]
     class_id: int
     weyl_order: int
     conjugates: tuple[tuple[int, ...], ...]
@@ -256,8 +230,9 @@ class SubgroupClass:
         return len(self.conjugates)
 
 
-def closure(g: Group, seed) -> SubgroupHandle:
-    """Subgroup generated by ``seed`` (iterable of element indices).
+def closure(g: Group, seed) -> tuple[int, ...]:
+    """Subgroup generated by ``seed`` (iterable of element indices), as
+    sorted members.
 
     The least seed element outside the subgroup so far joins the generators
     with its repeated squares (so every power of it is a product of at most
@@ -284,7 +259,7 @@ def closure(g: Group, seed) -> SubgroupHandle:
             fresh &= ~in_h
             in_h |= fresh
             frontier, ops = np.flatnonzero(fresh), g.prepare(gens)
-    return SubgroupHandle(g, tuple(np.flatnonzero(in_h).tolist()))
+    return tuple(np.flatnonzero(in_h).tolist())
 
 
 def conjugate_members(g: Group, x: int | None, members) -> np.ndarray:
@@ -323,9 +298,9 @@ def orbit_walk(g: Group, start) -> np.ndarray:
     return np.concatenate(found)
 
 
-def subgroup_conjugates(g: Group, h: SubgroupHandle) -> list[tuple[int, ...]]:
-    """All distinct conjugates of h, as sorted member tuples."""
-    return sorted(map(tuple, orbit_walk(g, h.members).tolist()))
+def subgroup_conjugates(g: Group, h) -> list[tuple[int, ...]]:
+    """All distinct conjugates of h (members), as sorted member tuples."""
+    return sorted(map(tuple, orbit_walk(g, h).tolist()))
 
 
 def _right_coset_least(g: Group, h_members) -> np.ndarray:
@@ -348,10 +323,11 @@ def _right_coset_least(g: Group, h_members) -> np.ndarray:
     return least
 
 
-def normalizer(g: Group, h: SubgroupHandle) -> SubgroupHandle:
-    """{x : xHx^-1 = H}.  N(H) is a union of right cosets Hx, so one x per
-    coset is tested; xHx^-1 has |H| elements, so inside H means equal to H."""
-    m = np.asarray(h.members, dtype=np.int64)
+def normalizer(g: Group, h) -> tuple[int, ...]:
+    """{x : xHx^-1 = H} for H given by its members, as sorted members.
+    N(H) is a union of right cosets Hx, so one x per coset is tested;
+    xHx^-1 has |H| elements, so inside H means equal to H."""
+    m = np.asarray(h, dtype=np.int64)
     in_h = np.zeros(g.order, dtype=bool)
     in_h[m] = True
     least = _right_coset_least(g, m)
@@ -359,10 +335,11 @@ def normalizer(g: Group, h: SubgroupHandle) -> SubgroupHandle:
     conj = g.conjugate(reps[:, None], m)
     normal = np.zeros(g.order, dtype=bool)
     normal[reps[in_h[conj].all(axis=1)]] = True
-    return SubgroupHandle(g, tuple(np.flatnonzero(normal[least]).tolist()))
+    return tuple(np.flatnonzero(normal[least]).tolist())
 
 
-def weyl_order(g: Group, h: SubgroupHandle) -> int:
+def weyl_order(g: Group, h) -> int:
+    """|N(H)| / |H| for H given by its members."""
     n = normalizer(g, h)
     q, r = divmod(len(n), len(h))
     assert r == 0
@@ -411,10 +388,10 @@ def subgroup_classes(g: Group, subgroups) -> list[SubgroupClass]:
     for mem in subs:  # sorted, so a class's first subgroup is its lex-min
         if mem not in remaining:
             continue
-        h, cid = SubgroupHandle(g, mem), len(out)
-        conjs = tuple(subgroup_conjugates(g, h))
+        cid = len(out)
+        conjs = tuple(subgroup_conjugates(g, mem))
         remaining.difference_update(conjs)
-        out.append(SubgroupClass(h, cid, weyl_order(g, h), conjs, f"o{len(mem)}c{cid}"))
+        out.append(SubgroupClass(mem, cid, weyl_order(g, mem), conjs, f"o{len(mem)}c{cid}"))
     return out
 
 

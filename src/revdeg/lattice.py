@@ -49,7 +49,6 @@ from .groups import (
     FiniteGroup,
     ProductGroup,
     SubgroupClass,
-    SubgroupHandle,
     coset_intersections,
     direct_product,
     gamma_z2_subgroups,
@@ -61,7 +60,7 @@ from .groups import (
     subgroup_classes,
     subgroup_conjugates,
 )
-from .names import names_for_gamma_z2
+from .names import gamma_z2_subgroup_name
 
 
 class TruncationInstability(RuntimeError):
@@ -139,12 +138,12 @@ def trunc_group(gamma_z2: FiniteGroup, m: int) -> ProductGroup:
 
 def gamma_z2_classes(kind: str, n: int) -> tuple[FiniteGroup, list[SubgroupClass], list[str]]:
     """Gamma x Z2, its subgroup classes and the printed name of each class
-    (names_for_gamma_z2 where it has one, else the class's own name)."""
+    (gamma_z2_subgroup_name for a dihedral Gamma, else the class's own name)."""
     gz = direct_product(make_gamma(kind, n), make_cyclic(2))
     classes = subgroup_classes(gz, gamma_z2_subgroups(kind, n))
-    names = names_for_gamma_z2(n if kind == "dihedral" else None,
-                               [c.representative.members for c in classes])
-    return gz, classes, [names.get(c.representative.members, c.name) for c in classes]
+    if kind == "dihedral":
+        return gz, classes, [gamma_z2_subgroup_name(n, c.representative) for c in classes]
+    return gz, classes, [c.name for c in classes]
 
 
 def row_order(rows: np.ndarray) -> np.ndarray:
@@ -164,7 +163,10 @@ class ClassLattice:
     """
 
     def __init__(self, kind: str, n: int, base_level: int):
-        self.gamma_z2, self._finite_classes, self._finite_names = gamma_z2_classes(kind, n)
+        self.gamma_z2, classes, names = gamma_z2_classes(kind, n)
+        # every subgroup of Gamma x Z2, as sorted members -> its class's name
+        self._finite_names = {conj: name for c, name in zip(classes, names)
+                              for conj in c.conjugates}
         self.ng = self.gamma_z2.order
         if base_level < 4 or base_level % 4 != 0:
             raise InadmissibleLevel(f"base level {base_level} must be a positive multiple of 4")
@@ -172,9 +174,6 @@ class ClassLattice:
         self.m_hi = 2 * base_level
         self.group_lo = trunc_group(self.gamma_z2, self.m_lo)
         self.group_hi = trunc_group(self.gamma_z2, self.m_hi)
-        # every subgroup of Gamma x Z2, as sorted members -> its class id
-        self._finite_class_of = {conj: c.class_id for c in self._finite_classes
-                                 for conj in c.conjugates}
         self.classes: list[AmalgamData] = []
         self.labels: list[str] = []
         # (class id, level) -> the class's full-group orbit at level, as
@@ -324,16 +323,10 @@ class ClassLattice:
 
     # -- class interning -----------------------------------------------------
 
-    def _finite_class_id(self, mem: tuple[int, ...]) -> int:
-        """Id of the Gamma x Z2 class holding the subgroup with sorted
-        members mem: one lookup among every class's conjugates."""
-        cid = self._finite_class_of.get(mem)
-        if cid is None:
-            raise RuntimeError("projection is not a subgroup of Gamma x Z2")
-        return cid
-
     def finite_class_name(self, mem) -> str:
-        return self._finite_names[self._finite_class_id(tuple(int(v) for v in sorted(mem)))]
+        """Printed name of the Gamma x Z2 class holding the subgroup with
+        members mem."""
+        return self._finite_names[tuple(int(v) for v in sorted(mem))]
 
     def ensure_handle(self, members, level: int) -> int:
         """Intern the class of a truncated subgroup; returns its class id."""
@@ -404,13 +397,13 @@ class ClassLattice:
         if kind in ("O2", "SO2"):
             fibres = [f for f in (data.rot_all, data.refl_all) if f]
             n_prime = set.intersection(
-                *(set(normalizer(k, SubgroupHandle(k, f)).members) for f in fibres))
+                *(set(normalizer(k, f)) for f in fibres))
             w = len(n_prime) // len(data.rot_all)
             return 2 * w if kind == "SO2" else w
         level = 2 * data.o2.fold
         g = trunc_group(k, level)
         members = self._axis_zero(data, level)
-        return len(normalizer(g, SubgroupHandle(g, members))) // len(members)
+        return len(normalizer(g, members)) // len(members)
 
     def exact_n_count(self, i: int, j: int) -> int:
         """n(S, L) for S = class i, L = class j: the number of conjugates of L
@@ -442,7 +435,7 @@ class ClassLattice:
         level = 2 * l.o2.fold
         g = trunc_group(k, level)
         h = set(self._axis_zero(s, level))
-        conjs = subgroup_conjugates(g, SubgroupHandle(g, self._axis_zero(l, level)))
+        conjs = subgroup_conjugates(g, self._axis_zero(l, level))
         return sum(1 for c in conjs if h <= set(c))
 
     def _axis_zero(self, data: AmalgamData, level: int) -> tuple[int, ...]:

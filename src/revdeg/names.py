@@ -1,6 +1,6 @@
 """Printable names for subgroup classes of dihedral groups and of Gamma x Z2.
 
-The D8 x Z2 table reproduces the published 38-name convention (Z1, Z2, D1tz,
+The D8 x Z2 names reproduce the published 38-name convention (Z1, Z2, D1tz,
 ..., D8p).  Plain subgroups H x 1 carry the dihedral name of H, H x Z2 gets a
 "p" suffix, and twisted diagonals {(h, phi(h))} are named from the pair
 (projection, kernel).  Groups outside this family fall back to systematic
@@ -8,14 +8,6 @@ order-index names.
 """
 
 from __future__ import annotations
-
-D8XZ2_NAME_LIST = [
-    "Z1", "Z2", "D1tz", "D1t", "D1z", "Z1p", "Z2m", "D1", "D2", "Z4d",
-    "D2z", "Z2p", "D2td", "D1tp", "D1p", "Z4", "D2t", "D2tz", "D2d",
-    "Z4p", "D4tz", "D4t", "D4", "D2p", "Z8", "D4td", "D4d", "D2tp",
-    "D4z", "Z8d", "D4dh", "D8", "Z8p", "D8z", "D4p", "D8d", "D4tp", "D8p",
-]
-
 
 def dihedral_subgroup_name(n: int, members) -> str:
     """Name of a subgroup of the dihedral group of order 2n (class invariant).
@@ -35,7 +27,7 @@ def dihedral_subgroup_name(n: int, members) -> str:
     return f"D{k}"
 
 
-def _diagonal_name(n: int, proj_name: str, kernel_name: str, proj_members) -> str:
+def _diagonal_name(n: int, proj_name: str, kernel_name: str) -> str:
     """Name for a twisted diagonal {(h, phi(h))} <= Gamma x Z2 with Gamma = D{n}."""
     if proj_name.startswith("Z"):
         d = int(proj_name[1:])
@@ -61,15 +53,4 @@ def gamma_z2_subgroup_name(n: int, members) -> str:
         return proj_name + "p"
     kernel = sorted(i // 2 for i in members if i % 2 == 0)
     kernel_name = dihedral_subgroup_name(n, kernel)
-    return _diagonal_name(n, proj_name, kernel_name, gamma_part)
-
-
-def names_for_gamma_z2(gamma_order_param: int | None,
-                       subgroup_members) -> dict[tuple[int, ...], str]:
-    """Names for the given subgroups of a D{n} x Z2 product, or {} if unsupported."""
-    if gamma_order_param is None:
-        return {}
-    out = {}
-    for mem in subgroup_members:
-        out[tuple(mem)] = gamma_z2_subgroup_name(gamma_order_param, mem)
-    return out
+    return _diagonal_name(n, proj_name, kernel_name)

@@ -53,8 +53,8 @@ def finite_product(g: FiniteGroup, classes: list[SubgroupClass],
     """(H_i)*(H_j) in A(g) by double-coset counting (all Weyl groups finite)."""
     class_of = {conj: c.class_id for c in classes for conj in c.conjugates}
     out: dict[int, int] = {}
-    for inter in coset_intersections(g, classes[i].representative.members,
-                                     classes[j].representative.members):
+    for inter in coset_intersections(g, classes[i].representative,
+                                     classes[j].representative):
         cid = class_of[tuple(inter.tolist())]
         out[cid] = out.get(cid, 0) + 1
     return out
@@ -64,8 +64,8 @@ def brute_orbit_product(g: FiniteGroup, classes: list[SubgroupClass],
                         i: int, j: int) -> dict[int, int]:
     """(H_i)*(H_j) by direct orbit partition of G/H_i x G/H_j."""
     class_of = {conj: c.class_id for c in classes for conj in c.conjugates}
-    act_i, reps_i = _coset_action(g, classes[i].representative.members)
-    act_j, reps_j = _coset_action(g, classes[j].representative.members)
+    act_i, reps_i = _coset_action(g, classes[i].representative)
+    act_j, reps_j = _coset_action(g, classes[j].representative)
     ni, nj = act_i.shape[1], act_j.shape[1]
     seen = np.zeros(ni * nj, dtype=bool)
     out: dict[int, int] = {}

@@ -162,7 +162,7 @@ def _working_set(engine, natural):
     deg[V(1,1)] and omega are computed."""
     engine.basic_degree(0, natural)
     engine.basic_degree(1, natural)
-    engine.omega(spectral_summary(_mu_example(natural)))
+    engine.existence_analysis(_mu_example(natural))
     lat = engine.lattice
     return [c for c in range(len(lat.classes)) if lat.finite_weyl(c)]
 
@@ -234,10 +234,10 @@ def test_criterion_2b_deg11_honest(engine8, natural):
 def test_criterion_3_omega_published(engine8, natural):
     t0 = time.monotonic()
     summ1 = spectral_summary(_mu_example(natural))
-    om1 = engine8.omega(summ1)
+    om1 = engine8.existence_analysis(summ1.spec, summ1).omega
     spec2 = LinearizationSpec(4, {natural: (F(-5, 2), F(1, 4), F(1, 2), F(1, 4))},
                               {natural: 1})
-    om2 = engine8.omega(spectral_summary(spec2))
+    om2 = engine8.existence_analysis(spec2).omega
     dt = time.monotonic() - t0
     assert dt <= 60.0
     assert om1.coeffs == om2.coeffs, "omega must be mu-independent in the region"
@@ -252,7 +252,7 @@ def test_criterion_3_omega_published(engine8, natural):
 
 
 def test_criterion_3b_omega_honest(engine8, natural):
-    om = engine8.omega(spectral_summary(_mu_example(natural)))
+    om = engine8.existence_analysis(_mu_example(natural)).omega
     got = dict(om.labeled())
     ok = got == OMEGA_HONEST and len(got) == 16
     _line("3b", ok, "honest sixteen-term omega pinned, mu-independent")

@@ -93,6 +93,19 @@ def test_cli_group_info_matches_recorded_output():
     assert r.stdout == want
 
 
+def test_cli_group_info_on_a_cyclic_gamma_matches_recorded_output(tmp_path):
+    # Z6: a cyclic Gamma, whose classes keep their own o<order>c<id> names
+    from revdeg import cli
+
+    p, out = tmp_path / "z6.json", tmp_path / "group_info.txt"
+    p.write_text(json.dumps({
+        "group": {"kind": "cyclic", "n": 6}, "delays_m": 1,
+        "representation": [{"label": "p", "irrep": "natural", "multiplicity": 1}],
+        "mu": {"p": ["-3"]}}))
+    assert cli.main(["group-info", "--config", str(p), "--out", str(out)]) == 0
+    assert out.read_text() == (Path(__file__).parent / "data" / "group_info_z6.txt").read_text()
+
+
 def test_python_dash_m_revdeg():
     r = subprocess.run([sys.executable, "-m", "revdeg", "group-info", "--config", "example"],
                        capture_output=True, text=True)
@@ -319,6 +332,42 @@ def test_cli_bad_config_values_exit_30(tmp_path, capsys, key, value, message):
     err = capsys.readouterr().err
     assert err.startswith("invalid configuration:")
     assert message in err
+
+
+@pytest.mark.parametrize("text,message", [
+    ("[]", "the configuration must be an object, got []"),
+    ('{"group": []}', "group must be an object, got []"),
+    ('{"representation": ["natural"]}',
+     "a representation entry must be an object, got 'natural'"),
+    ('{"mu": []}', "mu must be an object, got []"),
+], ids=["top-level", "group", "representation-entry", "mu"])
+def test_cli_non_object_config_blocks_exit_30(tmp_path, capsys, text, message):
+    # each of these exited 31 with an AttributeError
+    from revdeg import cli
+
+    p = tmp_path / "config.json"
+    p.write_text(text)
+    assert cli.main(["analyze", "--unsafe-skip-geometry", "--config", str(p)]) == 30
+    err = capsys.readouterr().err
+    assert err.startswith("invalid configuration:")
+    assert message in err
+
+
+def test_cli_two_entries_on_one_component_exit_30(tmp_path, capsys):
+    # both labels resolve to D4's natural component; the spectrum kept only
+    # the last entry's mu row and exited 10
+    from revdeg import cli
+
+    p = tmp_path / "config.json"
+    p.write_text(json.dumps({
+        "group": {"kind": "dihedral", "n": 4}, "delays_m": 1,
+        "representation": [{"label": "a", "irrep": "natural", "multiplicity": 1},
+                           {"label": "b", "irrep": "natural", "multiplicity": 1}],
+        "mu": {"a": ["-3"], "b": ["5"]}}))
+    assert cli.main(["analyze", "--unsafe-skip-geometry", "--config", str(p)]) == 30
+    err = capsys.readouterr().err
+    assert err.startswith("invalid configuration:")
+    assert "representation entries 'a' and 'b' are both minus component" in err
 
 
 def _one_entry_config(tmp_path, kind, n, m, irrep, mu):

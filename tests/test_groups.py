@@ -8,7 +8,6 @@ import pytest
 from conjugacy import is_conjugate
 from revdeg.groups import (
     InvalidGroupParameter,
-    SubgroupHandle,
     _right_coset_least,
     closure,
     conjugate_members,
@@ -25,7 +24,15 @@ from revdeg.groups import (
     weyl_order,
 )
 from revdeg.lattice import trunc_group
-from revdeg.names import D8XZ2_NAME_LIST, gamma_z2_subgroup_name
+from revdeg.names import gamma_z2_subgroup_name
+
+# the published names of the 38 subgroup classes of D8 x Z2
+D8XZ2_NAME_LIST = [
+    "Z1", "Z2", "D1tz", "D1t", "D1z", "Z1p", "Z2m", "D1", "D2", "Z4d",
+    "D2z", "Z2p", "D2td", "D1tp", "D1p", "Z4", "D2t", "D2tz", "D2d",
+    "Z4p", "D4tz", "D4t", "D4", "D2p", "Z8", "D4td", "D4d", "D2tp",
+    "D4z", "Z8d", "D4dh", "D8", "Z8p", "D8z", "D4p", "D8d", "D4tp", "D8p",
+]
 
 
 def d8xz2():
@@ -83,7 +90,7 @@ def orbit_walk_reference(g, start):
 
 def containment_count(g, h, kclass) -> int:
     """Number of conjugates of kclass's representative that contain h."""
-    hset = set(h.members)
+    hset = set(h)
     return sum(1 for c in subgroup_conjugates(g, kclass.representative)
                if hset <= set(c))
 
@@ -133,7 +140,7 @@ def all_subgroups_reference(g):
     """Every subgroup of g by bottom-up closure from cyclic subgroups, one
     ``closure`` call per (subgroup, cyclic subgroup) pair: the reference for
     gamma_z2_subgroups, which writes them down in closed form."""
-    cyclics = {closure(g, [a]).members for a in range(g.order)}
+    cyclics = {closure(g, [a]) for a in range(g.order)}
     found, frontier = set(cyclics), set(cyclics)
     while frontier:
         new = set()
@@ -141,7 +148,7 @@ def all_subgroups_reference(g):
             for c in cyclics:
                 if set(c) <= set(mem):
                     continue
-                ext = closure(g, mem + c).members
+                ext = closure(g, mem + c)
                 if ext not in found:
                     new.add(ext)
         found |= new
@@ -194,7 +201,7 @@ def test_subgroup_classes_match_reference(kind, n):
     g, subs = gamma_z2_and_subgroups(kind, n)
     classes = subgroup_classes(g, subs[::-1])
     want = subgroup_classes_reference(g, subs)
-    assert [(c.representative.members, c.class_id, c.weyl_order, c.conjugates, c.name)
+    assert [(c.representative, c.class_id, c.weyl_order, c.conjugates, c.name)
             for c in classes] == want
     assert [c.n_conjugates for c in classes] == [len(w[3]) for w in want]
 
@@ -218,20 +225,20 @@ def test_subgroup_classes_d8xz2_count():
 
 
 def test_subgroup_classes_deterministic():
-    a = [c.representative.members for c in d8xz2_classes()]
-    b = [c.representative.members for c in d8xz2_classes()]
+    a = [c.representative for c in d8xz2_classes()]
+    b = [c.representative for c in d8xz2_classes()]
     assert a == b
 
 
 def test_weyl_orders():
     g = make_dihedral(8)
-    whole = SubgroupHandle(g, tuple(range(16)))
-    trivial = SubgroupHandle(g, (0,))
+    whole = tuple(range(16))
+    trivial = (0,)
     assert weyl_order(g, whole) == 1
     assert weyl_order(g, trivial) == 16
     refl = closure(g, [8])  # <s>
     assert weyl_order(g, refl) == 2
-    assert normalizer(g, refl).members == (0, 4, 8, 12)
+    assert normalizer(g, refl) == (0, 4, 8, 12)
 
 
 def test_lagrange_and_closure_invariants():
@@ -262,7 +269,7 @@ def test_containment_counts():
     g = make_dihedral(8)
     classes = subgroup_classes(g, all_subgroups_reference(g))
     whole = [c for c in classes if len(c.representative) == 16][0]
-    trivial_h = SubgroupHandle(g, (0,))
+    trivial_h = (0,)
     for c in classes:
         assert containment_count(g, c.representative, whole) == 1
     # n(trivial, (K)) = number of conjugates of K
@@ -293,7 +300,7 @@ def test_containment_constant_on_class():
 
 
 def test_d8xz2_names_match_published_list():
-    names = {gamma_z2_subgroup_name(8, c.representative.members) for c in d8xz2_classes()}
+    names = {gamma_z2_subgroup_name(8, c.representative) for c in d8xz2_classes()}
     assert names == set(D8XZ2_NAME_LIST)
     assert len(names) == 38
 
@@ -302,30 +309,30 @@ def test_d8xz2_specific_names():
     g = d8xz2()
     # element index = gamma*2 + z2; gamma: rotations 0..7, reflections 8..15
     z2m = closure(g, [4 * 2 + 1])          # <(r^4, -1)>
-    assert gamma_z2_subgroup_name(8, z2m.members) == "Z2m"
+    assert gamma_z2_subgroup_name(8, z2m) == "Z2m"
     z1p = closure(g, [1])                  # <(1, -1)>
-    assert gamma_z2_subgroup_name(8, z1p.members) == "Z1p"
+    assert gamma_z2_subgroup_name(8, z1p) == "Z1p"
     d2d = closure(g, [8 * 2, 4 * 2 + 1])   # <(s,1), (r^4,-1)>
-    assert gamma_z2_subgroup_name(8, d2d.members) == "D2d"
+    assert gamma_z2_subgroup_name(8, d2d) == "D2d"
     d2td = closure(g, [9 * 2, 4 * 2 + 1])  # <(rs,1), (r^4,-1)>
-    assert gamma_z2_subgroup_name(8, d2td.members) == "D2td"
-    d8p = SubgroupHandle(g, tuple(range(32)))
-    assert gamma_z2_subgroup_name(8, d8p.members) == "D8p"
+    assert gamma_z2_subgroup_name(8, d2td) == "D2td"
+    d8p = tuple(range(32))
+    assert gamma_z2_subgroup_name(8, d8p) == "D8p"
     d4dh = closure(g, [2 * 2, 9 * 2, 8 * 2 + 1])  # <(r^2,1),(rs,1),(s,-1)>
-    assert gamma_z2_subgroup_name(8, d4dh.members) == "D4dh"
+    assert gamma_z2_subgroup_name(8, d4dh) == "D4dh"
     z8d = closure(g, [1 * 2 + 1])          # <(r,-1)>
-    assert gamma_z2_subgroup_name(8, z8d.members) == "Z8d"
+    assert gamma_z2_subgroup_name(8, z8d) == "Z8d"
 
 
 def test_double_cosets_partition():
     # cosets rebuilt from the returned representatives: they partition G and
     # each representative is the least element of its double coset
     d8, gz = make_dihedral(8), d8xz2()
-    cases = [(d8, closure(d8, [8]).members, closure(d8, [4, 8]).members),
-             (gz, closure(gz, [2 * 8]).members, closure(gz, [2 * 2, 2 * 9 + 1]).members),
-             (gz, closure(gz, [1]).members, (0,)),
-             (gz, closure(gz, [2]).members, closure(gz, [2 * 8, 1]).members),
-             (gz, closure(gz, [2 * 4, 2 * 8, 1]).members, closure(gz, [2 * 9]).members)]
+    cases = [(d8, closure(d8, [8]), closure(d8, [4, 8])),
+             (gz, closure(gz, [2 * 8]), closure(gz, [2 * 2, 2 * 9 + 1])),
+             (gz, closure(gz, [1]), (0,)),
+             (gz, closure(gz, [2]), closure(gz, [2 * 8, 1])),
+             (gz, closure(gz, [2 * 4, 2 * 8, 1]), closure(gz, [2 * 9]))]
     for g, h, k in cases:
         h, k = np.asarray(h), np.asarray(k)
         reps = double_cosets(g, h, k)
@@ -345,7 +352,7 @@ def test_closure_is_idempotent_and_lagrange(n, seed):
     g = make_dihedral(n)
     seed = [s % g.order for s in seed]
     h = closure(g, seed)
-    assert closure(g, h.members).members == h.members
+    assert closure(g, h) == h
     assert g.order % len(h) == 0
 
 
@@ -355,10 +362,10 @@ def test_normalizer_matches_brute_force(n, seed):
     g = direct_product(make_dihedral(n), make_cyclic(2))
     h = closure(g, [s % g.order for s in seed])
     brute = tuple(x for x in range(g.order)
-                  if tuple(sorted(g.conjugate(x, a) for a in h.members)) == h.members)
-    assert normalizer(g, h).members == brute
-    least = [min(g.mul(a, y) for a in h.members) for y in range(g.order)]
-    assert _right_coset_least(g, h.members).tolist() == least
+                  if tuple(sorted(g.conjugate(x, a) for a in h)) == h)
+    assert normalizer(g, h) == brute
+    least = [min(g.mul(a, y) for a in h) for y in range(g.order)]
+    assert _right_coset_least(g, h).tolist() == least
 
 
 def test_normalizer_and_right_cosets_on_every_subgroup():
@@ -370,7 +377,7 @@ def test_normalizer_and_right_cosets_on_every_subgroup():
         assert _right_coset_least(g, mem).tolist() == least
         brute = tuple(x for x in range(g.order)
                       if tuple(sorted(g.conjugate(x, a) for a in mem)) == mem)
-        assert normalizer(g, SubgroupHandle(g, mem)).members == brute
+        assert normalizer(g, mem) == brute
 
 
 GAMMAS = [make_dihedral(n) for n in range(1, 7)] + [make_cyclic(n) for n in range(1, 7)]
@@ -392,13 +399,11 @@ def test_truncation_group_matches_dense_product(gamma, m, seed):
     assert np.array_equal(g.mul(g.prepare(idx[:, None]), g.prepare(idx)), dense.table)
     assert np.array_equal(g.inverse, dense.inverse)
     assert np.array_equal(g.conjugate(idx[:, None], idx), dense.conjugate(idx[:, None], idx))
-    assert sorted(g.gen_conjugations) == sorted(g.generators)
-    for x, perm in g.gen_conjugations.items():
+    for x, perm in zip(g.generators, g.gen_conjugation_table):
         assert np.array_equal(perm, dense.conjugate(x, idx))
-        assert np.array_equal(g.conjugate(x, idx), perm)
     check_group_axioms(g)
     seed = [s % g.order for s in seed]
-    assert closure(g, seed).members == closure(dense, seed).members
+    assert closure(g, seed) == closure(dense, seed)
 
 
 def test_orbit_walk_matches_per_member_reference():
@@ -415,7 +420,7 @@ def test_orbit_walk_matches_per_member_reference():
             g = trunc_group(gz, m)
             for _ in range(20):
                 seed = rng.integers(0, g.order, size=rng.integers(1, 3)).tolist()
-                cases.append((g, closure(g, seed).members))
+                cases.append((g, closure(g, seed)))
     for g, mem in cases:
         rows = orbit_walk(g, mem[::-1])
         want = orbit_walk_reference(g, mem)
@@ -429,15 +434,13 @@ def test_orbit_walk_matches_per_member_reference():
     trunc_group(direct_product(make_dihedral(5), make_cyclic(2)), 8)],
     ids=lambda g: g.name)
 def test_generator_conjugations_are_views_of_one_table(g):
-    # one read-only int32 table, a row per generator in generator order;
-    # gen_conjugations holds views of its rows, not copies
+    # one read-only int32 table, a row per generator in generator order
     table, idx = g.gen_conjugation_table, np.arange(g.order)
     assert table.dtype == np.int32 and table.shape == (len(g.generators), g.order)
     assert not table.flags.writeable
-    assert list(g.gen_conjugations) == list(g.generators)
-    for i, (x, row) in enumerate(g.gen_conjugations.items()):
-        assert row.base is table and np.shares_memory(row, table[i])
+    for x, row in zip(g.generators, table):
         assert np.array_equal(row, g.conjugate(np.full(g.order, x), idx))
+        assert np.array_equal(row, g.conjugate(x, idx))
         assert np.array_equal(conjugate_members(g, x, idx[:, None]).ravel(), row)
     assert np.array_equal(conjugate_members(g, None, idx[:, None])[..., 0], table)
 
@@ -469,7 +472,7 @@ def test_double_cosets_meeting_match_definition():
     rng = np.random.default_rng(3)
     modes = set()
     for g in (dense, trunc):
-        subs = [closure(g, rng.integers(0, g.order, size=rng.integers(0, 3)).tolist()).members
+        subs = [closure(g, rng.integers(0, g.order, size=rng.integers(0, 3)).tolist())
                 for _ in range(12)]
         for h in subs:
             for k in subs:

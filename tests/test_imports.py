@@ -61,32 +61,37 @@ def test_module_uses_every_import(module):
 def unreferenced_definitions(sources: dict[str, str]) -> list[str]:
     """The functions, methods and classes defined in the modules (file name
     -> source) that no module references outside the definition itself, as
-    "module.qualified.name".  A reference is a name, an attribute of that
-    name (on any object, so a method is matched by its name alone) or an
-    entry of __all__.  Dunder methods, which Python calls itself, are not
-    checked."""
+    "module.qualified.name".  A reference to a function or a class is a
+    name, an attribute of that name (on any object) or an entry of __all__;
+    a method is reached only by an attribute read of its name (on any
+    object, so it is matched by its name alone), never by a bare name,
+    which a local variable of the same name would supply.  Dunder methods,
+    which Python calls itself, are not checked."""
     defs, refs = [], []
     for module, source in sources.items():
         tree = ast.parse(source)
-        todo = [(tree, module.removesuffix(".py"))]
+        todo = [(tree, module.removesuffix(".py"), False)]
         while todo:
-            node, prefix = todo.pop()
+            node, prefix, in_class = todo.pop()
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 prefix = f"{prefix}.{node.name}"
-                defs.append((module, node.name, prefix, node.lineno, node.end_lineno))
-            todo += [(child, prefix) for child in ast.iter_child_nodes(node)]
+                defs.append((module, node.name, prefix, node.lineno, node.end_lineno,
+                             in_class and not isinstance(node, ast.ClassDef)))
+            todo += [(child, prefix, isinstance(node, ast.ClassDef))
+                     for child in ast.iter_child_nodes(node)]
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
-                refs.append((module, node.id, node.lineno))
+                refs.append((module, node.id, node.lineno, False))
             elif isinstance(node, ast.Attribute):
-                refs.append((module, node.attr, node.lineno))
+                refs.append((module, node.attr, node.lineno, isinstance(node.ctx, ast.Load)))
             elif isinstance(node, ast.Assign) and any(
                     isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
-                refs += [(module, e.value, node.lineno) for e in node.value.elts]
-    return sorted(qualname for module, name, qualname, first, last in defs
+                refs += [(module, e.value, node.lineno, False) for e in node.value.elts]
+    return sorted(qualname for module, name, qualname, first, last, method in defs
                   if not (name.startswith("__") and name.endswith("__"))
-                  and not any(n == name and not (m == module and first <= line <= last)
-                              for m, n, line in refs))
+                  and not any(n == name and (read or not method)
+                              and not (m == module and first <= line <= last)
+                              for m, n, line, read in refs))
 
 
 # reached from outside src/revdeg only, each kept for its reason
@@ -110,10 +115,15 @@ def test_checker_finds_unreferenced_definitions():
                  "    def __init__(self):\n        self.n = 0\n"
                  "    def used(self):\n        return self.n\n"
                  "    def unused(self):\n        def inner():\n            return 2\n"
-                 "        return inner()\n"),
-        "b.py": "from a import Box\nBox().used()\n",
+                 "        return inner()\n"
+                 "    def shadowed(self):\n        return 3\n"),
+        # a local variable named like a method, and an attribute written
+        # under its name, reach no method
+        "b.py": ("from a import Box\n__all__ = ['check', 'store']\nBox().used()\n"
+                 "def check(rows):\n    shadowed = rows\n    return shadowed\n"
+                 "def store(box):\n    box.shadowed = 4\n"),
     }
-    assert unreferenced_definitions(planted) == ["a.Box.unused", "a.dead"]
+    assert unreferenced_definitions(planted) == ["a.Box.shadowed", "a.Box.unused", "a.dead"]
 
 
 def test_every_definition_is_reached():

@@ -160,14 +160,14 @@ def test_weyl_order_that_changes_with_the_level_is_refused():
     # O(2).  The refusal leaves the lattice as it was, and it goes on working
     lat = ClassLattice("dihedral", 1, 20)
     m = lat.m_lo
-    d4 = closure(lat.group_lo, [lat.encode(5, False, 0, m), lat.encode(0, True, 0, m)]).members
+    d4 = closure(lat.group_lo, [lat.encode(5, False, 0, m), lat.encode(0, True, 0, m)])
     before = lattice_state(lat)
     for _ in range(2):
         with pytest.raises(TruncationInstability, match=r"^Weyl order of \(D4 x Z1\) differs "
                                                         r"between levels 20 and 40: 4 vs 8$"):
             lat.ensure_handle(d4, m)
         assert lattice_state(lat) == before
-    d2 = closure(lat.group_lo, [lat.encode(10, False, 0, m), lat.encode(0, True, 0, m)]).members
+    d2 = closure(lat.group_lo, [lat.encode(10, False, 0, m), lat.encode(0, True, 0, m)])
     cid = lat.ensure_handle(d2, m)
     assert cid == len(before[0])
     assert lat.weyl(cid) == lat.exact_weyl(cid) == 8

@@ -124,7 +124,7 @@ def test_reflection_route_matches_oracle_on_random_pairs(gamma_index, level, gen
     ids = []
     for lat in lats:
         members = [closure(lat.group_lo, [lat.encode(steps[s], refl, ge % lat.ng, level)
-                                          for s, refl, ge in gens]).members
+                                          for s, refl, ge in gens])
                    for gens in (gens_h, gens_k)]
         try:
             ids.append([lat.ensure_handle(m, level) for m in members])
@@ -179,7 +179,7 @@ def test_product_extends_working_set_and_logs_new_classes():
     gens = [lat.encode(4, False, 1 * 2, 32),       # (rot 4, r, +1)
             lat.encode(0, True, 8 * 2, 32),        # (refl 0, s, +1)
             lat.encode(16, False, 0 * 2 + 1, 32)]  # (rot pi, 1, -1)
-    graph = closure(lat.group_lo, gens).members
+    graph = closure(lat.group_lo, gens)
     assert len(graph) == 32
     cid = lat.ensure_handle(graph, lat.m_lo)
     before = len(lat.classes)
