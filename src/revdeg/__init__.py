@@ -22,6 +22,7 @@ from .geometry import (
     check_conditions,
     circle_domain,
     curvature,
+    grad_norm_on_boundary,
     octagon_domain,
 )
 from .groups import (
@@ -46,6 +47,7 @@ __all__ = [
     "SubgroupClass", "apriori_m", "apriori_m_log",
     "apriori_n", "boundary_radius", "character_table", "check_conditions",
     "circle_domain", "curvature", "direct_product", "gamma_z2_subgroups",
+    "grad_norm_on_boundary",
     "load_example", "make_cyclic", "make_dihedral", "make_gamma",
     "minus_irreps", "octagon_domain",
     "parse_config", "recurrence", "run_analyze", "spectral_summary",

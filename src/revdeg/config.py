@@ -46,16 +46,29 @@ class AnalysisConfig:
 
 
 def _to_number(x):
-    """An exact Fraction for a string or an integer, else a finite float;
-    a bool or a non-finite float is refused (ValueError)."""
+    """An exact Fraction for a string or an integer, else a float; a bool,
+    a zero denominator ("1/0") or a value that is not a finite float
+    (NaN, 1e309, "1e400") is refused (ValueError)."""
     if isinstance(x, bool):
         raise ValueError(f"not a number: {x!r}")
-    if isinstance(x, (str, int)):
-        return Fraction(x)
-    v = float(x)
-    if not math.isfinite(v):
+    try:
+        v = Fraction(x) if isinstance(x, (str, int)) else float(x)
+        finite = math.isfinite(float(v))
+    except (ZeroDivisionError, OverflowError) as e:
+        raise ValueError(f"not finite: {x!r}") from e
+    if not finite:
         raise ValueError(f"not finite: {x!r}")
     return v
+
+
+def _is_finite_number(x) -> bool:
+    """x is a JSON number (not a bool) that is a finite float."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        return False
+    try:
+        return math.isfinite(float(x))
+    except OverflowError:
+        return False
 
 
 def int_field(raw: dict, name: str, default, least: int, problems: list[str],
@@ -108,6 +121,10 @@ def _parse_domain(d, n: int, problems: list[str]) -> DomainSpec | None:
         problems.append(f"domain.R must be finite and > 0, got {d['R']!r}")
     _true_field(d, "star_shaped", "the boundary is solved along rays", problems,
                 "domain.star_shaped")
+    if bounds is not None and not (isinstance(bounds, list) and len(bounds) == 2
+                                   and all(map(_is_finite_number, bounds))):
+        problems.append(
+            f"domain.published_grad_bounds must be two finite numbers, got {bounds!r}")
     if len(problems) > found:
         return None
     domain = DomainSpec(eta, symmetry, radius,

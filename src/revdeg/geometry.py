@@ -15,7 +15,8 @@ ray with no crossing or a boundary point where grad eta vanishes raises an
 UnsolvableDomain.  boundary_radius, grad_norm_on_boundary and curvature
 take a float angle and return a float, or an array of angles and return an
 array of its shape, solved in one vectorized bisection and Newton pass;
-passing the radii already solved (r=...) lets a grid check solve once.
+passing the radii already solved (r=...), and to curvature the gradient
+already computed (gradient=...), lets a grid check solve each once.
 Strict inequalities over grids are checked against a padding of twice the
 largest difference between neighbouring grid samples, a heuristic and not a
 proven bound between grid points; a margin inside the padding reports an
@@ -252,11 +253,12 @@ def grad_norm_on_boundary(spec: DomainSpec, theta, r=None):
     return _shaped(_boundary_gradient(spec, theta, r)[4], theta)
 
 
-def curvature(spec: DomainSpec, theta, r=None):
+def curvature(spec: DomainSpec, theta, r=None, *, gradient=None):
     """Gauss curvature of the boundary at angle theta; positive where the
     domain is locally convex (outward normal grad eta / |grad eta|).  r as in
-    grad_norm_on_boundary."""
-    x, y, gx, gy, n = _boundary_gradient(spec, theta, r)
+    grad_norm_on_boundary; gradient, when given, is _boundary_gradient's
+    result at theta, which is then not solved again."""
+    x, y, gx, gy, n = _boundary_gradient(spec, theta, r) if gradient is None else gradient
     xx, xy, yy = _hess_xy(spec.eta, x, y)
     return _shaped((xx * gy * gy - 2 * xy * gx * gy + yy * gx * gx) / n ** 3, theta)
 
@@ -265,13 +267,15 @@ def curvature(spec: DomainSpec, theta, r=None):
 
 
 def _boundary_samples(spec: DomainSpec, grid: int):
-    """grid angles and, at each, the boundary radius, |grad eta| and kappa;
-    a grid below 2 is refused (GridTooCoarse)."""
+    """grid angles and, at each, the boundary radius, |grad eta| and kappa,
+    from one solve of the gradient; a grid below 2 is refused
+    (GridTooCoarse)."""
     if grid < 2:
         raise GridTooCoarse(f"boundary grid must have at least 2 angles, got {grid}")
     thetas = np.linspace(0.0, 2 * np.pi, grid, endpoint=False)
     r = boundary_radius(spec, thetas)
-    return thetas, r, grad_norm_on_boundary(spec, thetas, r), curvature(spec, thetas, r)
+    gradient = _boundary_gradient(spec, thetas, r)
+    return thetas, r, gradient[4], curvature(spec, thetas, r, gradient=gradient)
 
 
 def _grid_pad(values: np.ndarray) -> float:

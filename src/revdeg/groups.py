@@ -12,12 +12,12 @@ walks conjugate by the generators over and over, so they read the table
 
 - ``FiniteGroup`` keeps an explicit multiplication table.  The small groups
   (Gamma, Gamma x Z2, the groups of the tests) are built this way.
-- ``ProductGroup`` is a direct product a x b with no |G|^2 table: it splits
-  each index into its two factor parts and multiplies through the factors'
-  tables.  The truncation groups D_M x (Gamma x Z2) are built this way, so
-  their memory grows with |G| and (2M)^2, not |G|^2.
-  Its ``conjugators`` solves x a x^-1 = b in each factor's conjugation
-  table.
+- ``ProductGroup`` is a truncation group D_M x b (b = Gamma x Z2) with no
+  table of D_M or of the product: it splits each index into its two factor
+  parts, multiplies the b-parts through b's table and the D_M-parts by
+  index arithmetic with one lookup table of length 7M.  So its memory
+  grows with |G|, not with |G|^2 or (2M)^2.  Its ``conjugators`` solves
+  x a x^-1 = b factor by factor.
 
 A subgroup is the sorted tuple of its members' indices.  Everything
 downstream (conjugacy classes of subgroups, normalizers, double cosets)
@@ -137,68 +137,104 @@ def direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
 
 
 class _Parts(NamedTuple):
-    """An index array split into its a- and b-parts (ProductGroup.prepare)."""
+    """An index array split into its D_M- and b-parts, with the D_M arrays
+    that ProductGroup.mul reads gathered at its D_M-parts
+    (ProductGroup.prepare)."""
 
     a: np.ndarray
     b: np.ndarray
+    pos: np.ndarray
+    sign: np.ndarray
 
 
 class ProductGroup:
-    """The direct product a x b with direct_product's indexing and
-    generators, but no |G|^2 table: an index splits into its a- and b-parts,
-    and products and conjugates go through the factors' tables.  Conjugation
-    by the generators is precomputed, as for FiniteGroup, in one read-only
+    """The truncation group D_M x b, with direct_product(make_dihedral(M),
+    b)'s indexing and generators, and no table of D_M or of the product.
+    An index splits into its D_M-part (r^t at t, r^t s at M + t) and its
+    b-part.  The b-parts multiply and conjugate through b's tables; the
+    D_M-parts by index arithmetic on arrays of length 2M and one lookup
+    table of length 7M, so no array is larger than O(|G|).  Conjugation by
+    the generators is precomputed, as for FiniteGroup, in one read-only
     int32 table of shape (len(generators), order)
     (``gen_conjugation_table``).  Instances are compared by identity."""
 
-    def __init__(self, a: FiniteGroup, b: FiniteGroup):
+    def __init__(self, m: int, b: FiniteGroup):
+        if m < 1:
+            raise InvalidGroupParameter(f"dihedral parameter must be >= 1, got {m}")
         nb = b.order
-        self.name = f"{a.name}x{b.name}"
-        self.order = a.order * nb
-        self.generators = tuple(g * nb for g in a.generators) + tuple(b.generators)
+        self.name = f"D{m}x{b.name}"
+        self.order = 2 * m * nb
+        self.generators = tuple(g * nb for g in ((1, m) if m > 1 else (m,))) + tuple(b.generators)
         self._nb = nb
-        # a's tables are kept premultiplied by |b|: a product's index is then
-        # the sum of two table reads
-        ea, eb = np.arange(a.order), np.arange(nb)
-        self._mul_a, self._mul_b = a.table * nb, b.table
-        self._conj_a = a.conjugate(ea[:, None], ea) * nb
-        self._conj_b = b.conjugate(eb[:, None], eb)
+        d = np.arange(2 * m)
+        refl = (d >= m).astype(np.int64)
+        t = d % m
+        # an integer offset j stands for the rotation r^(j mod M) when j < 2M
+        # or j >= 6M, and for the reflection r^(j mod M) s when 2M <= j < 6M;
+        # numpy reads a negative offset from the end, so it stands for a
+        # rotation too.  The table maps an offset to its D_M-part, premultiplied
+        # by |b|.
+        j = np.arange(7 * m)
+        self._lut = ((j % m + m * ((j >= 2 * m) & (j < 6 * m))) * nb).astype(np.int32)
+        # (r^t s^e)(r^u s^f) = r^(t + (-1)^e u) s^(e+f): with pos = t + 3Mf,
+        # pos[a] + sign[a] * pos[b] lies in [-M + 1, 2M - 2] for a rotation
+        # and in [2M + 1, 5M - 2] for a reflection
+        self._sign, self._pos = 1 - 2 * refl, t + 3 * m * refl
+        # (r^u s^e)(r^t s^f)(r^u s^e)^-1 = r^((-1)^e t + 2uf) s^f:
+        # sign[x] * a + twist[x] * refl[a] is (-1)^e t, in [-M + 1, M - 1],
+        # for a rotation a = t and (-1)^e t + 2u + 3M, in [2M + 1, 6M - 3],
+        # for a reflection a = M + t
+        self._twist, self._refl = 2 * t + 3 * m - m * self._sign, refl
         ia, ib = np.divmod(np.arange(self.order), nb)
-        self.inverse = a.inverse[ia] * nb + b.inverse[ib]
+        inv_a = np.where(d >= m, d, -d % m).astype(np.int32)
+        self.inverse = inv_a[ia] * nb + b.inverse[ib]
+        self._mul_b, self._conj_b = b.table, b.conjugate(np.arange(nb)[:, None], np.arange(nb))
         self.gen_conjugation_table = _gen_conjugations(self)
 
     def _split(self, a):
-        return a if isinstance(a, _Parts) else divmod(a, self._nb)
+        return a[:2] if isinstance(a, _Parts) else divmod(a, self._nb)
 
     def prepare(self, a):
         """An operand of many ``mul`` calls, split into its parts once."""
-        return _Parts(*divmod(np.asarray(a, dtype=np.int64), self._nb))
+        a1, a2 = divmod(np.asarray(a, dtype=np.int64), self._nb)
+        return _Parts(a1, a2, self._pos[a1], self._sign[a1])
 
     def mul(self, a, b):
         """a*b for element indices, index arrays or prepared operands."""
-        (a1, a2), (b1, b2) = self._split(a), self._split(b)
-        return self._mul_a[a1, b1] + self._mul_b[a2, b2]
+        if isinstance(a, _Parts):
+            pa, sa, a2 = a.pos, a.sign, a.b
+        else:
+            a1, a2 = divmod(a, self._nb)
+            pa, sa = self._pos[a1], self._sign[a1]
+        if isinstance(b, _Parts):
+            pb, b2 = b.pos, b.b
+        else:
+            b1, b2 = divmod(b, self._nb)
+            pb = self._pos[b1]
+        return self._lut[pa + sa * pb] + self._mul_b[a2, b2]
 
     def conjugate(self, x, a):
         """x * a * x^-1."""
         (x1, x2), (a1, a2) = self._split(x), self._split(a)
-        return self._conj_a[x1, a1] + self._conj_b[x2, a2]
+        off = self._sign[x1] * a1 + self._twist[x1] * self._refl[a1]
+        return self._lut[off] + self._conj_b[x2, a2]
 
     def conjugators(self, a, b) -> np.ndarray:
         """Every x with x y x^-1 in b for some y in a (a and b elements or
-        index arrays), in increasing order.  The first-factor parts of x
-        that conjugate some y's first part into a first part of b are read
-        off the columns of the first factor's conjugation table; only those,
-        paired with every second-factor part, are conjugated, so no
-        conjugate of all of the group is formed."""
+        index arrays), in increasing order.  The D_M-parts of x that
+        conjugate some y's D_M-part into a D_M-part of b are found by the
+        closed form over every D_M-part at once; only those, paired with
+        every b-part, are conjugated, so no conjugate of all of the group
+        is formed."""
         nb = self._nb
         a1, a2 = divmod(np.atleast_1d(np.asarray(a, dtype=np.int64)), nb)
         b = np.atleast_1d(np.asarray(b, dtype=np.int64))
         in_b = np.zeros(self.order, dtype=bool)
         in_b[b] = True
-        in_b1 = np.zeros(self.order, dtype=bool)  # b's first parts, second part 0
+        in_b1 = np.zeros(self.order, dtype=bool)  # b's D_M-parts, b-part 0
         in_b1[b - b % nb] = True
-        cols = self._conj_a[:, a1]
+        # cols[x1, i] = x1 a1[i] x1^-1 for every D_M-part x1, premultiplied
+        cols = self._lut[self._sign[:, None] * a1 + self._twist[:, None] * self._refl[a1]]
         x1, ai = np.nonzero(in_b1[cols])
         conj = cols[x1, ai][:, None] + self._conj_b[:, a2[ai]].T
         xs = x1[:, None] * nb + np.arange(nb)
@@ -262,8 +298,10 @@ def closure(g: Group, seed) -> tuple[int, ...]:
     return tuple(np.flatnonzero(in_h).tolist())
 
 
-def conjugate_members(g: Group, x: int | None, members) -> np.ndarray:
-    """x * members * x^-1, sorted along the last axis (a row per member set).
+def conjugate_members(g: Group, x, members) -> np.ndarray:
+    """x * members * x^-1, sorted along the last axis (a row per member set);
+    x is an element, or an index array that broadcasts against members (a
+    column of elements gives a row per element).
     x=None conjugates by every generator of g at once, with a new leading
     axis of one block per generator, in the order of g.generators: one
     gather from g.gen_conjugation_table and one in-place sort."""
@@ -436,10 +474,11 @@ def double_cosets(g: Group, h_members, k_members, meeting=None) -> list[int]:
 def coset_intersections(g: Group, h_members, k_members, meeting=None):
     """H ∩ xKx^-1, as sorted members, for each double coset HxK that
     double_cosets yields (with meeting as there), in its order: the one
-    double-coset kernel of the class products."""
+    double-coset kernel of the class products.  K is conjugated by every
+    representative x in one call."""
     h = np.asarray(h_members, dtype=np.int64)
     in_h = np.zeros(g.order, dtype=bool)
     in_h[h] = True
-    for x in double_cosets(g, h, k_members, meeting):
-        kc = conjugate_members(g, x, k_members)
+    xs = np.asarray(double_cosets(g, h, k_members, meeting), dtype=np.int64)
+    for kc in conjugate_members(g, xs[:, None], k_members):
         yield kc[in_h[kc]]

@@ -53,7 +53,6 @@ from .groups import (
     direct_product,
     gamma_z2_subgroups,
     make_cyclic,
-    make_dihedral,
     make_gamma,
     normalizer,
     orbit_walk,
@@ -132,8 +131,9 @@ def default_level(n: int) -> int:
 
 def trunc_group(gamma_z2: FiniteGroup, m: int) -> ProductGroup:
     """D_M x (Gamma x Z2); o2 index = idx // |Gamma x Z2| (rotations < M).
-    Multiplied by index arithmetic, so no |G|^2 table is built."""
-    return ProductGroup(make_dihedral(m), gamma_z2)
+    D_M is multiplied by index arithmetic, so neither a |G|^2 nor a (2M)^2
+    table is built: the group keeps O(|G|) entries at any level."""
+    return ProductGroup(m, gamma_z2)
 
 
 def gamma_z2_classes(kind: str, n: int) -> tuple[FiniteGroup, list[SubgroupClass], list[str]]:
@@ -474,11 +474,14 @@ class ClassLattice:
 
     def _n_count_at(self, i: int, j: int, level: int) -> int:
         """n_count at one level: the conjugates of class j, as rows of member
-        indices, whose members include every member of class i's rep."""
-        h = self._rep_array(i, level)
+        indices, whose members include every member of class i's rep.  By
+        Lagrange none does when |rep i| does not divide |rep j|."""
+        h, rows = self._rep_array(i, level), self._orbits[(j, level)]
+        if rows.shape[1] % len(h):
+            return 0
         in_h = np.zeros(self.group_at(level).order, dtype=bool)
         in_h[h] = True
-        return int(np.count_nonzero(in_h[self._orbits[(j, level)]].sum(axis=1) == len(h)))
+        return int(np.count_nonzero(in_h[rows].sum(axis=1) == len(h)))
 
     def leq(self, i: int, j: int) -> bool:
         return i == j or self.n_count(i, j) > 0

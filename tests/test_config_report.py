@@ -370,6 +370,24 @@ def test_cli_two_entries_on_one_component_exit_30(tmp_path, capsys):
     assert "representation entries 'a' and 'b' are both minus component" in err
 
 
+@pytest.mark.parametrize("entry", ["1/0", "1e400"])
+def test_cli_mu_entry_beyond_a_finite_float_exits_30(tmp_path, capsys, entry):
+    # "1/0" raised ZeroDivisionError while parsing; "1e400" parsed as an
+    # exact Fraction and raised OverflowError in the spectrum; both exited 31
+    from revdeg import cli
+
+    p = tmp_path / "config.json"
+    p.write_text(json.dumps({
+        "group": {"kind": "dihedral", "n": 4}, "delays_m": 5,
+        "representation": [{"label": "p", "irrep": "natural", "multiplicity": 1}],
+        "mu": {"p": [entry, "-1", "-9", "-9", "-1"]}}))
+    assert cli.main(["analyze", "--unsafe-skip-geometry", "--config", str(p)]) == 30
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("invalid configuration:")
+    assert "mu row for 'p' is not numeric and finite" in err
+
+
 def _one_entry_config(tmp_path, kind, n, m, irrep, mu):
     p = tmp_path / "config.json"
     p.write_text(json.dumps({
@@ -453,23 +471,32 @@ def _replace(old, new):
      "multiplicity for 'plane' must be an integer >= 0, got True"),
     (_replace('"-3"', "NaN"), "mu row for 'plane' is not numeric and finite"),
     (_replace('"-3"', "1e309"), "mu row for 'plane' is not numeric and finite"),
+    (_replace('"-3"', '"1/0"'), "mu row for 'plane' is not numeric and finite"),
+    (_replace('"-3"', '"1e400"'), "mu row for 'plane' is not numeric and finite"),
     (_set("domain", "symmetry", 0), "domain.symmetry must be an integer >= 1, got 0"),
     (_set("domain", "R", -1), "domain.R must be finite and > 0, got -1"),
     (_replace('"R": 1.0', '"R": 1e309'), "domain.R must be finite and > 0, got inf"),
     (_replace('"R": 1.0', '"R": NaN'), "domain.R must be finite and > 0, got nan"),
+    (_set("domain", "published_grad_bounds", 5),
+     "domain.published_grad_bounds must be two finite numbers, got 5"),
+    (_set("domain", "published_grad_bounds", [4, "21"]),
+     "domain.published_grad_bounds must be two finite numbers, got [4, '21']"),
     (_set("domain", "terms", 1, 3, "tan"),
      "bad domain block: term kind must be 'cos' or 'sin', got 'tan'"),
     (_set("domain", "star_shaped", False),
      "domain.star_shaped must be true (the boundary is solved along rays), got False"),
     (_set("family", False), "family must be true (omit domain to skip the geometry), got False"),
     (_set("domain", "R", 0.5), "NotStarShaped: no sign change along theta = 0.0"),
-], ids=["n-true", "delays-true", "multiplicity-true", "mu-nan", "mu-inf", "symmetry-0",
-        "R-negative", "R-inf", "R-nan", "term-tan", "star-shaped-false", "family-false",
+], ids=["n-true", "delays-true", "multiplicity-true", "mu-nan", "mu-inf",
+        "mu-zero-denominator", "mu-1e400", "symmetry-0", "R-negative", "R-inf", "R-nan",
+        "grad-bounds-5", "grad-bounds-string", "term-tan", "star-shaped-false", "family-false",
         "R-inside-domain"])
 @pytest.mark.parametrize("command", ["analyze", "geometry-check", "figure-data"])
 def test_cli_bad_domain_and_integer_values_exit_30(tmp_path, capsys, command, edit, message):
-    # each of these exited 31 (an internal error) or ran on as if valid; the
-    # last is a valid configuration whose boundary the geometry cannot solve
+    # each of these exited 31 (an internal error) or ran on as if valid:
+    # "1/0" raised ZeroDivisionError, "1e400" OverflowError and a grad
+    # bound of 5 TypeError; the last is a valid configuration whose
+    # boundary the geometry cannot solve
     from revdeg import cli
 
     p = tmp_path / "config.json"

@@ -48,6 +48,8 @@ def _config(tmp_path, mu: str | None) -> str:
     (None, "analyze_example_machine.txt"),
     # modes 0-3 active, levels 192/384
     ("-10", "analyze_mu10_machine.txt"),
+    # modes 0-4 active, levels 384/768
+    ("-20", "analyze_mu20_machine.txt"),
 ])
 def test_analyze_machine_report_matches_golden(tmp_path, mu, golden):
     out = tmp_path / "report.json"

@@ -406,6 +406,57 @@ def test_truncation_group_matches_dense_product(gamma, m, seed):
     assert closure(g, seed) == closure(dense, seed)
 
 
+def test_truncation_dihedral_part_matches_make_dihedral():
+    # over the trivial group a truncation group is D_n alone, multiplied and
+    # conjugated by index arithmetic; make_dihedral's table is the reference
+    # on all pairs, for plain and prepared operands
+    for n in range(1, 65):
+        g, d = trunc_group(make_cyclic(1), n), make_dihedral(n)
+        idx = np.arange(2 * n)
+        assert (g.order, g.generators) == (d.order, d.generators)
+        assert np.array_equal(g.mul(idx[:, None], idx), d.table)
+        assert np.array_equal(g.mul(g.prepare(idx[:, None]), g.prepare(idx)), d.table)
+        assert np.array_equal(g.conjugate(idx[:, None], idx), d.conjugate(idx[:, None], idx))
+        assert np.array_equal(g.inverse, d.inverse)
+
+
+def test_truncation_dihedral_part_at_a_large_level_matches_rotation_rules():
+    # D_n at n = 26,880 (the level of modes 0-7 of D8) on random pairs,
+    # against products of (t, reflection bit) pairs: r^t s^e r^u s^f =
+    # r^(t + (-1)^e u) s^(e+f); conjugates and inverses follow from them
+    n = 26_880
+    g = trunc_group(make_cyclic(1), n)
+
+    def index(t, e):
+        return t % n + n * e
+
+    def mul(x, y):
+        (e, t), (f, u) = divmod(x, n), divmod(y, n)
+        return index(t + (-1) ** e * u, e ^ f)
+
+    def inv(x):
+        e, t = divmod(x, n)
+        return index(t if e else -t, e)
+
+    a, b = np.random.default_rng(11).integers(0, 2 * n, size=(2, 2000))
+    pairs = list(zip(a.tolist(), b.tolist()))
+    assert g.mul(a, b).tolist() == [mul(x, y) for x, y in pairs]
+    assert g.conjugate(a, b).tolist() == [mul(mul(x, y), inv(x)) for x, y in pairs]
+    assert g.inverse[a].tolist() == [inv(x) for x in a.tolist()]
+    assert all(mul(x, inv(x)) == 0 for x in a.tolist())
+
+
+def test_truncation_group_holds_no_array_above_linear_size():
+    # D8 x Z2 at level 3840 (modes 0-5): every array the group keeps has at
+    # most (generators + 2) * |G| entries; a (2M)^2 table of D_M would have
+    # 59 M
+    g = trunc_group(d8xz2(), 3840)
+    bound = (len(g.generators) + 2) * g.order
+    sizes = {name: v.size for name, v in vars(g).items() if isinstance(v, np.ndarray)}
+    assert "gen_conjugation_table" in sizes
+    assert {name: size for name, size in sizes.items() if size > bound} == {}
+
+
 def test_orbit_walk_matches_per_member_reference():
     # every subgroup of dense Gamma x Z2 groups (n even and odd) and of the
     # trivial group, then subgroups of truncation groups of odd n at two

@@ -460,6 +460,29 @@ def test_n_count_mask_matches_member_sets(engine8, natural):
                 assert lat._n_count_at(i, j, level) == by_sets
 
 
+def test_n_count_lagrange_short_cut_matches_full_scan():
+    # the D8 level-64 working set after existence_analysis: at both levels
+    # every pair counts as a full scan of class j's orbit rows, also where
+    # |rep i| does not divide |rep j| and _n_count_at returns 0 unscanned
+    eng = DegreeEngine("dihedral", 8, base_level=64)
+    nat = eng.natural_component()
+    eng.existence_analysis(LinearizationSpec(1, {nat: (Fraction(-6),)}, {nat: 1}))
+    lat = eng.lattice
+    ids = range(len(lat.classes))
+    skipped = 0
+    for level in (lat.m_lo, lat.m_hi):
+        for i in ids:
+            h = lat._rep_array(i, level)
+            in_h = np.zeros(lat.group_at(level).order, dtype=bool)
+            in_h[h] = True
+            for j in ids:
+                rows = lat._orbits[(j, level)]
+                full = int(np.count_nonzero(in_h[rows].sum(axis=1) == len(h)))
+                assert lat._n_count_at(i, j, level) == full
+                skipped += rows.shape[1] % len(h) != 0
+    assert skipped
+
+
 def assert_orbit_store(lat, rng):
     """Each class's orbit at each level is one sorted, read-only int32 array
     of distinct sorted rows, row 0 the representative, and _find_class maps
