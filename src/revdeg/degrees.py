@@ -98,13 +98,14 @@ class DegreeEngine:
         # analyze and the CLI size their level by lattice.level_for_modes
         self.lattice = ClassLattice(
             kind, n, default_level(n) if base_level is None else base_level)
-        self._mat_cache: dict = {}
         self._fix_cache: dict = {}
         # (k, level) -> 2cos(2 pi k t / level) at rotation t, 0 at reflections
         self._rot_factor: dict[tuple[int, int], np.ndarray] = {}
+        # (k, level) -> the 2x2 matrix of W_k at each O(2) index of D_level
+        self._o2_mats: dict[tuple[int, int], np.ndarray] = {}
         self._iso_cache: dict = {}
-        # sampled stabilizer members, as the orbit index keys them (sorted
-        # int32 bytes) -> class id, None for a cyclic fold
+        # sampled stabilizer members, as sorted int32 bytes -> class id,
+        # None for a cyclic fold
         self._stab_class: dict[bytes, int | None] = {}
         self._deg_cache: dict = {}
 
@@ -123,34 +124,35 @@ class DegreeEngine:
     # -- representation matrices over the truncation ---------------------------
 
     def rep_matrices(self, k: int, l: int, level: int) -> np.ndarray:
-        """Matrices of W_k (x) V_l^- for every element of the level-M truncation."""
-        key = (k, l, level)
-        if key in self._mat_cache:
-            return self._mat_cache[key]
-        lat = self.lattice
-        g = lat.group_at(level)
-        ir = self.table.irreps[self.minus[l]]
-        idx = np.arange(g.order)
-        t = (idx // lat.ng) % level
-        refl = (idx // lat.ng) >= level
-        ge = idx % lat.ng
-        gm = ir.matrices[ge]
+        """Matrices of W_k (x) V_l^- for every element of the level-M
+        truncation, built on each call and not kept: isotropy_classes holds
+        them for its own loop only."""
+        return self._matrices(k, l, level, np.arange(self.lattice.group_at(level).order))
+
+    def _matrices(self, k: int, l: int, level: int, idx: np.ndarray) -> np.ndarray:
+        """Matrices of W_k (x) V_l^- for the elements idx of the truncation
+        at level: each the Kronecker product of its W_k and V_l^- parts."""
+        o2_idx, ge = np.divmod(idx, self.lattice.ng)
+        gm = self.table.irreps[self.minus[l]].matrices[ge]
         if k == 0:
-            mats = gm.copy()
-        else:
-            ang = -2 * np.pi * k * t / level  # e^{i theta} acts as e^{-ik theta}
+            return gm
+        o2 = self._o2_matrices(k, level)[o2_idx]
+        d = 2 * gm.shape[1]
+        return np.einsum("nab,ncd->nacbd", o2, gm).reshape(len(idx), d, d)
+
+    def _o2_matrices(self, k: int, level: int) -> np.ndarray:
+        """The 2x2 matrix of W_k at each O(2) index of D_level: rotation t
+        by -2 pi k t / level (e^{i theta} acts as e^{-ik theta}), a
+        reflection the same with its second column negated (kappa
+        conjugates: z -> zbar first)."""
+        key = (k, level)
+        if key not in self._o2_mats:
+            j = np.arange(2 * level)
+            ang = -2 * np.pi * k * (j % level) / level
             c, s = np.cos(ang), np.sin(ang)
-            o2 = np.zeros((g.order, 2, 2))
-            o2[:, 0, 0], o2[:, 0, 1] = c, -s
-            o2[:, 1, 0], o2[:, 1, 1] = s, c
-            conj = np.where(refl, -1.0, 1.0)  # kappa conjugates: z -> zbar first
-            o2[:, 0, 1] *= conj
-            o2[:, 1, 1] *= conj
-            mats = np.einsum("nab,ncd->nacbd", o2, gm).reshape(
-                g.order, 2 * ir.dim, 2 * ir.dim)
-        mats.setflags(write=False)
-        self._mat_cache[key] = mats
-        return mats
+            conj = np.where(j >= level, -1.0, 1.0)
+            self._o2_mats[key] = np.stack([c, -s * conj, s, c * conj], axis=1).reshape(-1, 2, 2)
+        return self._o2_mats[key]
 
     # -- fixed-space dimensions -------------------------------------------------
 
@@ -172,19 +174,19 @@ class DegreeEngine:
         return self._fix_cache[key]
 
     def _rotation_factor(self, k: int, level: int) -> np.ndarray:
-        """The character of W_k at each O(2) index of D_level: 2cos(2 pi k t /
-        level) at rotation t, 0 at every reflection."""
+        """The character of W_k at each O(2) index of D_level, the trace of
+        _o2_matrices: 2cos(2 pi k t / level) at rotation t, 0 at every
+        reflection."""
         key = (k, level)
         if key not in self._rot_factor:
-            t = np.arange(level)
-            self._rot_factor[key] = np.concatenate(
-                [2 * np.cos(2 * np.pi * k * t / level), np.zeros(level)])
+            self._rot_factor[key] = np.trace(self._o2_matrices(k, level), axis1=1, axis2=2)
         return self._rot_factor[key]
 
     def fixed_projector(self, k: int, l: int, cid: int, level: int) -> np.ndarray:
-        mats = self.rep_matrices(k, l, level)
+        """The projector onto the class-cid fixed subspace of W_k (x) V_l^-:
+        the mean of the matrices of the representative's members at level."""
         members = self.lattice._rep_array(cid, level)
-        return mats[members].mean(axis=0)
+        return self._matrices(k, l, level, members).mean(axis=0)
 
     # -- stabilizer sampling ----------------------------------------------------
 

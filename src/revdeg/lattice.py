@@ -19,9 +19,12 @@ product and fixed dimension at M and at 2M and refuses a mismatch.
 Each interned class keeps its full-group orbit once per level, as a sorted,
 read-only int32 array with one row of members per conjugate; row 0 (the
 lex-min conjugate) is the class's representative at that level.  An index
-from each row's bytes to the class id finds the class of any member set.
-The walk that builds an orbit also gives the class's Weyl order at that
-level, by orbit-stabilizer, so no normalizer is formed for it.
+per level finds the class of any member set: three flat arrays, sorted by
+an int64 fingerprint of each orbit row, hold the fingerprint, class id and
+row number of every row, and a lookup confirms a matching fingerprint by
+comparing the row's bytes, so the index keeps 16 bytes a row and no Python
+object.  The walk that builds an orbit also gives the class's Weyl order at
+that level, by orbit-stabilizer, so no normalizer is formed for it.
 
 Every member set met by the engine goes through lookup, which probes the
 index first and runs the level check (a fold too close to the level, or
@@ -146,6 +149,16 @@ def gamma_z2_classes(kind: str, n: int) -> tuple[FiniteGroup, list[SubgroupClass
     return gz, classes, [c.name for c in classes]
 
 
+def position_weights(d: int) -> np.ndarray:
+    """The fingerprint weights of row positions 0..d-1: the splitmix64
+    finalizer of position + 1, as int64.  They are fixed, so a fingerprint
+    depends on neither the run nor the hash seed."""
+    z = np.arange(1, d + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return (z ^ (z >> np.uint64(31))).view(np.int64)
+
+
 def row_order(rows: np.ndarray) -> np.ndarray:
     """The permutation that sorts the rows of a 2-D array of non-negative
     int32 values lexicographically: big-endian bytes of non-negative ints
@@ -184,8 +197,13 @@ class ClassLattice:
         self._refl_reps: dict[tuple[int, int], list[int]] = {}
         self._weyl: list[int | None] = []   # None marks infinite
         self._by_label: dict[str, int] = {}
-        # the bytes of every orbit row -> class id, per level (_find_class)
-        self._class_of: dict[int, dict[bytes, int]] = {self.m_lo: {}, self.m_hi: {}}
+        # level -> the fingerprint, class id and row number of every orbit
+        # row at level, sorted by fingerprint, equal ones in interning order
+        self._index: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {
+            lv: (np.empty(0, np.int64), np.empty(0, np.int32), np.empty(0, np.int32))
+            for lv in (self.m_lo, self.m_hi)}
+        # no orbit row is longer than the group at 2M
+        self._weights = position_weights(self.group_hi.order)
         self._n_cache: dict[tuple[int, int], int] = {}
         self._angle_cache: dict[int, list[Fraction]] = {}
         self._mul_cache: dict[tuple[int, int], dict[int, int]] = {}
@@ -276,11 +294,11 @@ class ClassLattice:
         fin = []
         for pairs, refl in ((data.rot_fin, False), (data.refl_fin, True)):
             for q, ge in pairs:
-                t = q * level
-                if t.denominator != 1:
+                t, off = divmod(q.numerator * level, q.denominator)
+                if off:
                     raise InadmissibleLevel(
                         f"level {level} not divisible by fold denominator {q.denominator}")
-                fin.append(self.encode(int(t), refl, ge, level))
+                fin.append(self.encode(t, refl, ge, level))
         parts.append(np.asarray(fin, dtype=np.int64))
         return tuple(np.sort(np.concatenate(parts)).tolist())
 
@@ -349,10 +367,7 @@ class ClassLattice:
         self._weyl.append(weyl)
         for lv, (rows, _) in walks.items():
             self._orbits[(cid, lv)] = rows
-            index = self._class_of[lv]
-            # each row's bytes, as _find_class encodes a member set
-            for key in rows.view(f"V{rows.itemsize * rows.shape[1]}").ravel().tolist():
-                index.setdefault(key, cid)  # an earlier class keeps a shared member set
+            self._index[lv] = self._merged(self._index[lv], cid, rows)
         base, k = label, 2
         while label in self._by_label:
             label = f"{base}#{k}"  # distinct classes sharing printed Goursat data
@@ -362,6 +377,30 @@ class ClassLattice:
         self.labels.append(label)
         self._by_label[label] = cid
         return cid
+
+    def _fingerprints(self, rows: np.ndarray) -> np.ndarray:
+        """The fingerprint of each row of sorted members (the last axis):
+        the wrapping int64 sum of member · weight of its position."""
+        return rows.dot(self._weights[:rows.shape[-1]])
+
+    def _merged(self, index, cid: int, rows: np.ndarray):
+        """index with the orbit rows of class cid merged in by fingerprint,
+        each after every entry already there with an equal one: an earlier
+        class keeps a member set it shares with a later one."""
+        fps, cids, nums = index
+        prints = self._fingerprints(rows)
+        order = np.argsort(prints, kind="stable")
+        prints = prints[order]
+        # the merged position of each new entry, the new ones in print order
+        at = np.searchsorted(fps, prints, side="right") + np.arange(len(order))
+        kept = np.ones(len(fps) + len(order), dtype=bool)
+        kept[at] = False
+        merged = []
+        for was, new in ((fps, prints), (cids, cid), (nums, order)):
+            out = np.empty(len(kept), dtype=was.dtype)
+            out[kept], out[at] = was, new
+            merged.append(out)
+        return tuple(merged)
 
     def _rep_array(self, cid: int, level: int) -> np.ndarray:
         """The representative at level: row 0 of the class's orbit."""
@@ -583,11 +622,11 @@ class ClassLattice:
         none, and the members' O(2)-part; an unstable truncation is refused
         as lift refuses it.
 
-        The orbit index is probed first.  A miss runs _level_check.  A hit
-        refuses exactly when the class is a finite fold above level // 4
-        (_check_fold): rows at the level the class was interned at passed
-        lift, rows truncate built at the other level have whole fibres, and
-        both refusals are invariant under conjugation."""
+        The orbit index is probed first (_find_class).  A miss runs
+        _level_check.  A hit refuses exactly when the class is a finite fold
+        above level // 4 (_check_fold): rows at the level the class was
+        interned at passed lift, rows truncate built at the other level have
+        whole fibres, and both refusals are invariant under conjugation."""
         cid = self._find_class(members, level)
         if cid is None:
             return None, self._level_check(members, level)
@@ -597,11 +636,23 @@ class ClassLattice:
 
     def _find_class(self, members, level: int) -> int | None:
         """Id of the interned class whose orbit at level holds the members,
-        by the orbit index alone (lookup adds the level check)."""
-        if level not in self._class_of:
+        by the orbit index alone (lookup adds the level check): one binary
+        search for the members' fingerprint, then a bytes comparison with
+        the orbit row of each entry with that fingerprint, in index order;
+        the first row equal to the members decides."""
+        if level not in self._index:
             raise InadmissibleLevel(f"unsupported level {level}")
-        key = np.sort(np.asarray(members, dtype=np.int32)).tobytes()
-        return self._class_of[level].get(key)
+        fps, cids, nums = self._index[level]
+        query = np.sort(np.asarray(members, dtype=np.int32))
+        fp = int(self._fingerprints(query))
+        key = query.tobytes()
+        i = fps.searchsorted(fp)
+        while i < len(fps) and fps[i] == fp:
+            cid = int(cids[i])
+            if self._orbits[(cid, level)][nums[i]].tobytes() == key:
+                return cid
+            i += 1
+        return None
 
     # -- printable labels ------------------------------------------------------
 

@@ -3,6 +3,7 @@
 import math
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -74,6 +75,27 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
     r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
     assert int(r.stdout) * 1024 < 512 * 2 ** 20  # ru_maxrss is in KiB on Linux
+
+
+def test_a_run_retains_no_matrices_and_no_row_keys():
+    # after the analysis nothing of size |G|·d² is left, and the class
+    # index keeps 16 bytes an orbit row: an int64 fingerprint, an int32
+    # class id and an int32 row number.  Live memory was 4.1 MiB when the
+    # engine kept every component's matrices (1.1 MiB) and a bytes key per
+    # orbit row (1.4 MiB); it is 1.6 MiB without them
+    tracemalloc.start()
+    try:
+        eng = DegreeEngine("dihedral", 8, base_level=64)
+        nat = eng.natural_component()
+        eng.existence_analysis(LinearizationSpec(1, {nat: (F(-5),)}, {nat: 1}))
+        live = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert live <= 2.5 * 2 ** 20
+    lat = eng.lattice
+    for level, index in lat._index.items():
+        rows = sum(r.shape[0] for (_, lv), r in lat._orbits.items() if lv == level)
+        assert sum(a.nbytes for a in index) <= 16 * rows
 
 
 def test_mode0_maximal_types(engine8, natural):

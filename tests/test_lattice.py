@@ -522,6 +522,26 @@ def test_orbit_store_of_example_working_set(engine8, natural):
     assert_orbit_store(engine8.lattice, np.random.default_rng(5))
 
 
+def test_orbit_store_exact_under_fingerprint_collisions(monkeypatch, natural):
+    # every orbit row gets one fingerprint, so each lookup is decided by the
+    # bytes comparison alone: the working set, its ids and every lookup
+    # come out as with the real fingerprint
+    plain = DegreeEngine("dihedral", 8, base_level=32)
+    monkeypatch.setattr(ClassLattice, "_fingerprints",
+                        lambda self, rows: np.zeros(rows.shape[:-1], dtype=np.int64))
+    eng = DegreeEngine("dihedral", 8, base_level=32)
+    for e in (plain, eng):
+        e.basic_degree(0, natural)
+        e.basic_degree(1, natural)
+    lat = eng.lattice
+    assert lat.labels == plain.lattice.labels
+    assert_orbit_store(lat, np.random.default_rng(5))
+    for cid in range(len(lat.classes)):
+        for level in (lat.m_lo, lat.m_hi):
+            # no row lacks the identity
+            assert lat._find_class(lat._rep_array(cid, level) + 1, level) is None
+
+
 def weyl_reference(lat, cid, level):
     """|N(rep)|/|rep| with the normalizer formed in the truncation at level:
     the reference for the Weyl order that conjugates_full reads from the

@@ -151,7 +151,8 @@ def test_cli_runs_odd_n_at_its_default_level(tmp_path, kind, n, irrep):
 def lattice_state(lat):
     return (list(lat.classes), list(lat.labels), list(lat._weyl),
             {key: rows.tobytes() for key, rows in lat._orbits.items()},
-            {lv: dict(index) for lv, index in lat._class_of.items()}, list(lat.escape_log))
+            {lv: tuple(a.tobytes() for a in index) for lv, index in lat._index.items()},
+            list(lat.escape_log))
 
 
 def test_weyl_order_that_changes_with_the_level_is_refused():
