@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .chars import CharacterTable, minus_irreps, natural_component
 from .geometry import DomainSpec, FFamilySpec, PolarTrigPolynomial
-from .spectra import FOLD_SEARCH_BOUND, LinearizationSpec
+from .spectra import FOLD_SEARCH_BOUND, MAX_CUTOFF, LinearizationSpec, cutoff
 
 
 class ConfigError(ValueError):
@@ -252,10 +252,16 @@ def resolve_components(cfg: AnalysisConfig, table: CharacterTable) -> dict[str, 
 
 
 def linearization_spec(cfg: AnalysisConfig, table: CharacterTable) -> LinearizationSpec:
+    """The spectrum's input; a cutoff K* above MAX_CUTOFF is a ConfigError,
+    refused before any mode is computed."""
     comp = resolve_components(cfg, table)
     mu = {comp[a.label]: cfg.mu[a.label] for a in cfg.assignments}
     mult = {comp[a.label]: a.multiplicity for a in cfg.assignments}
-    return LinearizationSpec(cfg.delays_m, mu, mult)
+    spec = LinearizationSpec(cfg.delays_m, mu, mult)
+    if cutoff(spec) > MAX_CUTOFF:
+        raise ConfigError([f"the spectral cutoff K* is above {MAX_CUTOFF}: the sum of "
+                           f"|mu_j| of each mu row must be below {MAX_CUTOFF ** 2}"])
+    return spec
 
 
 def family_spec(cfg: AnalysisConfig) -> FFamilySpec | None:

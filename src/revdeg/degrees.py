@@ -265,7 +265,7 @@ class DegreeEngine:
         engine's life; a set that raises is not memoized, so it raises again
         on every visit.
 
-        The set is looked up in the orbit index first (ClassLattice.lookup),
+        The set is looked up in the interned orbits first (ClassLattice.lookup),
         which refuses an unstable truncation as lift would.  A hit is a row
         of an interned orbit, a conjugate of H ∩ (D_M x Gamma x Z2) for a
         closed subgroup H, so it is itself a subgroup, and its class's

@@ -351,7 +351,8 @@ def check_conditions(fam: FFamilySpec, grid: int = 4096) -> ConditionReport:
         grad_max = hi
     else:
         grad_max = float(np.max(gn)) + pad_g
-        notes.append("no published gradient bracket; using certified grid bound")
+        notes.append("no published gradient bracket; grad_max is the grid maximum of "
+                     "|grad eta| plus the heuristic grid padding, not a proven bound")
 
     alpha = alpha_bound(dom)
     a5_a = grad_max + r_bound * musum

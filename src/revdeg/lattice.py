@@ -17,17 +17,17 @@ ClassLattice.at_both_levels computes every Weyl order, containment count,
 product and fixed dimension at M and at 2M and refuses a mismatch.
 
 Each interned class keeps its full-group orbit once per level, as a sorted,
-read-only int32 array with one row of members per conjugate; row 0 (the
-lex-min conjugate) is the class's representative at that level.  An index
-per level finds the class of any member set: three flat arrays, sorted by
-an int64 fingerprint of each orbit row, hold the fingerprint, class id and
-row number of every row, and a lookup confirms a matching fingerprint by
-comparing the row's bytes, so the index keeps 16 bytes a row and no Python
-object.  The walk that builds an orbit also gives the class's Weyl order at
-that level, by orbit-stabilizer, so no normalizer is formed for it.
+read-only big-endian int32 (>i4) array with one row of members per
+conjugate; row 0 (the lex-min conjugate) is the class's representative at
+that level.  Big-endian bytes of non-negative ints order as the ints do, so
+the rows, viewed as one void scalar each (row_keys), are a sorted 1-D array,
+and the orbits are the class index: a member set is found by one binary
+search in each orbit of its level and length.  The walk that builds an orbit
+also gives the class's Weyl order at that level, by orbit-stabilizer, so no
+normalizer is formed for it.
 
-Every member set met by the engine goes through lookup, which probes the
-index first and runs the level check (a fold too close to the level, or
+Every member set met by the engine goes through lookup, which searches the
+orbits first and runs the level check (a fold too close to the level, or
 mixed fibres under a full fold) without Fractions, and only where lookup
 says it is needed.  lift builds Fractions only for a new class's
 representative.
@@ -132,6 +132,12 @@ def default_level(n: int) -> int:
     return 4 * math.lcm(n, 4)
 
 
+# the largest 2M group a lattice is built for: D8 at modes 0-7 (mu = -50,
+# level 13,440) has 1,720,320 elements and ran in about 1 GB; at modes 0-8
+# it has 3,440,640
+MAX_GROUP_ORDER = 2 ** 21
+
+
 def trunc_group(gamma_z2: FiniteGroup, m: int) -> ProductGroup:
     """D_M x (Gamma x Z2); o2 index = idx // |Gamma x Z2| (rotations < M).
     D_M is multiplied by index arithmetic, so neither a |G|^2 nor a (2M)^2
@@ -149,21 +155,17 @@ def gamma_z2_classes(kind: str, n: int) -> tuple[FiniteGroup, list[SubgroupClass
     return gz, classes, [c.name for c in classes]
 
 
-def position_weights(d: int) -> np.ndarray:
-    """The fingerprint weights of row positions 0..d-1: the splitmix64
-    finalizer of position + 1, as int64.  They are fixed, so a fingerprint
-    depends on neither the run nor the hash seed."""
-    z = np.arange(1, d + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return (z ^ (z >> np.uint64(31))).view(np.int64)
+def row_keys(rows: np.ndarray) -> np.ndarray:
+    """The rows (the last axis) of a contiguous big-endian int32 array as a
+    1-D array of one void scalar each, which compare as the rows compare
+    lexicographically when their values are non-negative."""
+    return rows.view(f"V{4 * rows.shape[-1]}").ravel()
 
 
 def row_order(rows: np.ndarray) -> np.ndarray:
     """The permutation that sorts the rows of a 2-D array of non-negative
-    int32 values lexicographically: big-endian bytes of non-negative ints
-    order as the ints do, so it is one argsort of each row's bytes."""
-    return np.argsort(rows.astype(">i4").view(f"V{4 * rows.shape[1]}").ravel())
+    int32 values lexicographically: one argsort of their row_keys."""
+    return np.argsort(row_keys(rows.astype(">i4", copy=False)))
 
 
 class ClassLattice:
@@ -185,6 +187,10 @@ class ClassLattice:
             raise InadmissibleLevel(f"base level {base_level} must be a positive multiple of 4")
         self.m_lo = base_level
         self.m_hi = 2 * base_level
+        if 2 * self.m_hi * self.ng > MAX_GROUP_ORDER:
+            raise InadmissibleLevel(
+                f"base level {base_level}: the group at level {self.m_hi} would have "
+                f"{2 * self.m_hi * self.ng} elements, above {MAX_GROUP_ORDER}")
         self.group_lo = trunc_group(self.gamma_z2, self.m_lo)
         self.group_hi = trunc_group(self.gamma_z2, self.m_hi)
         self.classes: list[AmalgamData] = []
@@ -197,13 +203,9 @@ class ClassLattice:
         self._refl_reps: dict[tuple[int, int], list[int]] = {}
         self._weyl: list[int | None] = []   # None marks infinite
         self._by_label: dict[str, int] = {}
-        # level -> the fingerprint, class id and row number of every orbit
-        # row at level, sorted by fingerprint, equal ones in interning order
-        self._index: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {
-            lv: (np.empty(0, np.int64), np.empty(0, np.int32), np.empty(0, np.int32))
-            for lv in (self.m_lo, self.m_hi)}
-        # no orbit row is longer than the group at 2M
-        self._weights = position_weights(self.group_hi.order)
+        # (level, subgroup order) -> the ids of the classes of that order, in
+        # interning order
+        self._by_order: dict[tuple[int, int], list[int]] = {}
         self._n_cache: dict[tuple[int, int], int] = {}
         self._angle_cache: dict[int, list[Fraction]] = {}
         self._mul_cache: dict[tuple[int, int], dict[int, int]] = {}
@@ -315,7 +317,7 @@ class ClassLattice:
 
     def conjugates_full(self, members, level: int) -> tuple[np.ndarray, int]:
         """All conjugates of H (the members) under O(2) x Gamma x Z2, as the
-        sorted rows of a read-only int32 array, and the Weyl order
+        sorted rows of a read-only big-endian int32 array, and the Weyl order
         |N(H)|/|H| in the truncation G at level.
 
         The half twist t normalizes G and t^2 lies in G, so the full orbit is
@@ -329,6 +331,7 @@ class ClassLattice:
             rows = inner
         else:
             rows = np.concatenate([inner, self.half_twist(inner, level)])
+        rows = rows.astype(">i4")
         rows = rows[row_order(rows)]
         rows.setflags(write=False)
         return rows, weyl
@@ -367,7 +370,7 @@ class ClassLattice:
         self._weyl.append(weyl)
         for lv, (rows, _) in walks.items():
             self._orbits[(cid, lv)] = rows
-            self._index[lv] = self._merged(self._index[lv], cid, rows)
+            self._by_order.setdefault((lv, rows.shape[1]), []).append(cid)
         base, k = label, 2
         while label in self._by_label:
             label = f"{base}#{k}"  # distinct classes sharing printed Goursat data
@@ -377,30 +380,6 @@ class ClassLattice:
         self.labels.append(label)
         self._by_label[label] = cid
         return cid
-
-    def _fingerprints(self, rows: np.ndarray) -> np.ndarray:
-        """The fingerprint of each row of sorted members (the last axis):
-        the wrapping int64 sum of member · weight of its position."""
-        return rows.dot(self._weights[:rows.shape[-1]])
-
-    def _merged(self, index, cid: int, rows: np.ndarray):
-        """index with the orbit rows of class cid merged in by fingerprint,
-        each after every entry already there with an equal one: an earlier
-        class keeps a member set it shares with a later one."""
-        fps, cids, nums = index
-        prints = self._fingerprints(rows)
-        order = np.argsort(prints, kind="stable")
-        prints = prints[order]
-        # the merged position of each new entry, the new ones in print order
-        at = np.searchsorted(fps, prints, side="right") + np.arange(len(order))
-        kept = np.ones(len(fps) + len(order), dtype=bool)
-        kept[at] = False
-        merged = []
-        for was, new in ((fps, prints), (cids, cid), (nums, order)):
-            out = np.empty(len(kept), dtype=was.dtype)
-            out[kept], out[at] = was, new
-            merged.append(out)
-        return tuple(merged)
 
     def _rep_array(self, cid: int, level: int) -> np.ndarray:
         """The representative at level: row 0 of the class's orbit."""
@@ -622,7 +601,7 @@ class ClassLattice:
         none, and the members' O(2)-part; an unstable truncation is refused
         as lift refuses it.
 
-        The orbit index is probed first (_find_class).  A miss runs
+        The orbits are searched first (_find_class).  A miss runs
         _level_check.  A hit refuses exactly when the class is a finite fold
         above level // 4 (_check_fold): rows at the level the class was
         interned at passed lift, rows truncate built at the other level have
@@ -636,22 +615,18 @@ class ClassLattice:
 
     def _find_class(self, members, level: int) -> int | None:
         """Id of the interned class whose orbit at level holds the members,
-        by the orbit index alone (lookup adds the level check): one binary
-        search for the members' fingerprint, then a bytes comparison with
-        the orbit row of each entry with that fingerprint, in index order;
-        the first row equal to the members decides."""
-        if level not in self._index:
+        by the orbits alone (lookup adds the level check): one binary search
+        of the sorted members in the orbit of each class of their order, in
+        interning order; the first orbit that holds them decides."""
+        if level not in (self.m_lo, self.m_hi):
             raise InadmissibleLevel(f"unsupported level {level}")
-        fps, cids, nums = self._index[level]
-        query = np.sort(np.asarray(members, dtype=np.int32))
-        fp = int(self._fingerprints(query))
-        key = query.tobytes()
-        i = fps.searchsorted(fp)
-        while i < len(fps) and fps[i] == fp:
-            cid = int(cids[i])
-            if self._orbits[(cid, level)][nums[i]].tobytes() == key:
+        query = np.sort(np.asarray(members, dtype=np.int32)).astype(">i4")
+        key = row_keys(query)
+        for cid in self._by_order.get((level, len(query)), ()):
+            keys = row_keys(self._orbits[(cid, level)])
+            i = keys.searchsorted(key)[0]
+            if i < len(keys) and keys[i] == key[0]:
                 return cid
-            i += 1
         return None
 
     # -- printable labels ------------------------------------------------------

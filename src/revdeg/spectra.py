@@ -74,8 +74,9 @@ class LinearizationSpec:
     def components(self) -> list[int]:
         return sorted(self.mu)
 
-    def abs_mu_sum(self, l: int) -> float:
-        return float(sum(abs(x) for x in self.mu[l]))
+    def abs_mu_sum(self, l: int) -> Fraction:
+        """sum_j |mu_j^l|, exactly: a float entry enters as its exact value."""
+        return sum(abs(Fraction(x)) for x in self.mu[l])
 
 
 def _mode_cosines(k: int, m: int) -> list:
@@ -129,17 +130,15 @@ def sign_of(value) -> int:
     return 1 if value > 0 else -1
 
 
+MAX_CUTOFF = 10_000  # the largest K* a configuration may have (one xi per mode up to it)
+
+
 def cutoff(spec: LinearizationSpec) -> int:
     """K* with xi_{k,l} > 0 guaranteed for all k > K*, from the bound
-    xi >= 1 - (1 + sum_j |mu_j|) / (1 + k^2)."""
-    kstar = 0
-    for l in spec.components:
-        s = spec.abs_mu_sum(l)
-        kstar = max(kstar, math.isqrt(int(math.floor(s))) + 1)
-    while any(1 - (1 + spec.abs_mu_sum(l)) / (1 + kstar * kstar) <= 0
-              for l in spec.components):
-        kstar += 1
-    return kstar
+    xi >= 1 - (1 + s) / (1 + k^2), s = sum_j |mu_j^l|: it is positive iff
+    k^2 > s, and the least such k is isqrt(floor(s)) + 1, s taken exactly."""
+    return max((math.isqrt(math.floor(spec.abs_mu_sum(l))) + 1 for l in spec.components),
+               default=0)
 
 
 @dataclass(frozen=True)

@@ -3,14 +3,18 @@
 import json
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from oracles import parse_labeled_element, parse_rendered
-from revdeg.config import ConfigError, example_config_text, load_example, parse_config
+from revdeg.chars import character_table
+from revdeg.config import (ConfigError, example_config_text, linearization_spec, load_example,
+                           parse_config)
 from revdeg.report import run_analyze
+from revdeg.spectra import MAX_CUTOFF, LinearizationSpec, cutoff
 
 
 def test_example_config_parses():
@@ -386,6 +390,46 @@ def test_cli_mu_entry_beyond_a_finite_float_exits_30(tmp_path, capsys, entry):
     assert out == ""
     assert err.startswith("invalid configuration:")
     assert "mu row for 'p' is not numeric and finite" in err
+
+
+@pytest.mark.parametrize("entry", ["1e308", "-1e200"])
+def test_cli_cutoff_above_its_cap_exits_30(tmp_path, capsys, entry):
+    # "1e308" raised OverflowError taking the cutoff in floats (exit 31);
+    # at "-1e200" its loop stepped K* by 1 below float resolution and never
+    # ended.  K* is now exact, and one above MAX_CUTOFF is refused at once
+    from revdeg import cli
+
+    p = tmp_path / "config.json"
+    p.write_text(json.dumps({
+        "group": {"kind": "dihedral", "n": 4}, "delays_m": 2,
+        "representation": [{"label": "p", "irrep": "natural", "multiplicity": 1}],
+        "mu": {"p": [entry, entry]}}))
+    start = time.monotonic()
+    assert cli.main(["analyze", "--unsafe-skip-geometry", "--config", str(p)]) == 30
+    assert time.monotonic() - start < 10
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("invalid configuration:")
+    assert f"the spectral cutoff K* is above {MAX_CUTOFF}" in err
+
+
+@pytest.mark.parametrize("total,kstar", [(MAX_CUTOFF ** 2 - Fraction(1, 3), MAX_CUTOFF),
+                                         (MAX_CUTOFF ** 2, None)])
+def test_cutoff_cap_is_exact(total, kstar):
+    # K* = isqrt(floor(sum |mu_j|)) + 1 over Fractions, so the cap falls
+    # exactly at a sum of MAX_CUTOFF ** 2; a float entry enters exactly
+    cfg = parse_config(json.dumps({
+        "group": {"kind": "dihedral", "n": 4}, "delays_m": 2,
+        "representation": [{"label": "p", "irrep": "natural", "multiplicity": 1}],
+        "mu": {"p": [str(-total / 2)] * 2}}))
+    table = character_table("dihedral", 4)
+    if kstar is None:
+        with pytest.raises(ConfigError, match="spectral cutoff K"):
+            linearization_spec(cfg, table)
+    else:
+        assert cutoff(linearization_spec(cfg, table)) == kstar
+    spec = LinearizationSpec(1, {0: (0.1,)}, {0: 1})
+    assert spec.abs_mu_sum(0) == Fraction(0.1) and cutoff(spec) == 1
 
 
 def _one_entry_config(tmp_path, kind, n, m, irrep, mu):

@@ -1,5 +1,6 @@
 """Domain geometry: curvature, boundary data, condition checks, a-priori bounds."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from revdeg.geometry import (
     PolarTrigPolynomial,
     UnsolvableDomain,
     _grad_xy,
+    _grid_pad,
     _hess_xy,
     alpha_bound,
     apriori_m,
@@ -352,3 +354,17 @@ def test_example_geometry_verdict():
         "grad_max": 21, "grad_min_boundary": 4.0,
         "grad_plus_kappa_min": -0.438691337651, "kappa_max": 17.0,
         "kappa_min": -5.702987389461, "margin_A4": 1.0, "mu_abs_sum": 3.0}
+
+
+def test_grad_max_without_a_bracket_is_the_padded_grid_maximum():
+    # with its bracket dropped, the example domain's grad_max is the grid
+    # maximum of |grad eta| plus the heuristic padding, and the note says so
+    fam = family_spec(load_example())
+    fam = FFamilySpec(dataclasses.replace(fam.domain, published_grad_bounds=None), fam.mu)
+    rep = check_conditions(fam)
+    grid = np.linspace(0.0, 2 * np.pi, 4096, endpoint=False)
+    gn = grad_norm_on_boundary(fam.domain, grid)
+    assert rep.constants["grad_max"] == float(np.max(gn)) + _grid_pad(gn)
+    assert round(rep.constants["grad_max"], 4) == 6.9615
+    assert rep.notes[0] == ("no published gradient bracket; grad_max is the grid maximum of "
+                            "|grad eta| plus the heuristic grid padding, not a proven bound")

@@ -390,7 +390,7 @@ def test_lift_and_half_twist_match_per_member_reference(gamma_index, level, seed
 def test_level_check_and_lookup_decide_as_lift_did(gamma_index, level, seed, coarse, form,
                                                    draw):
     # a drawn subgroup is interned first, so that it and its conjugates hit
-    # the orbit index; a subset of it (a fibre cut short, say) mostly misses
+    # the interned orbits; a subset of it (a fibre cut short, say) mostly misses
     lat = lattice_for(gamma_index, level)
     members = random_subgroup(lat, level, seed, coarse)
     try:
@@ -422,7 +422,7 @@ def test_every_orbit_row_decided_as_before(engine8, natural):
 
 def test_lookup_refuses_hit_above_fold_limit():
     # Z16 and D16 interned at level 64 (fold 16 = 64 // 4) put their level-32
-    # rows into the orbit index; fold 16 is above 32 // 4, so lookup refuses
+    # rows into the orbits; fold 16 is above 32 // 4, so lookup refuses
     # every one of them, with lift's message
     lat = ClassLattice("dihedral", 8, 32)
     for gens in ([lat.encode(4, False, 0, lat.m_hi)],
@@ -484,13 +484,15 @@ def test_n_count_lagrange_short_cut_matches_full_scan():
 
 
 def assert_orbit_store(lat, rng):
-    """Each class's orbit at each level is one sorted, read-only int32 array
-    of distinct sorted rows, row 0 the representative, and _find_class maps
-    every row to the class, whatever the container, dtype or member order."""
+    """Each class's orbit at each level is one sorted, read-only big-endian
+    int32 array of distinct sorted rows, row 0 the representative, and
+    _find_class maps every row to the class, whatever the container, dtype
+    or member order, and the representative shifted by one (which lacks the
+    identity) to no class."""
     for cid in range(len(lat.classes)):
         for level in (lat.m_lo, lat.m_hi):
             rows = lat._orbits[(cid, level)]
-            assert rows.dtype == np.int32 and not rows.flags.writeable
+            assert rows.dtype == np.dtype(">i4") and not rows.flags.writeable
             assert rows.shape[1] == lat.order_of(cid, level)
             assert np.all(np.diff(rows, axis=1) > 0)
             as_tuples = [tuple(r) for r in rows.tolist()]
@@ -501,6 +503,7 @@ def assert_orbit_store(lat, rng):
                 for members in (tuple(shuffled.tolist()), shuffled.tolist(),
                                 shuffled.astype(np.int64), shuffled.astype(np.int32)):
                     assert lat._find_class(members, level) == cid
+            assert lat._find_class(lat._rep_array(cid, level) + 1, level) is None
 
 
 @given(st.integers(0, len(GAMMAS) - 1), st.sampled_from([8, 16]), SUBGROUP_SEEDS,
@@ -520,26 +523,6 @@ def test_orbit_store_of_example_working_set(engine8, natural):
     engine8.basic_degree(0, natural)
     engine8.basic_degree(1, natural)
     assert_orbit_store(engine8.lattice, np.random.default_rng(5))
-
-
-def test_orbit_store_exact_under_fingerprint_collisions(monkeypatch, natural):
-    # every orbit row gets one fingerprint, so each lookup is decided by the
-    # bytes comparison alone: the working set, its ids and every lookup
-    # come out as with the real fingerprint
-    plain = DegreeEngine("dihedral", 8, base_level=32)
-    monkeypatch.setattr(ClassLattice, "_fingerprints",
-                        lambda self, rows: np.zeros(rows.shape[:-1], dtype=np.int64))
-    eng = DegreeEngine("dihedral", 8, base_level=32)
-    for e in (plain, eng):
-        e.basic_degree(0, natural)
-        e.basic_degree(1, natural)
-    lat = eng.lattice
-    assert lat.labels == plain.lattice.labels
-    assert_orbit_store(lat, np.random.default_rng(5))
-    for cid in range(len(lat.classes)):
-        for level in (lat.m_lo, lat.m_hi):
-            # no row lacks the identity
-            assert lat._find_class(lat._rep_array(cid, level) + 1, level) is None
 
 
 def weyl_reference(lat, cid, level):

@@ -10,10 +10,11 @@ from pathlib import Path
 
 import pytest
 
-from revdeg import cli
+from revdeg import cli, lattice
 from revdeg.degrees import DegreeEngine
 from revdeg.groups import closure
 from revdeg.lattice import (
+    MAX_GROUP_ORDER,
     ClassLattice,
     InadmissibleLevel,
     TruncationInstability,
@@ -151,7 +152,7 @@ def test_cli_runs_odd_n_at_its_default_level(tmp_path, kind, n, irrep):
 def lattice_state(lat):
     return (list(lat.classes), list(lat.labels), list(lat._weyl),
             {key: rows.tobytes() for key, rows in lat._orbits.items()},
-            {lv: tuple(a.tobytes() for a in index) for lv, index in lat._index.items()},
+            {key: list(ids) for key, ids in lat._by_order.items()},
             list(lat.escape_log))
 
 
@@ -179,6 +180,31 @@ def test_base_level_must_be_a_positive_multiple_of_4(level):
     with pytest.raises(InadmissibleLevel, match=f"^base level {level} must be a positive "
                                                 "multiple of 4$"):
         DegreeEngine("dihedral", 2, base_level=level)
+
+
+class GroupBuilt(Exception):
+    """Raised in place of building a truncation group."""
+
+
+def test_a_level_over_the_group_cap_is_refused_before_any_group(monkeypatch, tmp_path, capsys):
+    # D8 at mu = -82 (modes 0-9) sizes level 80,640, whose 2M group has
+    # 10,321,920 elements; no group is built before the refusal.  mu = -50
+    # (modes 0-7, level 13,440, 1,720,320 elements) passes the cap
+    def built(*args):
+        raise GroupBuilt
+    monkeypatch.setattr(lattice, "trunc_group", built)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "group": {"kind": "dihedral", "n": 8}, "delays_m": 1,
+        "representation": [{"label": "plane", "irrep": "natural", "multiplicity": 1}],
+        "mu": {"plane": ["-82"]}}))
+    assert cli.main(["analyze", "--unsafe-skip-geometry", "--config", str(config)]) == 39
+    assert capsys.readouterr().err == (
+        "InadmissibleLevel: base level 80640: the group at level 161280 would have "
+        f"10321920 elements, above {MAX_GROUP_ORDER}\n")
+    assert level_for_modes(8, range(8)) == 13440
+    with pytest.raises(GroupBuilt):
+        ClassLattice("dihedral", 8, 13440)
 
 
 def test_at_both_levels_compares_the_two_levels():
