@@ -11,6 +11,15 @@ The tests keep an independent sign oracle: the sign of the linearization on
 each fixed space, from explicit projector bases rather than the parity
 formula.
 
+The stabilizer sampler runs at modes 0 and 1 only.  W_k is W_1 pulled back
+along the k-fold map psi_k of O(2), so for k >= 2 the isotropy classes and
+the basic degree of W_k (x) V_l^- are the images of mode 1's under the
+preimage map Theta_k (ClassLattice.fold; Balanov-Krawcewicz-Steinlein,
+*Applied Equivariant Degree*, 2006).  The images are still certified
+against the fixed-space dimensions at mode k, and the direct route of
+degree_of_linearization takes its fixed dimensions at mode k, so every
+analysis compares the folded product route with an unfolded computation.
+
 The stabilizer sampler draws nothing at random.  Besides structured points,
 it takes the stabilizer of a generic point as the kernel {g : M_g = I} of the
 representation, and the stabilizer of a generic point of each fixed space
@@ -235,6 +244,18 @@ class DegreeEngine:
         key = (k, l)
         if key in self._iso_cache:
             return self._iso_cache[key]
+        if k >= 2:
+            # the images of mode 1's, interned in increasing mode-1 class id
+            iso = sorted(self.lattice.fold(c, k) for c in self.isotropy_classes(1, l))
+        else:
+            iso = self._sampled_isotropy(k, l)
+        self._certify_isotropy(k, l, iso)
+        self._iso_cache[key] = iso
+        return iso
+
+    def _sampled_isotropy(self, k: int, l: int) -> list[int]:
+        """The isotropy classes the stabilizer sampler finds at mode k (0 or
+        1), sorted, before their certificate."""
         lat = self.lattice
         level = lat.m_lo
         g = lat.group_at(level)
@@ -253,10 +274,7 @@ class DegreeEngine:
                 found.add(self._class_of_stabilizer(g, self._stabilizer(mats, proj), level))
             cid += 1
         found.discard(None)
-        iso = sorted(found)
-        self._certify_isotropy(k, l, iso)
-        self._iso_cache[key] = iso
-        return iso
+        return sorted(found)
 
     def _class_of_stabilizer(self, g, members: np.ndarray, level: int) -> int | None:
         """Class id of a sampled stabilizer, given by its sorted members in
@@ -314,11 +332,18 @@ class DegreeEngine:
         key = (k, l)
         if key in self._deg_cache:
             return self._deg_cache[key]
-        self.isotropy_classes(k, l)
         lat = self.lattice
-        d = {cid: (-1) ** self.fixed_dim(k, l, cid)
-             for cid in range(len(lat.classes)) if lat.finite_weyl(cid)}
-        deg = recurrence(d, lat)
+        if k >= 2:
+            # deg V(k,l) = Theta_k(deg V(1,l)); its classes other than (G)
+            # are isotropy classes, which isotropy_classes interns first
+            mode1 = self.basic_degree(1, l)
+            self.isotropy_classes(k, l)
+            deg = BurnsideElement.from_dict(lat, {lat.fold(c, k): v for c, v in mode1.coeffs})
+        else:
+            self.isotropy_classes(k, l)
+            d = {cid: (-1) ** self.fixed_dim(k, l, cid)
+                 for cid in range(len(lat.classes)) if lat.finite_weyl(cid)}
+            deg = recurrence(d, lat)
         self._deg_cache[key] = deg
         return deg
 

@@ -15,6 +15,8 @@ This module alone decides truncation levels: level_for_modes sizes the base
 level M (default_level is the fixed level of an engine given none), and
 ClassLattice.at_both_levels computes every Weyl order, containment count,
 product and fixed dimension at M and at 2M and refuses a mismatch.
+ClassLattice.fold maps a class to its preimage under the k-fold map of O(2),
+truncated and interned at M.
 
 Each interned class keeps its full-group orbit once per level, as a sorted,
 read-only big-endian int32 (>i4) array with one row of members per
@@ -209,6 +211,8 @@ class ClassLattice:
         self._n_cache: dict[tuple[int, int], int] = {}
         self._angle_cache: dict[int, list[Fraction]] = {}
         self._mul_cache: dict[tuple[int, int], dict[int, int]] = {}
+        # (class id, k) -> the id of fold(class id, k)
+        self._folds: dict[tuple[int, int], int] = {}
         self.escape_log: list[str] = []
         # the full group is always class 0
         self.ensure_handle(tuple(range(self.group_lo.order)), self.m_lo)
@@ -380,6 +384,39 @@ class ClassLattice:
         self.labels.append(label)
         self._by_label[label] = cid
         return cid
+
+    def fold(self, cid: int, k: int) -> int | None:
+        """The class Theta_k(H) of H = class cid: its preimage under
+        psi_k x id, psi_k: O(2) -> O(2), e^{i theta} -> e^{ik theta},
+        kappa -> kappa, interned at m_lo; None for a cyclic fold, whose
+        preimage is one too.  W_k is W_1 pulled back along psi_k, so
+        Theta_k carries the isotropy classes and basic degrees of mode 1 to
+        those of mode k.
+
+        SO(2) and O(2) are their own preimages.  A dihedral fold j is first
+        rotated so that its first reflection axis lies at angle 0, as
+        _axis_zero does; then each pair (q, ge), rotation or reflection, has
+        the k preimages ((q + i)/k, ge), and the fold is kj.  The preimage is
+        refused (_check_fold) or truncated at m_lo and interned by
+        ensure_handle, as any class met at that level is."""
+        data = self.classes[cid]
+        if data.o2.kind in ("O2", "SO2"):
+            return cid
+        if data.o2.kind == "Z":
+            return None
+        key = (cid, k)
+        if key not in self._folds:
+            q0 = data.refl_fin[0][0]
+            o2 = O2Desc("D", k * data.o2.fold)
+            self._check_fold(o2, self.m_lo)
+
+            def preimages(pairs, shift: Fraction) -> tuple:
+                return tuple((((q - shift) % 1 + i) / k, ge) for q, ge in pairs for i in range(k))
+
+            image = AmalgamData(o2, (), (), preimages(data.rot_fin, Fraction(0)),
+                                preimages(data.refl_fin, q0))
+            self._folds[key] = self.ensure_handle(self.truncate(image, self.m_lo), self.m_lo)
+        return self._folds[key]
 
     def _rep_array(self, cid: int, level: int) -> np.ndarray:
         """The representative at level: row 0 of the class's orbit."""

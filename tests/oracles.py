@@ -8,6 +8,10 @@ run reaches them.
   *Applied Equivariant Degree*, AIMS 2006).
 - d_sign_oracle: the sign of the linearization on a fixed space, from
   explicit projector bases rather than from the parity formula.
+- direct_isotropy, direct_basic_degree: the isotropy classes and basic
+  degree of a mode k >= 2 computed at mode k itself, by the stabilizer
+  sampler and the recurrence over fixed_dim(k, ...), rather than folded
+  from mode 1.
 - parse_labeled_element, parse_rendered: the printed forms of a Burnside
   element read back.
 - octagon_published_curvature, octagon_published_gradient: the published
@@ -23,7 +27,7 @@ import math
 
 import numpy as np
 
-from revdeg.burnside import BurnsideElement
+from revdeg.burnside import BurnsideElement, recurrence
 from revdeg.degrees import DegreeEngine, IncompleteLattice
 from revdeg.groups import FiniteGroup, SubgroupClass, coset_intersections
 from revdeg.spectra import LinearizationSpec, SpectralSummary
@@ -144,6 +148,27 @@ def d_sign_oracle(engine: DegreeEngine, spec: LinearizationSpec, cid: int,
             s, _ = np.linalg.slogdet(block)
             sign *= int(s) ** spec.mult[l]
     return sign
+
+
+# -- a mode computed at that mode -------------------------------------------------
+
+
+def direct_isotropy(engine: DegreeEngine, k: int, l: int) -> list[int]:
+    """The isotropy classes of W_k (x) V_l^- by the stabilizer sampler run
+    at mode k, certified against the fixed dimensions at mode k."""
+    iso = engine._sampled_isotropy(k, l)
+    engine._certify_isotropy(k, l, iso)
+    return iso
+
+
+def direct_basic_degree(engine: DegreeEngine, k: int, l: int) -> BurnsideElement:
+    """deg V(k,l) by the recurrence over the fixed dimensions at mode k of
+    every finite-Weyl class, once direct_isotropy has interned the classes."""
+    direct_isotropy(engine, k, l)
+    lat = engine.lattice
+    d = {cid: (-1) ** engine.fixed_dim(k, l, cid)
+         for cid in range(len(lat.classes)) if lat.finite_weyl(cid)}
+    return recurrence(d, lat)
 
 
 # -- printed-element round trip ---------------------------------------------------

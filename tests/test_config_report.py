@@ -122,6 +122,25 @@ def test_cli_geometry_check_exit_code():
     assert r.returncode == 20  # honest A4 failure on the octagonal example
 
 
+def test_cli_geometry_check_fails_growth_conditions_with_infinite_constants(tmp_path, capsys):
+    # mu = 1e308 makes K infinite; A5 and A6prime were "pass" whatever
+    # their constants were
+    from revdeg import cli
+
+    raw = json.loads(example_config_text())
+    raw["mu"]["plane"] = ["1e308"]
+    p = tmp_path / "config.json"
+    p.write_text(json.dumps(raw))
+    assert cli.main(["geometry-check", "--config", str(p), "--grid", "512"]) == 20
+    lines = capsys.readouterr().out.splitlines()
+    assert "A5: fail" in lines and "A6prime: fail" in lines
+    assert "K = inf" in lines
+    # the example's finite constants still pass them
+    assert cli.main(["geometry-check", "--grid", "512"]) == 20
+    lines = capsys.readouterr().out.splitlines()
+    assert "A5: pass" in lines and "A6prime: pass" in lines
+
+
 def test_cli_figure_data():
     r = _cli("figure-data", "--grid", "16")
     lines = r.stdout.strip().splitlines()

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from oracles import direct_basic_degree
 from revdeg import cli, lattice
 from revdeg.degrees import DegreeEngine
 from revdeg.groups import closure
@@ -123,10 +124,17 @@ def test_default_level_keeps_its_value_and_its_refusals():
     for n in range(1, 13):
         assert default_level(n) == 4 * math.lcm(n, 4, 2)
         assert DegreeEngine("cyclic", n).lattice.m_lo == default_level(n)
-    # the two refusals the benchmark's gamma_sweep records at the default
-    for kind, l in (("dihedral", 4), ("cyclic", 2)):
-        with pytest.raises(TruncationInstability):
-            DegreeEngine(kind, 4).basic_degree(2, l)
+    # of the two refusals the benchmark's gamma_sweep recorded at the
+    # default, D4 V(2,4) stays: its mode-1 fold 4 goes to fold 8, above 16/4
+    with pytest.raises(TruncationInstability, match="^fold 8 too close to truncation level 16"):
+        DegreeEngine("dihedral", 4).basic_degree(2, 4)
+    # Z4 V(2,2), folded from mode 1, is no longer refused and gives the
+    # degree of twice the level, (G), by the fold and by the mode-2 sampler
+    # and recurrence there
+    got = DegreeEngine("cyclic", 4).basic_degree(2, 2).labeled()
+    doubled = DegreeEngine("cyclic", 4, base_level=2 * default_level(4))
+    assert got == doubled.basic_degree(2, 2).labeled() == [("(G)", 1)]
+    assert direct_basic_degree(doubled, 2, 2).labeled() == got
 
 
 @pytest.mark.parametrize("kind,n,irrep", [("dihedral", 3, "natural"), ("cyclic", 3, "natural"),
