@@ -20,6 +20,15 @@ against the fixed-space dimensions at mode k, and the direct route of
 degree_of_linearization takes its fixed dimensions at mode k, so every
 analysis compares the folded product route with an unfolded computation.
 
+The sampler runs below the working level m_lo.  Mode 0 samples on the
+|Gamma x Z2| matrices of V_l^- alone: O(2) acts trivially on W_0, so every
+stabilizer is O(2) x F.  Mode 1 samples at the lattice's m_sample, on whose
+grid every mode-1 stabilizer lies once a reflection axis is at 0 (m_lo
+itself only under a level override that m_sample does not divide).  Each
+stabilizer found is carried to m_lo by index arithmetic
+(ClassLattice.at_working_level), looked up and interned there, so the
+classes, their ids and their order are those the sampler finds at m_lo.
+
 The stabilizer sampler draws nothing at random.  Besides structured points,
 it takes the stabilizer of a generic point as the kernel {g : M_g = I} of the
 representation, and the stabilizer of a generic point of each fixed space
@@ -113,9 +122,9 @@ class DegreeEngine:
         # (k, level) -> the 2x2 matrix of W_k at each O(2) index of D_level
         self._o2_mats: dict[tuple[int, int], np.ndarray] = {}
         self._iso_cache: dict = {}
-        # sampled stabilizer members, as sorted int32 bytes -> class id,
-        # None for a cyclic fold
-        self._stab_class: dict[bytes, int | None] = {}
+        # (sampling level, sampled stabilizer members as sorted int32 bytes)
+        # -> class id, None for a cyclic fold
+        self._stab_class: dict[tuple[int | None, bytes], int | None] = {}
         self._deg_cache: dict = {}
 
     # -- components ------------------------------------------------------------
@@ -132,15 +141,17 @@ class DegreeEngine:
 
     # -- representation matrices over the truncation ---------------------------
 
-    def rep_matrices(self, k: int, l: int, level: int) -> np.ndarray:
-        """Matrices of W_k (x) V_l^- for every element of the level-M
-        truncation, built on each call and not kept: isotropy_classes holds
-        them for its own loop only."""
+    def rep_matrices(self, k: int, l: int, level: int | None) -> np.ndarray:
+        """Matrices of W_k (x) V_l^- for every element of
+        lattice.group_at(level) (at None, Gamma x Z2 and mode 0 only), built
+        on each call and not kept: isotropy_classes holds them for its own
+        loop only."""
         return self._matrices(k, l, level, np.arange(self.lattice.group_at(level).order))
 
-    def _matrices(self, k: int, l: int, level: int, idx: np.ndarray) -> np.ndarray:
-        """Matrices of W_k (x) V_l^- for the elements idx of the truncation
-        at level: each the Kronecker product of its W_k and V_l^- parts."""
+    def _matrices(self, k: int, l: int, level: int | None, idx: np.ndarray) -> np.ndarray:
+        """Matrices of W_k (x) V_l^- for the elements idx of
+        lattice.group_at(level): each the Kronecker product of its W_k and
+        V_l^- parts; at mode 0, where W_k is trivial, the V_l^- part alone."""
         o2_idx, ge = np.divmod(idx, self.lattice.ng)
         gm = self.table.irreps[self.minus[l]].matrices[ge]
         if k == 0:
@@ -191,10 +202,11 @@ class DegreeEngine:
             self._rot_factor[key] = np.trace(self._o2_matrices(k, level), axis1=1, axis2=2)
         return self._rot_factor[key]
 
-    def fixed_projector(self, k: int, l: int, cid: int, level: int) -> np.ndarray:
-        """The projector onto the class-cid fixed subspace of W_k (x) V_l^-:
-        the mean of the matrices of the representative's members at level."""
-        members = self.lattice._rep_array(cid, level)
+    def fixed_projector(self, k: int, l: int, cid: int, level: int | None) -> np.ndarray:
+        """The projector onto the fixed subspace of W_k (x) V_l^- of a
+        subgroup in class cid: the mean of the matrices of the members of
+        lattice.representative(cid, level)."""
+        members = self.lattice.representative(cid, level)
         return self._matrices(k, l, level, members).mean(axis=0)
 
     # -- stabilizer sampling ----------------------------------------------------
@@ -248,16 +260,17 @@ class DegreeEngine:
             # the images of mode 1's, interned in increasing mode-1 class id
             iso = sorted(self.lattice.fold(c, k) for c in self.isotropy_classes(1, l))
         else:
-            iso = self._sampled_isotropy(k, l)
+            iso = self._sampled_isotropy(k, l, None if k == 0 else self.lattice.m_sample)
         self._certify_isotropy(k, l, iso)
         self._iso_cache[key] = iso
         return iso
 
-    def _sampled_isotropy(self, k: int, l: int) -> list[int]:
-        """The isotropy classes the stabilizer sampler finds at mode k (0 or
-        1), sorted, before their certificate."""
+    def _sampled_isotropy(self, k: int, l: int, level: int | None) -> list[int]:
+        """The isotropy classes the stabilizer sampler finds at mode k on
+        lattice.group_at(level), sorted, before their certificate.  The
+        engine samples mode 0 at None (Gamma x Z2) and mode 1 at m_sample;
+        any mode can be sampled at m_lo, where nothing is carried."""
         lat = self.lattice
-        level = lat.m_lo
         g = lat.group_at(level)
         mats = self.rep_matrices(k, l, level)
         found: set[int | None] = set()  # None: a cyclic fold
@@ -276,30 +289,39 @@ class DegreeEngine:
         found.discard(None)
         return sorted(found)
 
-    def _class_of_stabilizer(self, g, members: np.ndarray, level: int) -> int | None:
+    def _class_of_stabilizer(self, g, members: np.ndarray, level: int | None) -> int | None:
         """Class id of a sampled stabilizer, given by its sorted members in
-        the truncation g at level (always the lattice's m_lo), or None for a
-        cyclic fold (infinite Weyl group).  Memoized by member set for the
-        engine's life; a set that raises is not memoized, so it raises again
-        on every visit.
+        g = lattice.group_at(level), or None for a cyclic fold (infinite
+        Weyl group).  Memoized by level and member set for the engine's
+        life; a set that raises is not memoized, so it raises again on
+        every visit.
 
-        The set is looked up in the interned orbits first (ClassLattice.lookup),
-        which refuses an unstable truncation as lift would.  A hit is a row
-        of an interned orbit, a conjugate of H ∩ (D_M x Gamma x Z2) for a
-        closed subgroup H, so it is itself a subgroup, and its class's
-        O(2)-part says whether it is a cyclic fold; only a miss is checked
-        with closure (the IncompleteLattice certificate) and interned."""
-        key = members.astype(np.int32).tobytes()
+        Below m_lo, a set holding every rotation of its level is refused
+        (IncompleteLattice): there a full fold cannot be told from a finite
+        one, and no stabilizer of a nonzero point of W_1 is either.  The set
+        is carried to m_lo (ClassLattice.at_working_level) and looked up in
+        the interned orbits there (ClassLattice.lookup), which refuses an
+        unstable truncation as lift would.  A hit is a row of an interned
+        orbit, a conjugate of H ∩ (D_M x Gamma x Z2) for a closed subgroup
+        H, so it is itself a subgroup, and its class's O(2)-part says
+        whether it is a cyclic fold; only a miss is checked with closure in
+        g (the IncompleteLattice certificate) and interned at m_lo."""
+        key = (level, members.astype(np.int32).tobytes())
         if key in self._stab_class:
             return self._stab_class[key]
         lat = self.lattice
-        cid, o2 = lat.lookup(members, level)
+        if level not in (None, lat.m_lo):
+            rotations = members[members < level * lat.ng] // lat.ng
+            if np.count_nonzero(np.bincount(rotations, minlength=level)) == level:
+                raise IncompleteLattice(f"stabilizer holds every rotation of level {level}")
+        at_lo = lat.at_working_level(members, level)
+        cid, o2 = lat.lookup(at_lo, lat.m_lo)
         cyclic = o2.kind == "Z"
         if cid is None:
             if len(closure(g, members)) != len(members):
                 raise IncompleteLattice("stabilizer not closed at tolerance")
             if not cyclic:
-                cid = lat.ensure_handle(members, level)
+                cid = lat.ensure_handle(at_lo, lat.m_lo)
         self._stab_class[key] = None if cyclic else cid
         return self._stab_class[key]
 

@@ -16,7 +16,14 @@ level M (default_level is the fixed level of an engine given none), and
 ClassLattice.at_both_levels computes every Weyl order, containment count,
 product and fixed dimension at M and at 2M and refuses a mismatch.
 ClassLattice.fold maps a class to its preimage under the k-fold map of O(2),
-truncated and interned at M.
+by index arithmetic on its representative at M, and interns it at M.
+
+The stabilizer sampler runs on Gamma x Z2 at mode 0 (group_at(None)) and
+at m_sample = level_for_modes(n, [0, 1]) at mode 1, or at M where m_sample
+does not divide M: a mode-1 stabilizer's rotation angles are eigen-phases of
+Gamma x Z2 elements and its reflection axes differ by such angles, so with
+one axis at 0 it lies on the grid of m_sample.  representative carries a
+class down to a sampling level, at_working_level a sampled subgroup up to M.
 
 Each interned class keeps its full-group orbit once per level, as a sorted,
 read-only big-endian int32 (>i4) array with one row of members per
@@ -170,13 +177,35 @@ def row_order(rows: np.ndarray) -> np.ndarray:
     return np.argsort(row_keys(rows.astype(">i4", copy=False)))
 
 
+def grid_indices(num, den, level: int) -> np.ndarray:
+    """The indices at level of the angles num/den of a full turn (arrays or
+    scalars), refused (InadmissibleLevel) unless all are whole."""
+    num, den = np.asarray(num, dtype=np.int64), np.asarray(den, dtype=np.int64)
+    t, off = np.divmod(num * level, den)
+    if off.any():
+        first = np.flatnonzero(off)[0]
+        q = Fraction(*(int(np.broadcast_to(a, off.shape).flat[first]) for a in (num, den)))
+        raise InadmissibleLevel(f"level {level} not divisible by fold denominator {q.denominator}")
+    return t
+
+
+def axis_to_zero(o2: np.ndarray, level: int) -> tuple[np.ndarray, np.ndarray]:
+    """Angle indices and reflection mask of the O(2) indices of a subgroup
+    at level, conjugated by a rotation so its least reflection axis is 0."""
+    refl = o2 >= level
+    t = o2 % level
+    if refl.any():
+        t = np.where(refl, (t - t[refl].min()) % level, t)
+    return t, refl
+
+
 class ClassLattice:
     """Working set of subgroup classes with the level-M / level-2M protocol,
     for Gamma = D_n (kind "dihedral") or Z_n (kind "cyclic").
 
-    Owns the truncated groups at both levels, interns classes by full-group
-    conjugacy, and caches Weyl orders, containment counts and the order
-    relation, each verified stable across the two levels.
+    Owns the truncated groups at both levels (and m_sample), interns classes
+    by full-group conjugacy, and caches Weyl orders, containment counts and
+    the order relation, each verified stable across the two levels.
     """
 
     def __init__(self, kind: str, n: int, base_level: int):
@@ -195,6 +224,12 @@ class ClassLattice:
                 f"{2 * self.m_hi * self.ng} elements, above {MAX_GROUP_ORDER}")
         self.group_lo = trunc_group(self.gamma_z2, self.m_lo)
         self.group_hi = trunc_group(self.gamma_z2, self.m_hi)
+        # the sampler's level at mode 1; m_lo under a --truncation it does not divide
+        sample = level_for_modes(n, [0, 1])
+        self.m_sample = sample if self.m_lo % sample == 0 else self.m_lo
+        self._groups = {None: self.gamma_z2, self.m_lo: self.group_lo, self.m_hi: self.group_hi}
+        if self.m_sample not in self._groups:
+            self._groups[self.m_sample] = trunc_group(self.gamma_z2, self.m_sample)
         self.classes: list[AmalgamData] = []
         self.labels: list[str] = []
         # (class id, level) -> the class's full-group orbit at level, as
@@ -219,15 +254,15 @@ class ClassLattice:
 
     # -- element decoding ----------------------------------------------------
 
-    def group_at(self, level: int) -> ProductGroup:
-        if level == self.m_lo:
-            return self.group_lo
-        if level == self.m_hi:
-            return self.group_hi
-        raise InadmissibleLevel(f"unsupported level {level}")
+    def group_at(self, level: int | None) -> ProductGroup | FiniteGroup:
+        """The truncation at m_lo, m_hi or m_sample; Gamma x Z2 at None."""
+        if level not in self._groups:
+            raise InadmissibleLevel(f"unsupported level {level}")
+        return self._groups[level]
 
-    def encode(self, t: int, refl: bool, ge: int, level: int) -> int:
-        return ((t % level) + (level if refl else 0)) * self.ng + ge
+    def encode(self, t, refl, ge, level: int):
+        """Index at level of (rotation or reflection t, ge); ints or arrays."""
+        return ((t % level) + level * refl) * self.ng + ge
 
     # -- lift / truncate -----------------------------------------------------
 
@@ -297,16 +332,15 @@ class ClassLattice:
         steps = np.arange(level, dtype=np.int64) * ng
         parts = [steps + ge for ge in data.rot_all]
         parts += [steps + (level * ng + ge) for ge in data.refl_all]
-        fin = []
-        for pairs, refl in ((data.rot_fin, False), (data.refl_fin, True)):
-            for q, ge in pairs:
-                t, off = divmod(q.numerator * level, q.denominator)
-                if off:
-                    raise InadmissibleLevel(
-                        f"level {level} not divisible by fold denominator {q.denominator}")
-                fin.append(self.encode(t, refl, ge, level))
-        parts.append(np.asarray(fin, dtype=np.int64))
+        parts += [self._encode_pairs(data.rot_fin, False, level),
+                  self._encode_pairs(data.refl_fin, True, level)]
         return tuple(np.sort(np.concatenate(parts)).tolist())
+
+    def _encode_pairs(self, pairs, refl: bool, level: int, shift: Fraction | None = None):
+        """Indices at level of (angle - shift, ge) pairs, by grid_indices."""
+        angles = [q for q, _ in pairs] if shift is None else [q - shift for q, _ in pairs]
+        t = grid_indices([q.numerator for q in angles], [q.denominator for q in angles], level)
+        return self.encode(t, refl, np.asarray([ge for _, ge in pairs], dtype=np.int64), level)
 
     # -- full-group conjugacy ------------------------------------------------
 
@@ -393,12 +427,10 @@ class ClassLattice:
         Theta_k carries the isotropy classes and basic degrees of mode 1 to
         those of mode k.
 
-        SO(2) and O(2) are their own preimages.  A dihedral fold j is first
-        rotated so that its first reflection axis lies at angle 0, as
-        _axis_zero does; then each pair (q, ge), rotation or reflection, has
-        the k preimages ((q + i)/k, ge), and the fold is kj.  The preimage is
-        refused (_check_fold) or truncated at m_lo and interned by
-        ensure_handle, as any class met at that level is."""
+        SO(2) and O(2) are their own preimages.  A dihedral fold j has fold
+        kj: each member (t, ge) of its m_lo representative, turned by
+        axis_to_zero, has the k preimages ((t + i·m_lo)/k, ge), i < k.  The
+        image is refused (_check_fold, grid_indices) or interned at m_lo."""
         data = self.classes[cid]
         if data.o2.kind in ("O2", "SO2"):
             return cid
@@ -406,21 +438,44 @@ class ClassLattice:
             return None
         key = (cid, k)
         if key not in self._folds:
-            q0 = data.refl_fin[0][0]
-            o2 = O2Desc("D", k * data.o2.fold)
-            self._check_fold(o2, self.m_lo)
-
-            def preimages(pairs, shift: Fraction) -> tuple:
-                return tuple((((q - shift) % 1 + i) / k, ge) for q, ge in pairs for i in range(k))
-
-            image = AmalgamData(o2, (), (), preimages(data.rot_fin, Fraction(0)),
-                                preimages(data.refl_fin, q0))
-            self._folds[key] = self.ensure_handle(self.truncate(image, self.m_lo), self.m_lo)
+            m = self.m_lo
+            self._check_fold(O2Desc("D", k * data.o2.fold), m)
+            o2, ge = np.divmod(self._rep_array(cid, m).astype(np.int64), self.ng)
+            t, refl = axis_to_zero(o2, m)
+            # the angle (t + i·m)/(k·m) of each preimage, indexed at m
+            t = grid_indices(t[:, None] + m * np.arange(k), k * m, m)
+            members = self.encode(t, refl[:, None], ge[:, None], m)
+            self._folds[key] = self.ensure_handle(np.sort(members, axis=None), m)
         return self._folds[key]
 
     def _rep_array(self, cid: int, level: int) -> np.ndarray:
         """The representative at level: row 0 of the class's orbit."""
         return self._orbits[(cid, level)][0]
+
+    def representative(self, cid: int, level: int | None) -> np.ndarray:
+        """A subgroup of group_at(level) in class cid, for the sampler's
+        probes: _rep_array at m_lo or m_hi; the Gamma x Z2 projection at
+        None; at m_sample below m_lo, the m_lo row turned by axis_to_zero
+        and divided down (grid_indices)."""
+        if level in (self.m_lo, self.m_hi):
+            return self._rep_array(cid, level)
+        rep = self._rep_array(cid, self.m_lo)
+        if level is None:
+            return np.flatnonzero(np.bincount(rep % self.ng, minlength=self.ng))
+        if level != self.m_sample:
+            raise InadmissibleLevel(f"unsupported level {level}")
+        o2, ge = np.divmod(rep.astype(np.int64), self.ng)
+        t, refl = axis_to_zero(o2, self.m_lo)
+        return np.sort(self.encode(grid_indices(t, self.m_lo, level), refl, ge, level))
+
+    def at_working_level(self, members, level: int | None) -> np.ndarray:
+        """A subgroup of group_at(level) carried to m_lo, order kept: O(2) x
+        members at None; else each angle index t becomes t·m_lo/level."""
+        if level is None:
+            f = tuple(int(ge) for ge in members)
+            return np.asarray(self.truncate(AmalgamData(O2Desc("O2"), f, f, (), ()), self.m_lo))
+        o2, ge = np.divmod(np.asarray(members, dtype=np.int64), self.ng)
+        return self.encode(o2 % level * (self.m_lo // level), o2 >= level, ge, self.m_lo)
 
     def class_id_by_label(self, label: str) -> int:
         return self._by_label[label]
@@ -495,13 +550,12 @@ class ClassLattice:
 
     def _axis_zero(self, data: AmalgamData, level: int) -> tuple[int, ...]:
         """A dihedral-fold class truncated at level (a multiple of its fold),
-        rotated so that its first reflection axis lies at angle 0."""
+        rotated so that its first reflection axis lies at angle 0; an angle
+        off the level's grid is refused."""
         q0 = data.refl_fin[0][0]
-        members = [self.encode(int(q * level), False, ge, level)
-                   for q, ge in data.rot_fin]
-        members += [self.encode(int((q - q0) * level), True, ge, level)
-                    for q, ge in data.refl_fin]
-        return tuple(sorted(members))
+        parts = [self._encode_pairs(data.rot_fin, False, level),
+                 self._encode_pairs(data.refl_fin, True, level, q0)]
+        return tuple(np.sort(np.concatenate(parts)).tolist())
 
     def at_both_levels(self, at, what: str):
         """at(M), once at(2M) is found equal to it: the one comparison of the

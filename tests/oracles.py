@@ -9,9 +9,10 @@ run reaches them.
 - d_sign_oracle: the sign of the linearization on a fixed space, from
   explicit projector bases rather than from the parity formula.
 - direct_isotropy, direct_basic_degree: the isotropy classes and basic
-  degree of a mode k >= 2 computed at mode k itself, by the stabilizer
-  sampler and the recurrence over fixed_dim(k, ...), rather than folded
-  from mode 1.
+  degree of a mode computed at that mode by the stabilizer sampler on the
+  truncation at the working level and the recurrence over fixed_dim(k, ...):
+  for a mode k >= 2 rather than folded from mode 1, and for modes 0 and 1
+  rather than sampled on Gamma x Z2 and at m_sample.
 - parse_labeled_element, parse_rendered: the printed forms of a Burnside
   element read back.
 - octagon_published_curvature, octagon_published_gradient: the published
@@ -155,8 +156,11 @@ def d_sign_oracle(engine: DegreeEngine, spec: LinearizationSpec, cid: int,
 
 def direct_isotropy(engine: DegreeEngine, k: int, l: int) -> list[int]:
     """The isotropy classes of W_k (x) V_l^- by the stabilizer sampler run
-    at mode k, certified against the fixed dimensions at mode k."""
-    iso = engine._sampled_isotropy(k, l)
+    at mode k on the truncation at the working level m_lo, certified
+    against the fixed dimensions at mode k: at modes 0 and 1 the witness of
+    the engine's sampling on Gamma x Z2 and at m_sample, above mode 1 an
+    unfolded witness."""
+    iso = engine._sampled_isotropy(k, l, engine.lattice.m_lo)
     engine._certify_isotropy(k, l, iso)
     return iso
 

@@ -266,16 +266,33 @@ def test_stabilizer_memo_keeps_ids_labels_and_classes(monkeypatch, kind, n, base
 
 
 def test_unclosed_stabilizer_raises_on_every_visit(monkeypatch):
-    # {identity, rotation by one grid step} is not closed; the refusal is
-    # not memoized, so the next call refuses again
-    eng = DegreeEngine("dihedral", 2, base_level=8)
-    step = eng.lattice.ng
+    # mode 1 samples at m_sample = 8, below m_lo = 16; {identity, rotation
+    # by one grid step there} is not closed; the refusal is not memoized,
+    # so the next call refuses again
+    eng = DegreeEngine("dihedral", 2, base_level=16)
+    lat = eng.lattice
+    assert lat.m_sample == 8 < lat.m_lo
+    step = lat.ng
     monkeypatch.setattr(DegreeEngine, "_stabilizer",
                         lambda self, mats, p: np.array([0, step]))
     for _ in range(2):
-        with pytest.raises(IncompleteLattice):
-            eng.isotropy_classes(0, 0)
-    assert np.array([0, step], dtype=np.int32).tobytes() not in eng._stab_class
+        with pytest.raises(IncompleteLattice, match="not closed"):
+            eng.isotropy_classes(1, 0)
+    assert (lat.m_sample, np.array([0, step], dtype=np.int32).tobytes()) not in eng._stab_class
+
+
+def test_full_fold_below_the_working_level_raises(monkeypatch):
+    # every rotation of m_sample = 8 (paired with the identity of Gamma x
+    # Z2) is a subgroup there, but could be SO(2) or the fold 8 of m_lo;
+    # no mode-1 stabilizer is either, so the sampler refuses it
+    eng = DegreeEngine("dihedral", 2, base_level=16)
+    lat = eng.lattice
+    rotations = np.arange(lat.m_sample) * lat.ng
+    monkeypatch.setattr(DegreeEngine, "_stabilizer", lambda self, mats, p: rotations)
+    for _ in range(2):
+        with pytest.raises(IncompleteLattice, match="every rotation"):
+            eng.isotropy_classes(1, 0)
+    assert len(lat.classes) == 1
 
 
 def stabilizer_errors_reference(mats, p):
@@ -378,11 +395,14 @@ def test_exact_generic_stabilizers_equal_seeded_draws(kind, n, base_level):
 
 def test_lookup_hit_still_refuses(monkeypatch):
     # Z16 (every fourth rotation) interned at level 64 puts its level-32
-    # truncation, too close to level 32, into its orbits; a sampled
-    # stabilizer equal to that row is refused before the lookup, every
-    # time, and is not memoized
+    # truncation, too close to level 32, into its orbits; a stabilizer
+    # sampled at mode 1 equal to that row is refused on the lookup hit,
+    # every time, and is not memoized.  D8's m_sample is its m_lo, 32:
+    # below m_lo such a row would hold every rotation of m_sample, which
+    # the sampler refuses before any lookup
     eng = DegreeEngine("dihedral", 8, base_level=32)
     lat = eng.lattice
+    assert lat.m_sample == lat.m_lo
     z16_lo = np.array([lat.encode(2 * t, False, 0, lat.m_lo) for t in range(16)])
     cid = lat.ensure_handle(
         tuple(lat.encode(4 * t, False, 0, lat.m_hi) for t in range(16)), lat.m_hi)
@@ -390,8 +410,8 @@ def test_lookup_hit_still_refuses(monkeypatch):
     monkeypatch.setattr(DegreeEngine, "_stabilizer", lambda self, mats, p: z16_lo)
     for _ in range(2):
         with pytest.raises(TruncationInstability):
-            eng.isotropy_classes(0, 0)
-    assert z16_lo.astype(np.int32).tobytes() not in eng._stab_class
+            eng.isotropy_classes(1, 0)
+    assert (lat.m_sample, z16_lo.astype(np.int32).tobytes()) not in eng._stab_class
 
 
 def fixed_dim_reference(eng, k, l, cid, level):

@@ -242,6 +242,18 @@ def test_inadmissible_level_raises(lat):
     assert_truncate_matches_reference(lat, bad, 48)
 
 
+def test_axis_zero_refuses_an_angle_off_the_grid(lat):
+    # D3 x 1: the rotation and the reflection at 1/3 turn have no index at
+    # level 8 (rounding down would put them at 2); at level 24 they are at 8
+    d3 = AmalgamData(O2Desc("D", 3), (), (),
+                     tuple((Fraction(i, 3), 0) for i in range(3)),
+                     tuple((Fraction(i, 3), 0) for i in range(3)))
+    with pytest.raises(InadmissibleLevel, match="denominator 3"):
+        lat._axis_zero(d3, 8)
+    assert lat._axis_zero(d3, 24) == tuple(sorted(
+        lat.encode(8 * i, refl, 0, 24) for i in range(3) for refl in (False, True)))
+
+
 def test_poset_partial_order(lat, engine8=None):
     ids = range(len(lat.classes))
     for i in ids:
