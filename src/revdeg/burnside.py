@@ -1,9 +1,10 @@
 """The Burnside ring A(G) as a sparse integer module over a ClassLattice.
 
-Products count double cosets through ClassLattice.product_classes (only the
-double cosets whose intersection holds a reflection, unless both factors
-contain SO(2)).  The recurrence converts fixed-space Brouwer degrees into
-coefficients.  The tests keep the independent witnesses: the finite-group
+Products count double cosets through ClassLattice.product_classes: in the
+quotient Z2 x Gamma x Z2 when a factor contains SO(2), else only those
+meeting the reflection conjugators of the two factors.  The recurrence
+converts fixed-space Brouwer degrees into coefficients.  The tests keep the
+independent witnesses: the finite-group
 product by double cosets and by a brute-force orbit partition of the
 product of coset spaces, and the inverse of the recurrence.
 """

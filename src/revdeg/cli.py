@@ -53,9 +53,18 @@ def _checked(value, name: str, least: int):
 
 def _load_config(args) -> AnalysisConfig:
     """The configuration, its truncation level overridden by --truncation;
-    --truncation and --grid are checked as truncation_base and boundary_grid."""
-    cfg = parse_config(example_config_text() if args.config == "example"
-                       else Path(args.config).read_text())
+    --truncation and --grid are checked as truncation_base and boundary_grid.
+    A --config file that cannot be read as UTF-8 text is refused
+    (ConfigError) with its path and the reason."""
+    if args.config == "example":
+        text = example_config_text()
+    else:
+        try:
+            text = Path(args.config).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as e:
+            reason = getattr(e, "strerror", None) or e
+            raise ConfigError([f"cannot read --config {args.config!r}: {reason}"]) from None
+    cfg = parse_config(text)
     _checked(getattr(args, "grid", None), "boundary_grid", 2)
     truncation = _checked(getattr(args, "truncation", None), "truncation_base", 1)
     if truncation is not None:

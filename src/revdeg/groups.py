@@ -471,14 +471,13 @@ def double_cosets(g: Group, h_members, k_members, meeting=None) -> list[int]:
     return sorted(reps)
 
 
-def coset_intersections(g: Group, h_members, k_members, meeting=None):
-    """H ∩ xKx^-1, as sorted members, for each double coset HxK that
-    double_cosets yields (with meeting as there), in its order: the one
-    double-coset kernel of the class products.  K is conjugated by every
-    representative x in one call."""
-    h = np.asarray(h_members, dtype=np.int64)
+def coset_intersections(g: Group, h_members, k_members, xs):
+    """H ∩ xKx^-1, as sorted members, for each double-coset representative x
+    in xs, in their order: the one double-coset kernel of the class products,
+    which choose the representatives.  K is conjugated by every x in one
+    call."""
     in_h = np.zeros(g.order, dtype=bool)
-    in_h[h] = True
-    xs = np.asarray(double_cosets(g, h, k_members, meeting), dtype=np.int64)
+    in_h[np.asarray(h_members, dtype=np.int64)] = True
+    xs = np.asarray(xs, dtype=np.int64)
     for kc in conjugate_members(g, xs[:, None], k_members):
         yield kc[in_h[kc]]

@@ -43,10 +43,13 @@ representative.
 
 Products of classes count double cosets.  When a factor has a finite
 O(2)-part, only the double cosets whose intersection holds a reflection can
-contribute (the others are cyclic folds, with infinite Weyl group), and only
-those are enumerated, from the solutions of x k x^-1 = h for reflections h
-and k of the factors.  When both factors contain SO(2), every double coset
-is enumerated.
+contribute (the others are cyclic folds, with infinite Weyl group).  When a
+factor is of O(2)- or SO(2)-type it contains the normal subgroup SO(2) x 1,
+so the double cosets are those of the quotient Z2 x Gamma x Z2, whatever
+the level, and their least elements lift to the level in order.  When both
+factors have a finite O(2)-part, the double cosets that can contribute are
+found from the solutions of x k x^-1 = h for reflections h and k of the
+factors.
 """
 
 from __future__ import annotations
@@ -54,6 +57,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -63,6 +67,7 @@ from .groups import (
     SubgroupClass,
     coset_intersections,
     direct_product,
+    double_cosets,
     gamma_z2_subgroups,
     make_cyclic,
     make_gamma,
@@ -633,17 +638,27 @@ class ClassLattice:
 
         When H or K has a finite O(2)-part, an intersection with no
         reflection (an element whose O(2)-part is a reflection) is a cyclic
-        fold, whose Weyl group is infinite, so only the double cosets meeting
-        _reflection_conjugators are visited.  When both contain SO(2), so do
-        all their intersections, which may have a finite Weyl group with no
-        reflection, and every double coset is visited.
+        fold, whose Weyl group is infinite, and is skipped with no lookup;
+        a fold of either factor too close to the level is refused first
+        (_check_fold), as lift would refuse it.  When H or K is of O(2)- or
+        SO(2)-type, the representatives come from the quotient
+        (_quotient_cosets); otherwise only the double cosets meeting
+        _reflection_conjugators are visited.
         """
-        meeting = None
-        if self.classes[i].o2.kind in ("D", "Z") or self.classes[j].o2.kind in ("D", "Z"):
-            meeting = self._reflection_conjugators(i, j, level)
+        g = self.group_at(level)
+        h, k = self._rep_array(i, level), self._rep_array(j, level)
+        for c in (i, j):
+            self._check_fold(self.classes[c].o2, level)
+        kinds = {self.classes[i].o2.kind, self.classes[j].o2.kind}
+        finite = bool(kinds & {"D", "Z"})
+        if kinds & {"O2", "SO2"}:
+            xs = self._quotient_cosets(h, k, level)
+        else:
+            xs = double_cosets(g, h, k, self._reflection_conjugators(i, j, level))
         coeffs: dict[int, int] = {}
-        for inter in coset_intersections(self.group_at(level), self._rep_array(i, level),
-                                         self._rep_array(j, level), meeting):
+        for inter in coset_intersections(g, h, k, xs):
+            if finite and inter[-1] < level * self.ng:
+                continue  # sorted, so no member is a reflection
             known = len(self.classes)
             cid = self.ensure_handle(inter, level)
             if cid >= known:
@@ -652,19 +667,40 @@ class ClassLattice:
                 coeffs[cid] = coeffs.get(cid, 0) + 1
         return coeffs
 
+    @cached_property
+    def _quotient(self) -> FiniteGroup:
+        """G/N = Z2 x Gamma x Z2 for N = SO(2) x 1, the same at every level;
+        built on the first product that needs it."""
+        return direct_product(make_cyclic(2), self.gamma_z2)
+
+    def _quotient_cosets(self, h, k, level: int) -> np.ndarray:
+        """The least elements of the double cosets HxK at level, in
+        increasing order, for members h and k of H and K at level, H or K
+        of O(2)- or SO(2)-type, from the quotient Q = G/N = Z2 x Gamma x Z2
+        alone.
+
+        N = SO(2)_level x 1 is normal in G and lies in H or K, so every HxK
+        is a union of N-cosets and H\\G/K is H'\\Q/K' for the images H', K'
+        (index e·|Gamma x Z2| + ge, e = 1 on reflections).  The least
+        element of an N-coset is its rotation or reflection at angle 0, so
+        the least element of HxK is that of its image, e·|Gamma x Z2| + ge,
+        lifted to e·level·|Gamma x Z2| + ge; the lift keeps order."""
+        ng = self.ng
+        images = []
+        for members in (h, k):
+            o2, ge = np.divmod(members.astype(np.int64), ng)
+            images.append(np.flatnonzero(np.bincount((o2 >= level) * ng + ge,
+                                                     minlength=self._quotient.order)))
+        e, ge = np.divmod(np.asarray(double_cosets(self._quotient, *images), dtype=np.int64), ng)
+        return e * level * ng + ge
+
     def _reflection_conjugators(self, i: int, j: int, level: int) -> np.ndarray:
         """Elements x with x k x^-1 = h, for h one reflection from each
         H-class of reflections in H and k one from each K-class in K.  They
         meet every double coset HxK whose intersection H ∩ xKx^-1 holds a
         reflection: if x k' x^-1 = h' with h' = a h a^-1 (a in H) and
         k' = b k b^-1 (b in K), then a^-1 x b lies in HxK and conjugates k
-        to h.
-
-        A cyclic fold too close to the level is never looked up on this
-        route, so a finite factor whose fold lift would refuse at this level
-        is refused here."""
-        for c in (i, j):
-            self._check_fold(self.classes[c].o2, level)
+        to h."""
         return self.group_at(level).conjugators(self._reflection_reps(j, level),
                                                 self._reflection_reps(i, level))
 

@@ -30,7 +30,7 @@ import numpy as np
 
 from revdeg.burnside import BurnsideElement, recurrence
 from revdeg.degrees import DegreeEngine, IncompleteLattice
-from revdeg.groups import FiniteGroup, SubgroupClass, coset_intersections
+from revdeg.groups import FiniteGroup, SubgroupClass, coset_intersections, double_cosets
 from revdeg.spectra import LinearizationSpec, SpectralSummary
 
 # -- Burnside ring -------------------------------------------------------------
@@ -58,8 +58,8 @@ def finite_product(g: FiniteGroup, classes: list[SubgroupClass],
     """(H_i)*(H_j) in A(g) by double-coset counting (all Weyl groups finite)."""
     class_of = {conj: c.class_id for c in classes for conj in c.conjugates}
     out: dict[int, int] = {}
-    for inter in coset_intersections(g, classes[i].representative,
-                                     classes[j].representative):
+    h, k = classes[i].representative, classes[j].representative
+    for inter in coset_intersections(g, h, k, double_cosets(g, h, k)):
         cid = class_of[tuple(inter.tolist())]
         out[cid] = out.get(cid, 0) + 1
     return out

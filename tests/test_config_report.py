@@ -215,6 +215,28 @@ def test_cli_bad_config(tmp_path):
     assert r.returncode == 30
 
 
+@pytest.mark.parametrize("command", ["analyze", "group-info", "geometry-check"])
+@pytest.mark.parametrize("case,reason", [
+    ("missing", "No such file or directory"),
+    ("directory", "Is a directory"),
+    ("latin-1", "'utf-8' codec can't decode byte 0xe9"),
+])
+def test_cli_unreadable_config_exits_30(tmp_path, capsys, command, case, reason):
+    # a --config that cannot be read is a configuration error naming the
+    # path and the reason, not an internal error (exit 31)
+    from revdeg import cli
+
+    path = tmp_path / case
+    if case == "directory":
+        path.mkdir()
+    elif case == "latin-1":
+        path.write_bytes('{"group": "é"}'.encode("latin-1"))
+    assert cli.main([command, "--config", str(path)]) == 30
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"invalid configuration:\n  cannot read --config {str(path)!r}: {reason}")
+
+
 def test_cli_oracle_stability():
     r = _cli("oracle-stability", "--truncation", "32")
     assert r.returncode == 0

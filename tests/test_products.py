@@ -1,10 +1,17 @@
 """Class products against the full double-coset enumeration.
 
-ClassLattice.product_classes visits only the double cosets HxK whose
-intersection H ∩ xKx^-1 holds a reflection (when H or K has a finite
-O(2)-part).  The oracle here visits every double coset and skips the
-intersections that lift to a cyclic fold (infinite Weyl group), which are
-the intersections the reflection route never forms."""
+ClassLattice.product_classes takes its double-coset representatives from
+two places.  When H or K is of O(2)- or SO(2)-type it contains
+N = SO(2) x 1, which is normal, so the representatives are those of the
+quotient G/N = Z2 x Gamma x Z2, lifted to the level; when H or K also has a
+finite O(2)-part, the intersections H ∩ xKx^-1 with no reflection are
+skipped.  When both have a finite O(2)-part, only the double cosets meeting
+the reflection conjugators of the factors are visited.  The truncation's
+own enumeration is the oracle of both: the quotient's representatives are
+those of double_cosets on the truncation, and the oracle product here
+visits every double coset there and skips the intersections that lift to a
+cyclic fold (infinite Weyl group), which are the intersections either
+route skips or never forms."""
 
 from fractions import Fraction
 
@@ -15,8 +22,8 @@ from hypothesis import strategies as st
 
 from revdeg import lattice as lattice_module
 from revdeg.degrees import DegreeEngine
-from revdeg.groups import closure, conjugate_members, double_cosets
-from revdeg.lattice import ClassLattice, TruncationInstability
+from revdeg.groups import ProductGroup, closure, conjugate_members, coset_intersections, double_cosets
+from revdeg.lattice import ClassLattice, TruncationInstability, level_for_modes
 from revdeg.spectra import LinearizationSpec
 
 
@@ -110,16 +117,24 @@ GAMMAS = [("dihedral", n) for n in range(1, 7)] + [("cyclic", n) for n in range(
 GENERATORS = st.lists(st.tuples(st.integers(0, 3), st.booleans(),
                                 st.one_of(st.just(0), st.integers(0, 23))),
                       min_size=1, max_size=3)
+# which of H and K get the generator (one grid step, rotation, identity of
+# Gamma x Z2), so contain SO(2) and are of O(2)/SO(2)-type: neither, H, K
+# or both, sampled evenly, so about three examples in four take the
+# quotient route and one in four has only what GENERATORS draws
+FORCED_SO2 = st.sampled_from([(False, False), (True, False), (False, True), (True, True)])
 
 
-@given(st.integers(0, len(GAMMAS) - 1), st.sampled_from([8, 16]), GENERATORS, GENERATORS)
+@given(st.integers(0, len(GAMMAS) - 1), st.sampled_from([8, 16]), GENERATORS, GENERATORS,
+       FORCED_SO2)
 @settings(max_examples=150, deadline=None)
-def test_reflection_route_matches_oracle_on_random_pairs(gamma_index, level, gens_h, gens_k):
+def test_reflection_route_matches_oracle_on_random_pairs(gamma_index, level, gens_h, gens_k,
+                                                         forced):
     # the same two subgroups interned in two fresh lattices; the library
     # route on one and the oracle on the other must agree, down to the
     # classes a product adds and the refusals
     gamma = GAMMAS[gamma_index]
     steps = [0, 1, level // 4, level // 2]
+    gens_h, gens_k = (gens + [(1, False, 0)] * f for gens, f in zip((gens_h, gens_k), forced))
     lats = [ClassLattice(*gamma, level), ClassLattice(*gamma, level)]
     ids = []
     for lat in lats:
@@ -130,6 +145,8 @@ def test_reflection_route_matches_oracle_on_random_pairs(gamma_index, level, gen
             ids.append([lat.ensure_handle(m, level) for m in members])
         except TruncationInstability:
             assume(False)
+    for cid, f in zip(ids[0], forced):
+        assert not f or lats[0].classes[cid].o2.kind in ("O2", "SO2")
     try:
         want = oracle_product(lats[1], *ids[1])
     except TruncationInstability:
@@ -138,6 +155,70 @@ def test_reflection_route_matches_oracle_on_random_pairs(gamma_index, level, gen
         return
     assert lats[0].product_classes(*ids[0]) == want
     assert_same_lattice(*lats)
+
+
+@pytest.mark.parametrize("kind,n", [("dihedral", n) for n in (1, 2, 3, 4, 5, 6, 8)]
+                         + [("cyclic", n) for n in range(1, 7)], ids=lambda v: str(v))
+def test_quotient_cosets_are_the_truncation_enumeration(kind, n):
+    # every pair with an O(2)/SO(2)-type factor among the classes of the
+    # mode-0/1/2 basic degrees of every component, at both levels: the
+    # representatives lifted from Z2 x Gamma x Z2 are what the truncation
+    # enumerates, over the double cosets meeting the reflection conjugators
+    # when a factor is finite (after dropping the quotient's cosets whose
+    # intersection holds no reflection), else over every double coset.  The
+    # rotation subgroups of the O(2)-type classes join them: only two
+    # SO(2)-type factors have double cosets of reflections alone
+    eng = DegreeEngine(kind, n, base_level=level_for_modes(n, range(3)))
+    lat = eng.lattice
+    ids = {c for l in range(eng.component_count()) for k in range(3)
+           for c, _ in eng.basic_degree(k, l).coeffs}
+    for c in [c for c in ids if lat.classes[c].o2.kind == "O2"]:
+        rep = lat._rep_array(c, lat.m_lo)
+        ids.add(lat.ensure_handle(rep[rep < lat.m_lo * lat.ng], lat.m_lo))
+    ids = sorted(ids)
+    seen = set()
+    for i in ids:
+        for j in ids:
+            kinds = {lat.classes[c].o2.kind for c in (i, j)}
+            if not kinds & {"O2", "SO2"}:
+                continue
+            seen |= kinds
+            finite = bool(kinds & {"D", "Z"})
+            for level in (lat.m_lo, lat.m_hi):
+                g = lat.group_at(level)
+                h, k = lat._rep_array(i, level), lat._rep_array(j, level)
+                xs = lat._quotient_cosets(h, k, level).tolist()
+                meeting = None
+                if finite:
+                    meeting = lat._reflection_conjugators(i, j, level)
+                    xs = [x for x, inter in zip(xs, coset_intersections(g, h, k, xs))
+                          if (inter >= level * lat.ng).any()]
+                assert xs == double_cosets(g, h, k, meeting)
+    assert {"O2", "SO2", "D"} <= seen
+
+
+def test_mode_0_by_mode_1_product_solves_no_conjugators(monkeypatch, capsys):
+    # burnside-mul deg:0 x deg:1 on D8: every class of the mode-0 degree is
+    # of O(2)-type, so each product takes its double cosets from the
+    # quotient, and none is enumerated or solved for in a truncation
+    from revdeg import cli
+
+    calls = []
+    conjugators, cosets = ProductGroup.conjugators, lattice_module.double_cosets
+
+    def recorded_conjugators(self, a, b):
+        calls.append("conjugators")
+        return conjugators(self, a, b)
+
+    def recorded_cosets(g, *args):
+        calls.append(type(g).__name__)
+        return cosets(g, *args)
+
+    monkeypatch.setattr(ProductGroup, "conjugators", recorded_conjugators)
+    monkeypatch.setattr(lattice_module, "double_cosets", recorded_cosets)
+    assert cli.main(["burnside-mul", "--left", "deg:0", "--right", "deg:1"]) == 0
+    assert capsys.readouterr().out
+    assert calls and set(calls) == {"FiniteGroup"}
 
 
 def test_unit_product_has_no_coset_pass(monkeypatch, engine8, natural):
