@@ -27,7 +27,7 @@ from .spectra import SignNotCertified
 EXIT_OK = 0
 EXIT_NO_CERTIFICATES = 10
 EXIT_HYPOTHESES_FAILED = 20
-EXIT_INTERNAL = 30  # ConfigError, a domain the geometry cannot solve, or none
+EXIT_CONFIG = 30  # ConfigError (a missing domain too) or a domain the geometry cannot solve
 EXIT_UNEXPECTED = 31
 # each typed failure of the engine has its own code; 38 is retired, not reused
 EXIT_FAILURES = {
@@ -161,8 +161,7 @@ def cmd_geometry_check(args) -> int:
     cfg = _load_config(args)
     fam = family_spec(cfg)
     if fam is None:
-        _emit("no domain in configuration\n", args)
-        return EXIT_INTERNAL
+        raise ConfigError(["no domain in configuration"])
     rep = check_conditions(fam, grid=cfg.boundary_grid if args.grid is None else args.grid)
     lines = [f"{k}: {v}" for k, v in sorted(rep.status.items())]
     lines += [f"{k} = {v:.9g}" for k, v in sorted(rep.constants.items())]
@@ -173,8 +172,7 @@ def cmd_geometry_check(args) -> int:
 def cmd_figure_data(args) -> int:
     cfg = _load_config(args)
     if cfg.domain is None:
-        _emit("no domain in configuration\n", args)
-        return EXIT_INTERNAL
+        raise ConfigError(["no domain in configuration"])
     rows = figure_data(cfg.domain, grid=1024 if args.grid is None else args.grid)
     lines = [FIGURE_HEADER]
     lines += [",".join(f"{v:.12g}" for v in row) for row in rows]
@@ -254,10 +252,10 @@ def main(argv=None) -> int:
         return args.fn(args)
     except ConfigError as e:
         sys.stderr.write(str(e) + "\n")
-        return EXIT_INTERNAL
+        return EXIT_CONFIG
     except UnsolvableDomain as e:
         sys.stderr.write(f"{type(e).__name__}: {e}\n")
-        return EXIT_INTERNAL
+        return EXIT_CONFIG
     except tuple(EXIT_FAILURES) as e:
         sys.stderr.write(f"{type(e).__name__}: {e}\n")
         return next(code for t, code in EXIT_FAILURES.items() if isinstance(e, t))

@@ -311,8 +311,8 @@ class DegreeEngine:
             return self._stab_class[key]
         lat = self.lattice
         if level not in (None, lat.m_lo):
-            rotations = members[members < level * lat.ng] // lat.ng
-            if np.count_nonzero(np.bincount(rotations, minlength=level)) == level:
+            t, refl, _ = lat.decode(members, level)
+            if np.count_nonzero(np.bincount(t[~refl], minlength=level)) == level:
                 raise IncompleteLattice(f"stabilizer holds every rotation of level {level}")
         at_lo = lat.at_working_level(members, level)
         cid, o2 = lat.lookup(at_lo, lat.m_lo)

@@ -22,8 +22,14 @@ The stabilizer sampler runs on Gamma x Z2 at mode 0 (group_at(None)) and
 at m_sample = level_for_modes(n, [0, 1]) at mode 1, or at M where m_sample
 does not divide M: a mode-1 stabilizer's rotation angles are eigen-phases of
 Gamma x Z2 elements and its reflection axes differ by such angles, so with
-one axis at 0 it lies on the grid of m_sample.  representative carries a
-class down to a sampling level, at_working_level a sampled subgroup up to M.
+one axis at 0 it lies on the grid of m_sample.
+
+One level map moves a class between levels, by index arithmetic: decode
+splits an index at a level into (t, refl, ge), the inverse of encode;
+_turned rotates a class's representative at M so its least reflection axis
+is at angle 0; representative writes that turned subgroup at any level whose
+grid holds its angles (the sampling levels, the level 2k of exact_weyl),
+and at_working_level carries a sampled subgroup back up to M.
 
 Each interned class keeps its full-group orbit once per level, as a sorted,
 read-only big-endian int32 (>i4) array with one row of members per
@@ -194,16 +200,6 @@ def grid_indices(num, den, level: int) -> np.ndarray:
     return t
 
 
-def axis_to_zero(o2: np.ndarray, level: int) -> tuple[np.ndarray, np.ndarray]:
-    """Angle indices and reflection mask of the O(2) indices of a subgroup
-    at level, conjugated by a rotation so its least reflection axis is 0."""
-    refl = o2 >= level
-    t = o2 % level
-    if refl.any():
-        t = np.where(refl, (t - t[refl].min()) % level, t)
-    return t, refl
-
-
 class ClassLattice:
     """Working set of subgroup classes with the level-M / level-2M protocol,
     for Gamma = D_n (kind "dihedral") or Z_n (kind "cyclic").
@@ -269,21 +265,25 @@ class ClassLattice:
         """Index at level of (rotation or reflection t, ge); ints or arrays."""
         return ((t % level) + level * refl) * self.ng + ge
 
+    def decode(self, members, level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(t, refl, ge) of indices at level, as arrays: the inverse of encode."""
+        o2, ge = np.divmod(np.asarray(members, dtype=np.int64), self.ng)
+        refl = o2 >= level
+        return o2 - level * refl, refl, ge
+
     # -- lift / truncate -----------------------------------------------------
 
     def lift(self, members, level: int) -> AmalgamData:
         """Goursat data of a truncated subgroup, promoting folds that fill D_M;
         an unstable truncation is refused by _level_check."""
         o2 = self._level_check(members, level)
-        o2_idx, ge = np.divmod(np.asarray(members, dtype=np.int64), self.ng)
-        refl = o2_idx >= level
+        t, refl, ge = self.decode(members, level)
         if o2.kind in ("O2", "SO2"):
             # whole fibres: the Gamma x Z2 indices met at every angle
             rot_all, refl_all = (
                 tuple(np.flatnonzero(np.bincount(ge[mask], minlength=self.ng) == level).tolist())
                 for mask in (~refl, refl))
             return AmalgamData(o2, rot_all, refl_all, (), ())
-        t = o2_idx % level
         angles = self._angles(level)
         parts = []
         for mask in (~refl, refl):
@@ -299,10 +299,8 @@ class ClassLattice:
         Refuses a fold too close to the level (_check_fold), then, for a
         fold that fills D_M, fibres over Gamma x Z2 holding some but not
         all angles."""
-        o2_idx, ge = np.divmod(np.asarray(members, dtype=np.int64), self.ng)
-        refl = o2_idx >= level
-        # a rotation's O(2) index is its angle index
-        d = int(np.count_nonzero(np.bincount(o2_idx[~refl], minlength=1)))
+        t, refl, ge = self.decode(members, level)
+        d = int(np.count_nonzero(np.bincount(t[~refl], minlength=1)))
         has_refl = bool(refl.any())
         if d < level:
             o2 = O2Desc("D", d) if has_refl else O2Desc("Z", d)
@@ -341,10 +339,9 @@ class ClassLattice:
                   self._encode_pairs(data.refl_fin, True, level)]
         return tuple(np.sort(np.concatenate(parts)).tolist())
 
-    def _encode_pairs(self, pairs, refl: bool, level: int, shift: Fraction | None = None):
-        """Indices at level of (angle - shift, ge) pairs, by grid_indices."""
-        angles = [q for q, _ in pairs] if shift is None else [q - shift for q, _ in pairs]
-        t = grid_indices([q.numerator for q in angles], [q.denominator for q in angles], level)
+    def _encode_pairs(self, pairs, refl: bool, level: int):
+        """Indices at level of (angle, ge) pairs, by grid_indices."""
+        t = grid_indices([q.numerator for q, _ in pairs], [q.denominator for q, _ in pairs], level)
         return self.encode(t, refl, np.asarray([ge for _, ge in pairs], dtype=np.int64), level)
 
     # -- full-group conjugacy ------------------------------------------------
@@ -433,9 +430,9 @@ class ClassLattice:
         those of mode k.
 
         SO(2) and O(2) are their own preimages.  A dihedral fold j has fold
-        kj: each member (t, ge) of its m_lo representative, turned by
-        axis_to_zero, has the k preimages ((t + i·m_lo)/k, ge), i < k.  The
-        image is refused (_check_fold, grid_indices) or interned at m_lo."""
+        kj: each member (t, ge) of its _turned representative has the k
+        preimages ((t + i·m_lo)/k, ge), i < k.  The image is refused
+        (_check_fold, grid_indices) or interned at m_lo."""
         data = self.classes[cid]
         if data.o2.kind in ("O2", "SO2"):
             return cid
@@ -445,8 +442,7 @@ class ClassLattice:
         if key not in self._folds:
             m = self.m_lo
             self._check_fold(O2Desc("D", k * data.o2.fold), m)
-            o2, ge = np.divmod(self._rep_array(cid, m).astype(np.int64), self.ng)
-            t, refl = axis_to_zero(o2, m)
+            t, refl, ge = self._turned(cid)
             # the angle (t + i·m)/(k·m) of each preimage, indexed at m
             t = grid_indices(t[:, None] + m * np.arange(k), k * m, m)
             members = self.encode(t, refl[:, None], ge[:, None], m)
@@ -457,30 +453,37 @@ class ClassLattice:
         """The representative at level: row 0 of the class's orbit."""
         return self._orbits[(cid, level)][0]
 
+    def _turned(self, cid: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(t, refl, ge) of class cid's representative at m_lo, conjugated
+        by a rotation so that its least reflection axis is at angle 0."""
+        t, refl, ge = self.decode(self._rep_array(cid, self.m_lo), self.m_lo)
+        if refl.any():
+            t = np.where(refl, (t - t[refl].min()) % self.m_lo, t)
+        return t, refl, ge
+
     def representative(self, cid: int, level: int | None) -> np.ndarray:
-        """A subgroup of group_at(level) in class cid, for the sampler's
-        probes: _rep_array at m_lo or m_hi; the Gamma x Z2 projection at
-        None; at m_sample below m_lo, the m_lo row turned by axis_to_zero
-        and divided down (grid_indices)."""
-        if level in (self.m_lo, self.m_hi):
-            return self._rep_array(cid, level)
-        rep = self._rep_array(cid, self.m_lo)
+        """A subgroup in class cid at any level, as sorted members: the
+        Gamma x Z2 projection at None; _rep_array at m_lo; at any other
+        level the _turned representative, each angle index t scaled to
+        t·level/m_lo, refused (grid_indices) when that is not whole."""
         if level is None:
+            rep = self._rep_array(cid, self.m_lo)
             return np.flatnonzero(np.bincount(rep % self.ng, minlength=self.ng))
-        if level != self.m_sample:
-            raise InadmissibleLevel(f"unsupported level {level}")
-        o2, ge = np.divmod(rep.astype(np.int64), self.ng)
-        t, refl = axis_to_zero(o2, self.m_lo)
+        if level == self.m_lo:
+            return self._rep_array(cid, level)
+        t, refl, ge = self._turned(cid)
         return np.sort(self.encode(grid_indices(t, self.m_lo, level), refl, ge, level))
 
     def at_working_level(self, members, level: int | None) -> np.ndarray:
         """A subgroup of group_at(level) carried to m_lo, order kept: O(2) x
-        members at None; else each angle index t becomes t·m_lo/level."""
+        members at None; else each decoded angle index t becomes
+        t·m_lo/level.  It takes a representative at m_sample back to a
+        conjugate of the class at m_lo."""
         if level is None:
             f = tuple(int(ge) for ge in members)
             return np.asarray(self.truncate(AmalgamData(O2Desc("O2"), f, f, (), ()), self.m_lo))
-        o2, ge = np.divmod(np.asarray(members, dtype=np.int64), self.ng)
-        return self.encode(o2 % level * (self.m_lo // level), o2 >= level, ge, self.m_lo)
+        t, refl, ge = self.decode(members, level)
+        return self.encode(t * (self.m_lo // level), refl, ge, self.m_lo)
 
     def class_id_by_label(self, label: str) -> int:
         return self._by_label[label]
@@ -516,9 +519,8 @@ class ClassLattice:
             w = len(n_prime) // len(data.rot_all)
             return 2 * w if kind == "SO2" else w
         level = 2 * data.o2.fold
-        g = trunc_group(k, level)
-        members = self._axis_zero(data, level)
-        return len(normalizer(g, members)) // len(members)
+        members = self.representative(cid, level)
+        return len(normalizer(trunc_group(k, level), members)) // len(members)
 
     def exact_n_count(self, i: int, j: int) -> int:
         """n(S, L) for S = class i, L = class j: the number of conjugates of L
@@ -548,19 +550,9 @@ class ClassLattice:
         if s.o2.kind != "D" or l.o2.fold % s.o2.fold:
             return 0
         level = 2 * l.o2.fold
-        g = trunc_group(k, level)
-        h = set(self._axis_zero(s, level))
-        conjs = subgroup_conjugates(g, self._axis_zero(l, level))
+        h = set(self.representative(i, level).tolist())
+        conjs = subgroup_conjugates(trunc_group(k, level), self.representative(j, level))
         return sum(1 for c in conjs if h <= set(c))
-
-    def _axis_zero(self, data: AmalgamData, level: int) -> tuple[int, ...]:
-        """A dihedral-fold class truncated at level (a multiple of its fold),
-        rotated so that its first reflection axis lies at angle 0; an angle
-        off the level's grid is refused."""
-        q0 = data.refl_fin[0][0]
-        parts = [self._encode_pairs(data.rot_fin, False, level),
-                 self._encode_pairs(data.refl_fin, True, level, q0)]
-        return tuple(np.sort(np.concatenate(parts)).tolist())
 
     def at_both_levels(self, at, what: str):
         """at(M), once at(2M) is found equal to it: the one comparison of the
@@ -680,19 +672,18 @@ class ClassLattice:
         alone.
 
         N = SO(2)_level x 1 is normal in G and lies in H or K, so every HxK
-        is a union of N-cosets and H\\G/K is H'\\Q/K' for the images H', K'
-        (index e·|Gamma x Z2| + ge, e = 1 on reflections).  The least
-        element of an N-coset is its rotation or reflection at angle 0, so
-        the least element of HxK is that of its image, e·|Gamma x Z2| + ge,
-        lifted to e·level·|Gamma x Z2| + ge; the lift keeps order."""
-        ng = self.ng
+        is a union of N-cosets and H\\G/K is H'\\Q/K' for the images H', K'.
+        Q is D_1 x Gamma x Z2, the truncation at level 1: an element's image
+        is its (0, refl, ge).  The least element of an N-coset is its
+        rotation or reflection at angle 0, so the least element of HxK is
+        that of its image, (0, refl, ge) encoded at level; that keeps order."""
         images = []
         for members in (h, k):
-            o2, ge = np.divmod(members.astype(np.int64), ng)
-            images.append(np.flatnonzero(np.bincount((o2 >= level) * ng + ge,
+            _, refl, ge = self.decode(members, level)
+            images.append(np.flatnonzero(np.bincount(self.encode(0, refl, ge, 1),
                                                      minlength=self._quotient.order)))
-        e, ge = np.divmod(np.asarray(double_cosets(self._quotient, *images), dtype=np.int64), ng)
-        return e * level * ng + ge
+        _, refl, ge = self.decode(double_cosets(self._quotient, *images), 1)
+        return self.encode(0, refl, ge, level)
 
     def _reflection_conjugators(self, i: int, j: int, level: int) -> np.ndarray:
         """Elements x with x k x^-1 = h, for h one reflection from each
@@ -712,7 +703,7 @@ class ClassLattice:
         if key not in self._refl_reps:
             g = self.group_at(level)
             rep = self._rep_array(cid, level)
-            refl = rep[rep // self.ng >= level]
+            refl = rep[self.decode(rep, level)[1]]
             todo = np.zeros(g.order, dtype=bool)
             todo[refl] = True
             reps, hs = [], g.prepare(rep)

@@ -590,3 +590,19 @@ def test_cli_bad_domain_and_integer_values_exit_30(tmp_path, capsys, command, ed
     out, err = capsys.readouterr()
     assert out == ""
     assert message in err
+
+
+@pytest.mark.parametrize("command", ["geometry-check", "figure-data"])
+def test_cli_no_domain_is_a_configuration_error(tmp_path, capsys, command):
+    # the message was written as output: with --out it became the file
+    from revdeg import cli
+
+    raw = json.loads(example_config_text())
+    del raw["domain"]
+    p, out = tmp_path / "config.json", tmp_path / "out.csv"
+    p.write_text(json.dumps(raw))
+    assert cli.main([command, "--config", str(p), "--out", str(out)]) == cli.EXIT_CONFIG == 30
+    assert not out.exists()
+    stdout, err = capsys.readouterr()
+    assert stdout == ""
+    assert "no domain in configuration" in err

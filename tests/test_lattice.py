@@ -22,7 +22,9 @@ from revdeg.lattice import (
     O2Desc,
     TruncationInstability,
     gamma_z2_classes,
+    level_for_modes,
     row_order,
+    trunc_group,
 )
 from revdeg.spectra import LinearizationSpec
 from test_groups import gamma_z2_and_subgroups
@@ -242,16 +244,18 @@ def test_inadmissible_level_raises(lat):
     assert_truncate_matches_reference(lat, bad, 48)
 
 
-def test_axis_zero_refuses_an_angle_off_the_grid(lat):
-    # D3 x 1: the rotation and the reflection at 1/3 turn have no index at
-    # level 8 (rounding down would put them at 2); at level 24 they are at 8
-    d3 = AmalgamData(O2Desc("D", 3), (), (),
-                     tuple((Fraction(i, 3), 0) for i in range(3)),
-                     tuple((Fraction(i, 3), 0) for i in range(3)))
+def test_representative_refuses_an_angle_off_the_grid():
+    # D3 x 1 interned at level 24: the rotation and the reflection at 1/3
+    # turn have no index at level 8 (rounding down would put them at 2); at
+    # levels 6, 24 and 48 they are at a third of the level
+    lat = ClassLattice("dihedral", 2, 24)
+    d3 = closure(lat.group_lo, [lat.encode(8, False, 0, 24), lat.encode(0, True, 0, 24)])
+    cid = lat.ensure_handle(d3, 24)
     with pytest.raises(InadmissibleLevel, match="denominator 3"):
-        lat._axis_zero(d3, 8)
-    assert lat._axis_zero(d3, 24) == tuple(sorted(
-        lat.encode(8 * i, refl, 0, 24) for i in range(3) for refl in (False, True)))
+        lat.representative(cid, 8)
+    for level in (6, 24, 48):
+        assert lat.representative(cid, level).tolist() == sorted(
+            lat.encode(level // 3 * i, refl, 0, level) for i in range(3) for refl in (False, True))
 
 
 def test_poset_partial_order(lat, engine8=None):
@@ -596,3 +600,49 @@ def test_finite_class_lookup_matches_conjugacy_scan(kind, n):
         assert [lat.finite_class_name(mem)] == scan
     with pytest.raises(KeyError):
         lat.finite_class_name((1,))
+
+
+@pytest.fixture(scope="module")
+def level_map():
+    # D8 at modes 0-2: levels 64/128, m_sample 32
+    return ClassLattice("dihedral", 8, level_for_modes(8, range(3)))
+
+
+@given(st.sampled_from(["one", "sample", "lo", "hi"]), st.integers(0, 2**31 - 1),
+       st.booleans(), st.integers(0, 31))
+@settings(max_examples=100, deadline=None)
+def test_decode_inverts_encode(level_map, which, t, refl, ge):
+    lat = level_map
+    assert lat.ng == 32
+    level = {"one": 1, "sample": lat.m_sample, "lo": lat.m_lo, "hi": lat.m_hi}[which]
+    idx = lat.encode(t % level, refl, ge, level)
+    assert 0 <= idx < 2 * level * lat.ng
+    assert tuple(map(int, lat.decode(idx, level))) == (t % level, refl, ge)
+    assert int(lat.encode(*lat.decode(idx, level), level)) == idx
+
+
+@pytest.mark.parametrize("kind,n", [("dihedral", n) for n in (1, 2, 3, 4, 5, 6, 8)]
+                         + [("cyclic", n) for n in range(1, 7)], ids=lambda v: str(v))
+def test_representative_at_every_level_is_a_subgroup_in_its_class(kind, n):
+    # every dihedral-fold class met at modes 0-2, written at its own level
+    # 2·fold, at m_sample and at m_hi: closed in the truncation there, and
+    # found in its class at m_hi, or at m_lo once carried up
+    eng = DegreeEngine(kind, n, base_level=level_for_modes(n, range(3)))
+    lat = eng.lattice
+    for k in range(3):
+        for l in range(eng.component_count()):
+            eng.basic_degree(k, l)
+    checked = 0
+    for cid, data in enumerate(lat.classes):
+        if data.o2.kind != "D":
+            continue
+        for level in (2 * data.o2.fold, lat.m_sample, lat.m_hi):
+            rep = lat.representative(cid, level)
+            assert closure(trunc_group(lat.gamma_z2, level), rep) == tuple(rep.tolist())
+            if level == lat.m_hi:
+                assert lat._find_class(rep, level) == cid
+            else:
+                assert lat.m_lo % level == 0
+                assert lat._find_class(lat.at_working_level(rep, level), lat.m_lo) == cid
+        checked += 1
+    assert checked
