@@ -186,7 +186,7 @@ class DegreeEngine:
             what = f"fixed dim of {lat.labels[cid]} on V({k},{l})"
 
             def at(level: int) -> int:
-                o2_idx, ge = np.divmod(lat._rep_array(cid, level), lat.ng)
+                o2_idx, ge = np.divmod(lat.representative(cid, level), lat.ng)
                 vals = chi[ge] if k == 0 else chi[ge] * self._rotation_factor(k, level)[o2_idx]
                 return as_int(float(np.sum(vals)) / len(vals), what)
 
@@ -406,7 +406,7 @@ class DegreeEngine:
 
     def _non_constant(self, cid: int) -> bool:
         data = self.lattice.classes[cid]
-        contains_o2 = (0 in data.rot_all) and (0 in data.refl_all)
+        contains_o2 = data.o2.kind == "O2" and {0, self.lattice.ng} <= set(data.members)
         return not contains_o2
 
     def existence_analysis(self, spec: LinearizationSpec,

@@ -1,12 +1,13 @@
 """Conjugacy classes of closed subgroups of O(2) x Gamma x Z2, realized
 through finite dihedral truncations D_M x Gamma x Z2.
 
-A class is stored level-independently as a membership rule: which Gamma x Z2
-elements pair with all rotations / all reflections (full O(2)- or SO(2)-type
-classes), and which pair with finitely many rotation/reflection angles
-(dihedral- or cyclic-fold classes, angles as exact Fractions of a full turn).
-Truncating at level M maps angle q to index q*M in D_M; lifting inverts this
-and promotes folds that track M to SO(2)/O(2).
+A class is stored as its members at its own level (AmalgamData): a
+dihedral or cyclic fold f at level 2f, turned so that its least reflection
+axis is at angle 0; an O(2)- or SO(2)-type class at level 1, where the index
+of (0, refl, ge) stands for the whole fibre of ge over every rotation
+(reflection).  Truncating at level M scales each angle index t to t*M/2f
+(refused when that is not whole) and writes a whole fibre at every angle;
+lifting inverts this and promotes folds that fill D_M to SO(2)/O(2).
 
 Conjugacy over the full group is conjugacy in the truncation extended by the
 half-step rotation twist (the normalizer of D_M in O(2) is D_2M).
@@ -16,7 +17,7 @@ level M (default_level is the fixed level of an engine given none), and
 ClassLattice.at_both_levels computes every Weyl order, containment count,
 product and fixed dimension at M and at 2M and refuses a mismatch.
 ClassLattice.fold maps a class to its preimage under the k-fold map of O(2),
-by index arithmetic on its representative at M, and interns it at M.
+by index arithmetic on its members at its own level, and interns it at M.
 
 The stabilizer sampler runs on Gamma x Z2 at mode 0 (group_at(None)) and
 at m_sample = level_for_modes(n, [0, 1]) at mode 1, or at M where m_sample
@@ -26,10 +27,10 @@ one axis at 0 it lies on the grid of m_sample.
 
 One level map moves a class between levels, by index arithmetic: decode
 splits an index at a level into (t, refl, ge), the inverse of encode;
-_turned rotates a class's representative at M so its least reflection axis
-is at angle 0; representative writes that turned subgroup at any level whose
-grid holds its angles (the sampling levels, the level 2k of exact_weyl),
-and at_working_level carries a sampled subgroup back up to M.
+truncate writes a class's own-level members at any level whose grid holds
+its angles (the sampling levels, the level 2k of exact_weyl), which
+representative returns, and at_working_level carries a sampled subgroup
+back up to M.
 
 Each interned class keeps its full-group orbit once per level, as a sorted,
 read-only big-endian int32 (>i4) array with one row of members per
@@ -43,9 +44,8 @@ normalizer is formed for it.
 
 Every member set met by the engine goes through lookup, which searches the
 orbits first and runs the level check (a fold too close to the level, or
-mixed fibres under a full fold) without Fractions, and only where lookup
-says it is needed.  lift builds Fractions only for a new class's
-representative.
+mixed fibres under a full fold) only where lookup says it is needed.  lift
+writes a new class's representative at its own level.
 
 Products of classes count double cosets.  When a factor has a finite
 O(2)-part, only the double cosets whose intersection holds a reflection can
@@ -62,7 +62,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -116,22 +115,23 @@ class O2Desc:
 
 @dataclass(frozen=True)
 class AmalgamData:
-    """Level-independent membership rule for a subgroup of O(2) x Gamma x Z2.
+    """A subgroup of O(2) x Gamma x Z2 as its sorted members at its own level.
 
-    rot_all/refl_all: gamma-z2 indices paired with every rotation/reflection.
-    rot_fin/refl_fin: (angle, gamma-z2 index) pairs, angle in [0,1) a Fraction
-    of a full turn (for reflections, of the dihedral index range).
+    level 1 for O(2)/SO(2) type: the index of (0, refl, ge) stands for the
+    fibre of ge over every rotation (refl false) or reflection (refl true).
+    level 2·fold for a dihedral or cyclic fold, turned so that its least
+    reflection axis is at angle 0.
     """
 
     o2: O2Desc
-    rot_all: tuple[int, ...]
-    refl_all: tuple[int, ...]
-    rot_fin: tuple[tuple[Fraction, int], ...]
-    refl_fin: tuple[tuple[Fraction, int], ...]
+    members: tuple[int, ...]
+
+    @property
+    def level(self) -> int:
+        return 1 if self.o2.kind in ("O2", "SO2") else 2 * self.o2.fold
 
     def truncated_order(self, m: int) -> int:
-        n = len(self.rot_all) * m + len(self.refl_all) * m
-        return n + len(self.rot_fin) + len(self.refl_fin)
+        return len(self.members) * m if self.level == 1 else len(self.members)
 
 
 def level_for_modes(n: int, modes) -> int:
@@ -195,8 +195,9 @@ def grid_indices(num, den, level: int) -> np.ndarray:
     t, off = np.divmod(num * level, den)
     if off.any():
         first = np.flatnonzero(off)[0]
-        q = Fraction(*(int(np.broadcast_to(a, off.shape).flat[first]) for a in (num, den)))
-        raise InadmissibleLevel(f"level {level} not divisible by fold denominator {q.denominator}")
+        n, d = (int(np.broadcast_to(a, off.shape).flat[first]) for a in (num, den))
+        raise InadmissibleLevel(
+            f"level {level} not divisible by fold denominator {d // math.gcd(n, d)}")
     return t
 
 
@@ -245,7 +246,6 @@ class ClassLattice:
         # interning order
         self._by_order: dict[tuple[int, int], list[int]] = {}
         self._n_cache: dict[tuple[int, int], int] = {}
-        self._angle_cache: dict[int, list[Fraction]] = {}
         self._mul_cache: dict[tuple[int, int], dict[int, int]] = {}
         # (class id, k) -> the id of fold(class id, k)
         self._folds: dict[tuple[int, int], int] = {}
@@ -274,31 +274,26 @@ class ClassLattice:
     # -- lift / truncate -----------------------------------------------------
 
     def lift(self, members, level: int) -> AmalgamData:
-        """Goursat data of a truncated subgroup, promoting folds that fill D_M;
-        an unstable truncation is refused by _level_check."""
+        """The AmalgamData of a truncated subgroup, promoting folds that fill
+        D_M; an unstable truncation is refused by _level_check.  A fold is
+        turned so that its least reflection axis is at angle 0, then each
+        angle index t is written at its own level 2·fold (always whole)."""
         o2 = self._level_check(members, level)
         t, refl, ge = self.decode(members, level)
         if o2.kind in ("O2", "SO2"):
-            # whole fibres: the Gamma x Z2 indices met at every angle
-            rot_all, refl_all = (
-                tuple(np.flatnonzero(np.bincount(ge[mask], minlength=self.ng) == level).tolist())
-                for mask in (~refl, refl))
-            return AmalgamData(o2, rot_all, refl_all, (), ())
-        angles = self._angles(level)
-        parts = []
-        for mask in (~refl, refl):
-            t_part, ge_part = t[mask], ge[mask]
-            # one denominator, so (t, ge) order is (Fraction(t, level), ge) order
-            order = np.lexsort((ge_part, t_part))
-            parts.append(tuple(zip([angles[i] for i in t_part[order].tolist()],
-                                   ge_part[order].tolist())))
-        return AmalgamData(o2, (), (), *parts)
+            # whole fibres: each (refl, ge) once, at angle 0 of level 1
+            fibres = np.bincount(self.encode(0, refl, ge, 1), minlength=2 * self.ng)
+            return AmalgamData(o2, tuple(np.flatnonzero(fibres).tolist()))
+        if refl.any():
+            t = np.where(refl, (t - t[refl].min()) % level, t)
+        own = 2 * o2.fold
+        members = self.encode(grid_indices(t, level, own), refl, ge, own)
+        return AmalgamData(o2, tuple(np.sort(members).tolist()))
 
     def _level_check(self, members, level: int) -> O2Desc:
-        """The O(2)-part of a truncated subgroup at level, with no Fractions.
-        Refuses a fold too close to the level (_check_fold), then, for a
-        fold that fills D_M, fibres over Gamma x Z2 holding some but not
-        all angles."""
+        """The O(2)-part of a truncated subgroup at level.  Refuses a fold
+        too close to the level (_check_fold), then, for a fold that fills
+        D_M, fibres over Gamma x Z2 holding some but not all angles."""
         t, refl, ge = self.decode(members, level)
         d = int(np.count_nonzero(np.bincount(t[~refl], minlength=1)))
         has_refl = bool(refl.any())
@@ -321,28 +316,21 @@ class ClassLattice:
             raise TruncationInstability(
                 f"fold {o2.fold} too close to truncation level {level}; raise the base level")
 
-    def _angles(self, level: int) -> list[Fraction]:
-        """Fraction(t, level) for every rotation index t, built once a level."""
-        if level not in self._angle_cache:
-            self._angle_cache[level] = [Fraction(t, level) for t in range(level)]
-        return self._angle_cache[level]
-
     def truncate(self, data: AmalgamData, level: int) -> tuple[int, ...]:
-        """The members of data's subgroup at level, sorted.  A fibre paired
-        with every rotation (reflection) is one arange over the level; a
-        finite angle q lies on the level's grid iff q * level is whole."""
-        ng = self.ng
-        steps = np.arange(level, dtype=np.int64) * ng
-        parts = [steps + ge for ge in data.rot_all]
-        parts += [steps + (level * ng + ge) for ge in data.refl_all]
-        parts += [self._encode_pairs(data.rot_fin, False, level),
-                  self._encode_pairs(data.refl_fin, True, level)]
-        return tuple(np.sort(np.concatenate(parts)).tolist())
+        """The members of data's subgroup at level, sorted (_written_at)."""
+        return tuple(self._written_at(data, level).tolist())
 
-    def _encode_pairs(self, pairs, refl: bool, level: int):
-        """Indices at level of (angle, ge) pairs, by grid_indices."""
-        t = grid_indices([q.numerator for q, _ in pairs], [q.denominator for q, _ in pairs], level)
-        return self.encode(t, refl, np.asarray([ge for _, ge in pairs], dtype=np.int64), level)
+    def _written_at(self, data: AmalgamData, level: int) -> np.ndarray:
+        """data's members decoded at its own level and written at level, as
+        a sorted array: a whole fibre at every angle; a fold's angle index t
+        as t·level/data.level, refused (grid_indices) when that is not
+        whole."""
+        t, refl, ge = self.decode(data.members, data.level)
+        if data.level == 1:
+            t, refl, ge = np.arange(level), refl[:, None], ge[:, None]
+        else:
+            t = grid_indices(t, data.level, level)
+        return np.sort(self.encode(t, refl, ge, level), axis=None)
 
     # -- full-group conjugacy ------------------------------------------------
 
@@ -430,9 +418,10 @@ class ClassLattice:
         those of mode k.
 
         SO(2) and O(2) are their own preimages.  A dihedral fold j has fold
-        kj: each member (t, ge) of its _turned representative has the k
-        preimages ((t + i·m_lo)/k, ge), i < k.  The image is refused
-        (_check_fold, grid_indices) or interned at m_lo."""
+        kj: each member (t, ge) of its data at level l = 2j has the k
+        preimages (t + i·l, ge), i < k, at level k·l, listed member by
+        member (so a refusal names the first member's off-grid preimage).
+        The image is refused (_check_fold, truncate) or interned at m_lo."""
         data = self.classes[cid]
         if data.o2.kind in ("O2", "SO2"):
             return cid
@@ -440,39 +429,32 @@ class ClassLattice:
             return None
         key = (cid, k)
         if key not in self._folds:
-            m = self.m_lo
-            self._check_fold(O2Desc("D", k * data.o2.fold), m)
-            t, refl, ge = self._turned(cid)
-            # the angle (t + i·m)/(k·m) of each preimage, indexed at m
-            t = grid_indices(t[:, None] + m * np.arange(k), k * m, m)
-            members = self.encode(t, refl[:, None], ge[:, None], m)
-            self._folds[key] = self.ensure_handle(np.sort(members, axis=None), m)
+            o2 = O2Desc("D", k * data.o2.fold)
+            self._check_fold(o2, self.m_lo)
+            t, refl, ge = self.decode(data.members, data.level)
+            members = self.encode(t[:, None] + data.level * np.arange(k), refl[:, None],
+                                  ge[:, None], k * data.level)
+            image = AmalgamData(o2, tuple(members.ravel().tolist()))
+            self._folds[key] = self.ensure_handle(self.truncate(image, self.m_lo), self.m_lo)
         return self._folds[key]
 
     def _rep_array(self, cid: int, level: int) -> np.ndarray:
         """The representative at level: row 0 of the class's orbit."""
         return self._orbits[(cid, level)][0]
 
-    def _turned(self, cid: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(t, refl, ge) of class cid's representative at m_lo, conjugated
-        by a rotation so that its least reflection axis is at angle 0."""
-        t, refl, ge = self.decode(self._rep_array(cid, self.m_lo), self.m_lo)
-        if refl.any():
-            t = np.where(refl, (t - t[refl].min()) % self.m_lo, t)
-        return t, refl, ge
-
     def representative(self, cid: int, level: int | None) -> np.ndarray:
         """A subgroup in class cid at any level, as sorted members: the
-        Gamma x Z2 projection at None; _rep_array at m_lo; at any other
-        level the _turned representative, each angle index t scaled to
-        t·level/m_lo, refused (grid_indices) when that is not whole."""
+        Gamma x Z2 projection of its data at None; _rep_array at m_lo and
+        m_hi (the lex-min conjugate, which is the data written there: its
+        least axis is at 0); at any other level its data written there
+        (_written_at), refused when an angle is off the level's grid."""
+        data = self.classes[cid]
         if level is None:
-            rep = self._rep_array(cid, self.m_lo)
-            return np.flatnonzero(np.bincount(rep % self.ng, minlength=self.ng))
-        if level == self.m_lo:
+            return np.flatnonzero(np.bincount(np.asarray(data.members) % self.ng,
+                                              minlength=self.ng))
+        if level in (self.m_lo, self.m_hi):
             return self._rep_array(cid, level)
-        t, refl, ge = self._turned(cid)
-        return np.sort(self.encode(grid_indices(t, self.m_lo, level), refl, ge, level))
+        return self._written_at(data, level)
 
     def at_working_level(self, members, level: int | None) -> np.ndarray:
         """A subgroup of group_at(level) carried to m_lo, order kept: O(2) x
@@ -480,8 +462,9 @@ class ClassLattice:
         t·m_lo/level.  It takes a representative at m_sample back to a
         conjugate of the class at m_lo."""
         if level is None:
-            f = tuple(int(ge) for ge in members)
-            return np.asarray(self.truncate(AmalgamData(O2Desc("O2"), f, f, (), ()), self.m_lo))
+            ge = np.asarray(members)
+            fibres = np.concatenate([ge, self.ng + ge]).tolist()
+            return self._written_at(AmalgamData(O2Desc("O2"), tuple(fibres)), self.m_lo)
         t, refl, ge = self.decode(members, level)
         return self.encode(t * (self.m_lo // level), refl, ge, self.m_lo)
 
@@ -497,14 +480,15 @@ class ClassLattice:
         N(S) projects into the O(2)-normalizer of S's O(2)-part, and
         N_O(2)(SO(2)) = N_O(2)(O(2)) = O(2), N_O(2)(D_k) = D_2k:
 
-        - O(2)/SO(2) part: every angle pairs with the same fibres rot_all
-          (= R) and refl_all, so (a, b) normalizes S iff b normalizes both
-          fibres, for any a in O(2).  |W| = [N' : R], doubled for SO(2),
-          whose normalizing reflections lie outside S.
-        - dihedral fold k: a rotation moves one reflection axis to angle 0;
-          the conjugate lies in D_2k x Gamma x Z2, which then contains the
-          whole normalizer, and |W| is a normalizer order in that finite
-          group (angles index it at the class's own level 2k).
+        - O(2)/SO(2) part: every angle pairs with the same rotation fibre
+          R and reflection fibre (the members decoded at level 1), so
+          (a, b) normalizes S iff b normalizes both fibres, for any a in
+          O(2).  |W| = [N' : R], doubled for SO(2), whose normalizing
+          reflections lie outside S.
+        - dihedral fold k: the data has a reflection axis at angle 0 and
+          lies in D_2k x Gamma x Z2, which then contains the whole
+          normalizer, and |W| is a normalizer order in that finite group
+          (the data's own level 2k).
         - cyclic fold: SO(2) normalizes S, so W is infinite.
         """
         data = self.classes[cid]
@@ -513,14 +497,13 @@ class ClassLattice:
             return None
         k = self.gamma_z2
         if kind in ("O2", "SO2"):
-            fibres = [f for f in (data.rot_all, data.refl_all) if f]
-            n_prime = set.intersection(
-                *(set(normalizer(k, f)) for f in fibres))
-            w = len(n_prime) // len(data.rot_all)
+            _, refl, ge = self.decode(data.members, 1)
+            fibres = [tuple(f.tolist()) for f in (ge[~refl], ge[refl]) if f.size]
+            n_prime = set.intersection(*(set(normalizer(k, f)) for f in fibres))
+            w = len(n_prime) // int(np.count_nonzero(~refl))
             return 2 * w if kind == "SO2" else w
-        level = 2 * data.o2.fold
-        members = self.representative(cid, level)
-        return len(normalizer(trunc_group(k, level), members)) // len(members)
+        members = data.members
+        return len(normalizer(trunc_group(k, data.level), members)) // len(members)
 
     def exact_n_count(self, i: int, j: int) -> int:
         """n(S, L) for S = class i, L = class j: the number of conjugates of L
@@ -534,24 +517,24 @@ class ClassLattice:
         - L of dihedral fold k: S must be of fold j dividing k (otherwise
           S's angles do not lie on the level-2k grid).  With one axis
           of S at angle 0, a conjugate of L containing S has O(2)-part the
-          D_k with an axis at 0, so it is conjugate to L (also rotated to
+          D_k with an axis at 0, so it is conjugate to L (also turned to
           axis 0) by N_O(2)(D_k) x Gamma x Z2 = D_2k x Gamma x Z2; count those
-          conjugates at level 2k.
+          conjugates at L's own level 2k.
         """
         s, l = self.classes[i], self.classes[j]
         k = self.gamma_z2
         if l.o2.kind in ("O2", "SO2"):
-            rot = set(s.rot_all) | {ge for _, ge in s.rot_fin}
-            refl = set(s.refl_all) | {ge for _, ge in s.refl_fin}
-            pairs = {(tuple(sorted(k.conjugate(b, x) for x in l.rot_all)),
-                      tuple(sorted(k.conjugate(b, x) for x in l.refl_all)))
+            _, s_refl, s_ge = self.decode(s.members, s.level)
+            _, l_refl, l_ge = self.decode(l.members, 1)
+            rot, refl = set(s_ge[~s_refl].tolist()), set(s_ge[s_refl].tolist())
+            pairs = {(tuple(sorted(k.conjugate(b, x) for x in l_ge[~l_refl].tolist())),
+                      tuple(sorted(k.conjugate(b, x) for x in l_ge[l_refl].tolist())))
                      for b in range(k.order)}
             return sum(1 for r, f in pairs if rot <= set(r) and refl <= set(f))
         if s.o2.kind != "D" or l.o2.fold % s.o2.fold:
             return 0
-        level = 2 * l.o2.fold
-        h = set(self.representative(i, level).tolist())
-        conjs = subgroup_conjugates(trunc_group(k, level), self.representative(j, level))
+        h = set(self.truncate(s, l.level))
+        conjs = subgroup_conjugates(trunc_group(k, l.level), l.members)
         return sum(1 for c in conjs if h <= set(c))
 
     def at_both_levels(self, at, what: str):
@@ -753,23 +736,23 @@ class ClassLattice:
         g_all = data.truncated_order(self.m_lo) == self.group_lo.order
         if g_all:
             return "(G)"
-        k_proj = sorted({ge for ge in data.rot_all} | {ge for ge in data.refl_all}
-                        | {ge for _, ge in data.rot_fin} | {ge for _, ge in data.refl_fin})
+        t, refl, ge = self.decode(data.members, data.level)
+        k_proj = sorted(set(ge.tolist()))
         k_name = self.finite_class_name(k_proj)
         # R = fiber over the O(2)-identity; Z = fiber over the finite identity
-        r_part = sorted(set(data.rot_all) | {ge for q, ge in data.rot_fin if q == 0})
+        r_part = sorted(set(ge[~refl & (t == 0)].tolist()))
         quotient = len(k_proj) // len(r_part)
         if quotient == 1:
             return f"({data.o2.label()} x {k_name})"
         r_name = self.finite_class_name(r_part)
-        z_rot = sorted(q for q, ge in data.rot_fin if ge == 0)
-        z_refl = sorted(q for q, ge in data.refl_fin if ge == 0)
+        z_rot = int(np.count_nonzero(~refl & (ge == 0)))
+        z_refl = int(np.count_nonzero(refl & (ge == 0)))
         if data.o2.kind in ("O2", "SO2"):
-            z_name = "SO(2)" if 0 in data.rot_all else "?"
+            z_name = "SO(2)" if z_rot else "?"
         elif z_refl:
-            z_name = f"D{len(z_rot)}"
-        elif len(z_rot) > 1:
-            z_name = f"Z{len(z_rot)}"
+            z_name = f"D{z_rot}"
+        elif z_rot > 1:
+            z_name = f"Z{z_rot}"
         else:
             z_name = "1"
         l_name = self._quotient_name(k_proj, r_part)

@@ -2,6 +2,9 @@
 run reaches them.
 
 - reconstruct: the inverse of burnside.recurrence.
+- mark_product: the product of two classes of O(2) x Gamma x Z2 by the
+  Burnside-ring multiplication recurrence over exact Weyl orders and
+  containment counts, with no truncation level and no double coset.
 - finite_product, brute_orbit_product: the product of two subgroup classes
   of a finite group in its Burnside ring, by double-coset counting and by a
   direct orbit partition of G/H x G/K (Balanov-Krawcewicz-Steinlein,
@@ -24,6 +27,7 @@ run reaches them.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -50,6 +54,40 @@ def reconstruct(e: BurnsideElement, ids) -> dict[int, int]:
             if cnt:
                 acc += nl * cnt * lattice.weyl(l)
         out[h] = acc
+    return out
+
+
+@functools.cache
+def _exact_n_count(lattice, i: int, j: int) -> int:
+    return lattice.exact_n_count(i, j)
+
+
+@functools.cache
+def _exact_weyl(lattice, cid: int) -> int:
+    return lattice.exact_weyl(cid)
+
+
+def mark_product(lattice, i: int, j: int) -> dict[int, int]:
+    """(H)*(K), H = class i and K = class j of finite Weyl group, by the
+    multiplication recurrence of the Burnside ring (Balanov-Krawcewicz-
+    Steinlein 2006) over the interned classes (L) of finite Weyl group,
+    the largest first:
+
+        n_L |W(L)| = n(L,H)|W(H)| n(L,K)|W(K)| - sum_{(L') > (L)} n_L' n(L,L') |W(L')|
+
+    with exact_n_count and exact_weyl (cached per lattice); a division
+    that is not exact raises AssertionError."""
+    ids = lattice.sorted_ids(c for c in range(len(lattice.classes)) if lattice.finite_weyl(c))
+    out: dict[int, int] = {}
+    for l in ids:
+        total = (_exact_n_count(lattice, l, i) * _exact_weyl(lattice, i)
+                 * _exact_n_count(lattice, l, j) * _exact_weyl(lattice, j))
+        total -= sum(v * _exact_n_count(lattice, l, m) * _exact_weyl(lattice, m)
+                     for m, v in out.items())
+        coeff, rest = divmod(total, _exact_weyl(lattice, l))
+        assert rest == 0, f"n_L of {lattice.labels[l]} is not whole: {total}/{_exact_weyl(lattice, l)}"
+        if coeff:
+            out[l] = coeff
     return out
 
 

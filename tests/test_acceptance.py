@@ -276,7 +276,8 @@ def test_truncation_free_witness(engine8, natural):
         if levels != [w, w]:
             diffs.append((lat.labels[cid], w, levels))
         data = lat.classes[cid]
-        fibre = set(data.rot_all) | {ge for q, ge in data.rot_fin if q == 0}
+        t, refl, ge = lat.decode(data.members, data.level)
+        fibre = set(ge[~refl & (t == 0)].tolist())
         # a central involution outside S normalizes S: order 2 in W(S)
         if antipodal not in fibre and w % 2:
             odd.append((lat.labels[cid], w))

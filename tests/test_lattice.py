@@ -36,9 +36,37 @@ def decode_reference(lat, idx, level):
     return (o2 % level, o2 >= level, ge)
 
 
+def fraction_form(lat, data):
+    """data's own-level members as the membership rule they stand for:
+    (o2, rot_all, refl_all, rot_fin, refl_fin), the fibres paired with
+    every rotation/reflection (level 1), else the sorted (Fraction of a full
+    turn, ge) pairs of each part (for reflections, of the dihedral index
+    range)."""
+    rot_all, refl_all, rot_fin, refl_fin = [], [], [], []
+    for idx in data.members:
+        t, refl, ge = decode_reference(lat, int(idx), data.level)
+        if data.level == 1:
+            (refl_all if refl else rot_all).append(ge)
+        else:
+            (refl_fin if refl else rot_fin).append((Fraction(t, data.level), ge))
+    return (data.o2, tuple(rot_all), tuple(refl_all),
+            tuple(sorted(rot_fin)), tuple(sorted(refl_fin)))
+
+
+def turned(form):
+    """A membership rule conjugated by a rotation so that its least
+    reflection axis is at angle 0."""
+    o2, rot_all, refl_all, rot_fin, refl_fin = form
+    if refl_fin:
+        q0 = refl_fin[0][0]
+        refl_fin = tuple(sorted(((q - q0) % 1, ge) for q, ge in refl_fin))
+    return o2, rot_all, refl_all, rot_fin, refl_fin
+
+
 def lift_reference(lat, members, level):
     """ClassLattice.lift member by member: decode each index, collect the
-    angles of each fibre, then sort the (Fraction, ge) pairs."""
+    angles of each fibre, then sort the (Fraction, ge) pairs; the membership
+    rule of fraction_form, turned to axis 0."""
     rot_by_ge, refl_by_ge = {}, {}
     rot_indices = set()
     for idx in members:
@@ -66,13 +94,14 @@ def lift_reference(lat, members, level):
                 fin.extend((Fraction(t, level), ge) for t in ts)
     if full and (rot_fin or refl_fin):
         raise TruncationInstability("mixed full/finite fibers")
-    return AmalgamData(o2, tuple(rot_all), tuple(refl_all),
-                       tuple(sorted(rot_fin)), tuple(sorted(refl_fin)))
+    return turned((o2, tuple(rot_all), tuple(refl_all),
+                   tuple(sorted(rot_fin)), tuple(sorted(refl_fin))))
 
 
 def lift_before_split(lat, members, level):
     """ClassLattice.lift as it was before its level check was split out: it
-    decides both refusals while building the Fractions of every member set."""
+    decides both refusals while building the Fractions of every member set;
+    the membership rule of fraction_form, turned to axis 0."""
     o2_idx, ge = np.divmod(np.asarray(members, dtype=np.int64), lat.ng)
     refl = o2_idx >= level
     t = o2_idx % level
@@ -101,13 +130,14 @@ def lift_before_split(lat, members, level):
         parts.append(tuple(zip([Fraction(t, level) for t in t_part[order].tolist()],
                                ge_part[order].tolist())))
     if full:
-        return AmalgamData(o2, parts[0], parts[1], (), ())
-    return AmalgamData(o2, (), (), parts[0], parts[1])
+        return turned((o2, parts[0], parts[1], (), ()))
+    return turned((o2, (), (), parts[0], parts[1]))
 
 
 def assert_decided_as_before(lat, members, level):
     """_level_check, lift and lookup give lift_before_split's O(2)-part (and
-    lift its AmalgamData), or its refusal with the same message."""
+    lift, for a subgroup, its membership rule), or its refusal with the same
+    message."""
     try:
         want = lift_before_split(lat, members, level)
     except TruncationInstability as e:
@@ -116,27 +146,30 @@ def assert_decided_as_before(lat, members, level):
                 decide(members, level)
             assert str(got.value) == str(e)
     else:
-        assert lat._level_check(members, level) == want.o2
-        got = lat.lift(members, level)
-        assert got == want and repr(got) == repr(want)
-        assert lat.lookup(members, level)[1] == want.o2
+        assert lat._level_check(members, level) == want[0]
+        assert lat.lookup(members, level)[1] == want[0]
+        if closure(lat.group_at(level), members) == tuple(sorted(int(x) for x in members)):
+            got = lat.lift(members, level)
+            assert fraction_form(lat, got) == want
+            assert all(type(v) is int for v in got.members)
 
 
 def truncate_reference(lat, data, level):
     """ClassLattice.truncate member by member: encode every angle of every
-    fibre, then sort."""
+    fibre of data's fraction_form, then sort."""
+    _, rot_all, refl_all, rot_fin, refl_fin = fraction_form(lat, data)
     out = []
-    for ge in data.rot_all:
+    for ge in rot_all:
         out.extend(lat.encode(t, False, ge, level) for t in range(level))
-    for ge in data.refl_all:
+    for ge in refl_all:
         out.extend(lat.encode(t, True, ge, level) for t in range(level))
-    for q, ge in data.rot_fin:
+    for q, ge in rot_fin:
         t = q * level
         if t.denominator != 1:
             raise InadmissibleLevel(
                 f"level {level} not divisible by fold denominator {q.denominator}")
         out.append(lat.encode(int(t), False, ge, level))
-    for q, ge in data.refl_fin:
+    for q, ge in refl_fin:
         t = q * level
         if t.denominator != 1:
             raise InadmissibleLevel(
@@ -235,9 +268,9 @@ def test_n_count_so2_in_full(lat):
 
 
 def test_inadmissible_level_raises(lat):
-    from revdeg.lattice import AmalgamData
-    bad = AmalgamData(O2Desc("D", 3), (), (),
-                      ((Fraction(0), 0),), ((Fraction(1, 3), 0),))
+    # the rotation 0 and the reflection at 1/3 of the index range, at the
+    # own level 6 of fold 3
+    bad = AmalgamData(O2Desc("D", 3), (lat.encode(0, False, 0, 6), lat.encode(2, True, 0, 6)))
     with pytest.raises(InadmissibleLevel):
         lat.truncate(bad, 32)
     assert_truncate_matches_reference(lat, bad, 32)
@@ -388,11 +421,16 @@ def test_lift_and_half_twist_match_per_member_reference(gamma_index, level, seed
             lat.lift(members, level)
     else:
         got = lat.lift(members, level)
-        assert got == want
-        assert repr(got) == repr(want)  # plain ints and Fractions, not numpy scalars
+        assert fraction_form(lat, got) == want
+        assert all(type(v) is int for v in got.members)  # plain ints, not numpy scalars
         # back at level, at the doubled level and at a level the folds may
         # not divide
-        assert lat.truncate(got, level) == members
+        # back at level: the members, turned so that the least axis is at 0
+        decoded = [decode_reference(lat, x, level) for x in members]
+        t0 = min((t for t, refl, _ in decoded if refl), default=0)
+        assert lat.truncate(got, level) == tuple(sorted(
+            lat.encode((t - t0) % level if refl else t, refl, ge, level)
+            for t, refl, ge in decoded))
         for other in (level, 2 * level, 3 * level // 2, 6):
             assert_truncate_matches_reference(lat, got, other)
     twisted = tuple(lat.half_twist(members, level).tolist())
@@ -646,3 +684,59 @@ def test_representative_at_every_level_is_a_subgroup_in_its_class(kind, n):
                 assert lat._find_class(lat.at_working_level(rep, level), lat.m_lo) == cid
         checked += 1
     assert checked
+
+
+@functools.cache
+def own_level_lattice(gamma_index: int) -> ClassLattice:
+    """The lattice of an engine at the level of modes 0-2 after the basic
+    degrees of those modes, with SO(2) x K, O(2) x K and Z4 x K interned
+    for every subgroup class K of Gamma x Z2."""
+    kind, n = GAMMAS[gamma_index]
+    eng = DegreeEngine(kind, n, base_level=level_for_modes(n, range(3)))
+    for k in range(3):
+        for l in range(eng.component_count()):
+            eng.basic_degree(k, l)
+    lat = eng.lattice
+    m = lat.m_lo
+    for c in gamma_z2_classes(kind, n)[1]:
+        for step in (1, m // 4):
+            lat.ensure_handle(lat.encode(np.arange(0, m, step)[:, None], False,
+                                         np.asarray(c.representative), m).ravel(), m)
+        lat.ensure_handle(lat.at_working_level(c.representative, None), m)
+    return lat
+
+
+@pytest.mark.parametrize("gamma_index", range(len(GAMMAS)), ids=lambda i: str(GAMMAS[i]))
+def test_representative_of_an_o2_type_class_is_the_whole_class(gamma_index):
+    # an O(2)- or SO(2)-type class holds every rotation (reflection) of its
+    # fibres at any level: all order_of members, and they lift to its data
+    lat = own_level_lattice(gamma_index)
+    checked = 0
+    for cid, data in enumerate(lat.classes):
+        if data.o2.kind not in ("O2", "SO2"):
+            continue
+        for level in (lat.m_sample, lat.m_hi, 4):
+            rep = lat.representative(cid, level)
+            assert len(rep) == lat.order_of(cid, level)
+            assert lat.lift(rep, level) == data
+        checked += 1
+    assert {lat.classes[c].o2.kind for c in range(len(lat.classes))} == {"O2", "SO2", "D", "Z"}
+    assert checked
+
+
+@pytest.mark.parametrize("gamma_index", range(len(GAMMAS)), ids=lambda i: str(GAMMAS[i]))
+def test_lift_inverts_truncate_on_own_level_data(gamma_index):
+    # every interned class's data, written at m_lo, m_hi and (for a fold)
+    # 4·fold, lifts back to itself; written at m_lo and m_hi it is the
+    # lex-min row of the class's orbit; its representative at m_lo lifted
+    # and written back at m_lo is found in its class
+    lat = own_level_lattice(gamma_index)
+    for cid, data in enumerate(lat.classes):
+        levels = [lat.m_lo, lat.m_hi] + ([4 * data.o2.fold] if data.level > 1 else [])
+        for level in levels:
+            assert lat.lift(lat.truncate(data, level), level) == data
+        for level in (lat.m_lo, lat.m_hi):
+            assert lat.truncate(data, level) == tuple(lat._orbits[(cid, level)][0].tolist())
+        x = lat.representative(cid, lat.m_lo)
+        again = lat.truncate(lat.lift(x, lat.m_lo), lat.m_lo)
+        assert lat.lookup(again, lat.m_lo) == (cid, data.o2)

@@ -5,9 +5,6 @@ stabilizer sampler and the recurrence (oracles.direct_isotropy,
 oracles.direct_basic_degree), Theta_2 is multiplicative, and a basic degree
 lives on (G) and the isotropy classes."""
 
-from dataclasses import replace
-from fractions import Fraction as F
-
 import pytest
 
 from oracles import direct_basic_degree, direct_isotropy
@@ -97,15 +94,13 @@ def test_fold_fixes_o2_types_and_drops_cyclic_folds():
         folded = lat.fold(c, 3)
         image = lat.classes[folded]
         assert image.o2.fold == 3 * data.o2.fold
-        assert len(image.rot_fin) == 3 * len(data.rot_fin)
-        assert {ge for _, ge in image.refl_fin} == {ge for _, ge in data.refl_fin}
+        _, refl, ge = lat.decode(data.members, data.level)
+        _, image_refl, image_ge = lat.decode(image.members, image.level)
+        assert (~image_refl).sum() == 3 * (~refl).sum()
+        assert set(image_ge[image_refl].tolist()) == set(ge[refl].tolist())
         # the same class with its axes turned by one grid step (a conjugate)
-        # folds to the same class: the axes are turned back to 0 first
-        turned = replace(data, refl_fin=tuple(((q + F(1, m)) % 1, ge)
-                                              for q, ge in data.refl_fin))
-        lat.classes[c] = turned
-        lat._folds.clear()
-        try:
-            assert lat.fold(c, 3) == folded
-        finally:
-            lat.classes[c] = data
+        # lifts to the same data, axes turned back to 0, so it folds to the
+        # same class
+        turned = lat.half_twist(lat.representative(c, m), m)
+        assert lat.lift(turned, m) == data
+        assert lat.fold(lat.ensure_handle(turned, m), 3) == folded

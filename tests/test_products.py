@@ -11,8 +11,13 @@ own enumeration is the oracle of both: the quotient's representatives are
 those of double_cosets on the truncation, and the oracle product here
 visits every double coset there and skips the intersections that lift to a
 cyclic fold (infinite Weyl group), which are the intersections either
-route skips or never forms."""
+route skips or never forms.
 
+The multiplication recurrence of the Burnside ring over exact Weyl orders
+and containment counts (oracles.mark_product) is a second oracle, with no
+truncation and no double coset."""
+
+import functools
 from fractions import Fraction
 
 import numpy as np
@@ -20,6 +25,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from oracles import mark_product
 from revdeg import lattice as lattice_module
 from revdeg.degrees import DegreeEngine
 from revdeg.groups import ProductGroup, closure, conjugate_members, coset_intersections, double_cosets
@@ -269,3 +275,24 @@ def test_product_extends_working_set_and_logs_new_classes():
     assert new
     assert [e for e in lat.escape_log if e.startswith("extended working set: ")] == \
         [f"extended working set: {label}" for label in new]
+
+
+@functools.cache
+def basic_degree_support(gamma_index: int) -> tuple[ClassLattice, list[int]]:
+    """The lattice of an engine at the level of modes 0-2 and the classes
+    of the basic degrees of those modes, one engine per Gamma."""
+    kind, n = GAMMAS[gamma_index]
+    eng = DegreeEngine(kind, n, base_level=level_for_modes(n, range(3)))
+    support = {c for k in range(3) for l in range(eng.component_count())
+               for c, _ in eng.basic_degree(k, l).coeffs}
+    return eng.lattice, sorted(support)
+
+
+@given(st.integers(0, len(GAMMAS) - 1), st.data())
+@settings(max_examples=600, deadline=None)
+def test_products_equal_the_multiplication_recurrence(gamma_index, data):
+    # over D1..D6 and Z1..Z6, every product of two basic-degree classes is
+    # the recurrence's, every division of which is exact
+    lat, support = basic_degree_support(gamma_index)
+    i, j = (data.draw(st.sampled_from(support)) for _ in range(2))
+    assert lat.product_classes(i, j) == mark_product(lat, i, j)

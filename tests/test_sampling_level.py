@@ -14,7 +14,6 @@ from oracles import direct_isotropy
 from revdeg.degrees import DegreeEngine
 from revdeg.groups import closure
 from revdeg.lattice import (
-    AmalgamData,
     ClassLattice,
     InadmissibleLevel,
     O2Desc,
@@ -112,20 +111,25 @@ def test_a_level_override_samples_at_the_working_level():
 
 
 def fraction_fold(lat: ClassLattice, cid: int, k: int):
-    """ClassLattice.fold from the class's exact angles: the preimages
-    ((q - q0) % 1 + i)/k of each pair, q0 the first reflection axis,
-    truncated at m_lo and looked up; the refusal if it refuses."""
+    """ClassLattice.fold from the class's exact angles: the own-level
+    members as (Fraction of a full turn, refl, ge), the preimages
+    ((q - q0) % 1 + i)/k of each, q0 the least reflection axis, each written
+    at m_lo (refused unless whole) and looked up; the refusal if it
+    refuses."""
     data = lat.classes[cid]
-    q0 = data.refl_fin[0][0]
-
-    def preimages(pairs, shift):
-        return tuple((((q - shift) % 1 + i) / k, ge) for q, ge in pairs for i in range(k))
-
-    image = AmalgamData(O2Desc("D", k * data.o2.fold), (), (),
-                        preimages(data.rot_fin, Fraction(0)), preimages(data.refl_fin, q0))
+    t, refl, ge = lat.decode(data.members, data.level)
+    pairs = [(Fraction(int(a), data.level), bool(r), int(g)) for a, r, g in zip(t, refl, ge)]
+    q0 = min(q for q, r, _ in pairs if r)
+    image = [(((q - q0 if r else q) % 1 + i) / k, r, g) for q, r, g in pairs for i in range(k)]
     try:
-        lat._check_fold(image.o2, lat.m_lo)
-        return lat._find_class(lat.truncate(image, lat.m_lo), lat.m_lo)
+        lat._check_fold(O2Desc("D", k * data.o2.fold), lat.m_lo)
+        members = []
+        for q, r, g in image:
+            if (q * lat.m_lo).denominator != 1:
+                raise InadmissibleLevel(
+                    f"level {lat.m_lo} not divisible by fold denominator {q.denominator}")
+            members.append(lat.encode(int(q * lat.m_lo), r, g, lat.m_lo))
+        return lat._find_class(members, lat.m_lo)
     except (InadmissibleLevel, TruncationInstability) as e:
         return f"{type(e).__name__}: {e}"
 
