@@ -42,10 +42,19 @@ search in each orbit of its level and length.  The walk that builds an orbit
 also gives the class's Weyl order at that level, by orbit-stabilizer, so no
 normalizer is formed for it.
 
-Every member set met by the engine goes through lookup, which searches the
-orbits first and runs the level check (a fold too close to the level, or
-mixed fibres under a full fold) only where lookup says it is needed.  lift
-writes a new class's representative at its own level.
+Every member set met by the engine goes through lookup, which answers a set
+it has found before from a memo (level, sorted member bytes) -> class id,
+searches the orbits for any other, and runs the level check (a set without
+the identity, a fold too close to the level, or mixed fibres under a full
+fold) only where lookup says it is needed.  lift writes a new class's representative at its own
+level.
+
+A containment count n(H, L) is 0, with no scan, when one of the four
+Goursat pieces of H (its O(2)-part, its kernel H ∩ (O(2) x 1), its
+Gamma x Z2 projection and its identity fibre H ∩ (1 x Gamma x Z2)), which
+are recorded when the class is interned, has no conjugate inside the same
+piece of L: then no truncation finds L's conjugates containing H either.
+Otherwise it is one mask over the rows of L's orbit at each level.
 
 Products of classes count double cosets.  When a factor has a finite
 O(2)-part, only the double cosets whose intersection holds a reflection can
@@ -63,6 +72,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -92,6 +102,10 @@ class InadmissibleLevel(ValueError):
     """Truncation level not divisible by a required fold."""
 
 
+class NotASubgroup(ValueError):
+    """A member set without the identity, so no subgroup."""
+
+
 @dataclass(frozen=True)
 class O2Desc:
     """Projection of a class to the O(2) factor.
@@ -111,6 +125,18 @@ class O2Desc:
         if self.kind == "D":
             return f"D{self.fold}"
         return "1" if self.fold == 1 else f"Z{self.fold}"
+
+    def conjugate_into(self, other: O2Desc) -> bool:
+        """Whether a subgroup of O(2) of this type has a conjugate inside
+        one of type other: Z_a inside Z_b or D_b, and D_a inside D_b, iff
+        a | b; SO(2) and every Z_a inside SO(2); all inside O(2)."""
+        if other.kind == "O2":
+            return True
+        if other.kind == "SO2":
+            return self.kind in ("SO2", "Z")
+        if self.kind in ("O2", "SO2") or (self.kind, other.kind) == ("D", "Z"):
+            return False
+        return other.fold % self.fold == 0
 
 
 @dataclass(frozen=True)
@@ -132,6 +158,18 @@ class AmalgamData:
 
     def truncated_order(self, m: int) -> int:
         return len(self.members) * m if self.level == 1 else len(self.members)
+
+
+class Goursat(NamedTuple):
+    """Four level-free pieces of a subgroup H of O(2) x Gamma x Z2.  When H
+    lies in a conjugate gLg^-1, each piece of H has a conjugate inside the
+    same piece of L: in O(2) for the first two (O2Desc.conjugate_into), in
+    Gamma x Z2 for the last two, as sorted members."""
+
+    o2: O2Desc                    # the projection to O(2)
+    kernel: O2Desc                # H ∩ (O(2) x 1)
+    projection: tuple[int, ...]   # the projection to Gamma x Z2
+    fibre: tuple[int, ...]        # H ∩ (1 x Gamma x Z2)
 
 
 def level_for_modes(n: int, modes) -> int:
@@ -213,8 +251,9 @@ class ClassLattice:
     def __init__(self, kind: str, n: int, base_level: int):
         self.gamma_z2, classes, names = gamma_z2_classes(kind, n)
         # every subgroup of Gamma x Z2, as sorted members -> its class's name
-        self._finite_names = {conj: name for c, name in zip(classes, names)
-                              for conj in c.conjugates}
+        # and members (SubgroupClass.conjugates)
+        self._finite_classes = {conj: (name, c.conjugates) for c, name in zip(classes, names)
+                                for conj in c.conjugates}
         self.ng = self.gamma_z2.order
         if base_level < 4 or base_level % 4 != 0:
             raise InadmissibleLevel(f"base level {base_level} must be a positive multiple of 4")
@@ -246,6 +285,13 @@ class ClassLattice:
         # interning order
         self._by_order: dict[tuple[int, int], list[int]] = {}
         self._n_cache: dict[tuple[int, int], int] = {}
+        # class id -> its Goursat pieces, and (piece of H, piece of L) ->
+        # whether the first has a conjugate inside the second
+        self._goursat: list[Goursat] = []
+        self._fits: dict[tuple, bool] = {}
+        # (level, sorted big-endian int32 member bytes) -> the id of the
+        # class whose orbit at level holds them, for each set found before
+        self._memo: dict[tuple[int, bytes], int] = {}
         self._mul_cache: dict[tuple[int, int], dict[int, int]] = {}
         # (class id, k) -> the id of fold(class id, k)
         self._folds: dict[tuple[int, int], int] = {}
@@ -293,7 +339,12 @@ class ClassLattice:
     def _level_check(self, members, level: int) -> O2Desc:
         """The O(2)-part of a truncated subgroup at level.  Refuses a fold
         too close to the level (_check_fold), then, for a fold that fills
-        D_M, fibres over Gamma x Z2 holding some but not all angles."""
+        D_M, fibres over Gamma x Z2 holding some but not all angles.  A
+        set without the identity (index 0) is no subgroup and is refused
+        first (NotASubgroup); one with no rotation at all would be fold 0."""
+        members = np.asarray(members, dtype=np.int64)
+        if not (members == 0).any():
+            raise NotASubgroup(f"member set at level {level} holds no identity")
         t, refl, ge = self.decode(members, level)
         d = int(np.count_nonzero(np.bincount(t[~refl], minlength=1)))
         has_refl = bool(refl.any())
@@ -375,7 +426,7 @@ class ClassLattice:
     def finite_class_name(self, mem) -> str:
         """Printed name of the Gamma x Z2 class holding the subgroup with
         members mem."""
-        return self._finite_names[tuple(int(v) for v in sorted(mem))]
+        return self._finite_classes[tuple(int(v) for v in sorted(mem))][0]
 
     def ensure_handle(self, members, level: int) -> int:
         """Intern the class of a truncated subgroup; returns its class id."""
@@ -388,13 +439,15 @@ class ClassLattice:
         data = self.lift(walks[level][0][0], level)
         other = self.m_hi if level == self.m_lo else self.m_lo
         walks[other] = self.conjugates_full(self.truncate(data, other), other)
-        label = self._format(data)
+        goursat = self._goursat_of(data)
+        label = self._format(data, goursat)
         # a cyclic fold's Weyl group contains SO(2)/fold: infinite, and its
         # truncated orders grow with the level
         weyl = None if data.o2.kind == "Z" else self.at_both_levels(
             lambda m: walks[m][1], f"Weyl order of {label}")
         cid = len(self.classes)
         self.classes.append(data)
+        self._goursat.append(goursat)
         self._weyl.append(weyl)
         for lv, (rows, _) in walks.items():
             self._orbits[(cid, lv)] = rows
@@ -481,10 +534,11 @@ class ClassLattice:
         N_O(2)(SO(2)) = N_O(2)(O(2)) = O(2), N_O(2)(D_k) = D_2k:
 
         - O(2)/SO(2) part: every angle pairs with the same rotation fibre
-          R and reflection fibre (the members decoded at level 1), so
-          (a, b) normalizes S iff b normalizes both fibres, for any a in
-          O(2).  |W| = [N' : R], doubled for SO(2), whose normalizing
-          reflections lie outside S.
+          R and reflection fibre C, a coset of R, so (a, b) normalizes S
+          iff b normalizes R and maps C onto itself, for any a in O(2):
+          iff b normalizes R and the projection R ∪ C (the Goursat pieces
+          fibre and projection).  |W| = [N' : R], doubled for SO(2), whose
+          normalizing reflections lie outside S.
         - dihedral fold k: the data has a reflection axis at angle 0 and
           lies in D_2k x Gamma x Z2, which then contains the whole
           normalizer, and |W| is a normalizer order in that finite group
@@ -497,10 +551,8 @@ class ClassLattice:
             return None
         k = self.gamma_z2
         if kind in ("O2", "SO2"):
-            _, refl, ge = self.decode(data.members, 1)
-            fibres = [tuple(f.tolist()) for f in (ge[~refl], ge[refl]) if f.size]
-            n_prime = set.intersection(*(set(normalizer(k, f)) for f in fibres))
-            w = len(n_prime) // int(np.count_nonzero(~refl))
+            r, proj = self._goursat[cid].fibre, self._goursat[cid].projection
+            w = len(set(normalizer(k, r)) & set(normalizer(k, proj))) // len(r)
             return 2 * w if kind == "SO2" else w
         members = data.members
         return len(normalizer(trunc_group(k, data.level), members)) // len(members)
@@ -527,9 +579,10 @@ class ClassLattice:
             _, s_refl, s_ge = self.decode(s.members, s.level)
             _, l_refl, l_ge = self.decode(l.members, 1)
             rot, refl = set(s_ge[~s_refl].tolist()), set(s_ge[s_refl].tolist())
-            pairs = {(tuple(sorted(k.conjugate(b, x) for x in l_ge[~l_refl].tolist())),
-                      tuple(sorted(k.conjugate(b, x) for x in l_ge[l_refl].tolist())))
-                     for b in range(k.order)}
+            b = np.arange(k.order)[:, None]
+            rows = [np.sort(k.conjugate(b, f), axis=1).tolist()
+                    for f in (l_ge[~l_refl], l_ge[l_refl])]
+            pairs = {(tuple(r), tuple(f)) for r, f in zip(*rows)}
             return sum(1 for r, f in pairs if rot <= set(r) and refl <= set(f))
         if s.o2.kind != "D" or l.o2.fold % s.o2.fold:
             return 0
@@ -554,12 +607,46 @@ class ClassLattice:
         return self._weyl[cid] is not None
 
     def n_count(self, i: int, j: int) -> int:
-        """Number of conjugates of class j's representative containing class i's."""
+        """Number of conjugates of class j's representative containing class
+        i's: 0 when a Goursat piece of class i has no conjugate inside that
+        of class j (_pieces_fit), as the scan would find at every level,
+        else the scan at both levels (_scanned_n_count)."""
         key = (i, j)
         if key not in self._n_cache:
-            self._n_cache[key] = self.at_both_levels(
-                lambda m: self._n_count_at(i, j, m), f"n({self.labels[i]},{self.labels[j]})")
+            self._n_cache[key] = self._scanned_n_count(i, j) if self._pieces_fit(i, j) else 0
         return self._n_cache[key]
+
+    def checked_n_count(self, i: int, j: int) -> int:
+        """n_count, scanned at both levels even where the Goursat pieces
+        answer it: a count they answer 0 that the scan finds nonzero is
+        refused (TruncationInstability), as a count that differs between
+        the levels is."""
+        count = self.n_count(i, j)
+        if not self._pieces_fit(i, j) and (scanned := self._scanned_n_count(i, j)):
+            raise TruncationInstability(
+                f"n({self.labels[i]},{self.labels[j]}) is 0 by its Goursat pieces "
+                f"but {scanned} at both levels")
+        return count
+
+    def _scanned_n_count(self, i: int, j: int) -> int:
+        return self.at_both_levels(lambda m: self._n_count_at(i, j, m),
+                                   f"n({self.labels[i]},{self.labels[j]})")
+
+    def _pieces_fit(self, i: int, j: int) -> bool:
+        """Whether each Goursat piece of class i has a conjugate inside the
+        same piece of class j, as it must when some conjugate of class j
+        contains class i; cached per pair of pieces."""
+        for a, b in zip(self._goursat[i], self._goursat[j]):
+            fit = self._fits.get((a, b))
+            if fit is None:
+                if isinstance(a, O2Desc):
+                    fit = a.conjugate_into(b)
+                else:
+                    fit = any(set(a) <= set(c) for c in self._finite_classes[b][1])
+                self._fits[(a, b)] = fit
+            if not fit:
+                return False
+        return True
 
     def _n_count_at(self, i: int, j: int, level: int) -> int:
         """n_count at one level: the conjugates of class j, as rows of member
@@ -702,11 +789,11 @@ class ClassLattice:
         none, and the members' O(2)-part; an unstable truncation is refused
         as lift refuses it.
 
-        The orbits are searched first (_find_class).  A miss runs
-        _level_check.  A hit refuses exactly when the class is a finite fold
-        above level // 4 (_check_fold): rows at the level the class was
-        interned at passed lift, rows truncate built at the other level have
-        whole fibres, and both refusals are invariant under conjugation."""
+        The class is found first (_find_class).  A miss runs _level_check.
+        A hit refuses exactly when the class is a finite fold above
+        level // 4 (_check_fold): rows at the level the class was interned
+        at passed lift, rows truncate built at the other level have whole
+        fibres, and both refusals are invariant under conjugation."""
         cid = self._find_class(members, level)
         if cid is None:
             return None, self._level_check(members, level)
@@ -716,47 +803,54 @@ class ClassLattice:
 
     def _find_class(self, members, level: int) -> int | None:
         """Id of the interned class whose orbit at level holds the members,
-        by the orbits alone (lookup adds the level check): one binary search
-        of the sorted members in the orbit of each class of their order, in
-        interning order; the first orbit that holds them decides."""
+        by the orbits alone (lookup adds the level check).  A member set
+        found before is answered from the memo, as classes never change once
+        interned; any other by one binary search of the sorted members in
+        the orbit of each class of their order, in interning order, where
+        the first orbit that holds them decides and is kept in the memo."""
         if level not in (self.m_lo, self.m_hi):
             raise InadmissibleLevel(f"unsupported level {level}")
         query = np.sort(np.asarray(members, dtype=np.int32)).astype(">i4")
+        memo = (level, query.tobytes())
+        if memo in self._memo:
+            return self._memo[memo]
         key = row_keys(query)
         for cid in self._by_order.get((level, len(query)), ()):
             keys = row_keys(self._orbits[(cid, level)])
             i = keys.searchsorted(key)[0]
             if i < len(keys) and keys[i] == key[0]:
+                self._memo[memo] = cid
                 return cid
         return None
 
     # -- printable labels ------------------------------------------------------
 
-    def _format(self, data: AmalgamData) -> str:
-        g_all = data.truncated_order(self.m_lo) == self.group_lo.order
-        if g_all:
-            return "(G)"
+    def _goursat_of(self, data: AmalgamData) -> Goursat:
+        """data's Goursat pieces, read from its own-level members.  The
+        kernel is SO(2) or O(2) at level 1, else D_z or Z_z for the z
+        rotations paired with the identity of Gamma x Z2 (ge 0); the
+        identity fibre is the ge of the rotations at angle 0."""
         t, refl, ge = self.decode(data.members, data.level)
-        k_proj = sorted(set(ge.tolist()))
-        k_name = self.finite_class_name(k_proj)
-        # R = fiber over the O(2)-identity; Z = fiber over the finite identity
-        r_part = sorted(set(ge[~refl & (t == 0)].tolist()))
-        quotient = len(k_proj) // len(r_part)
-        if quotient == 1:
-            return f"({data.o2.label()} x {k_name})"
-        r_name = self.finite_class_name(r_part)
-        z_rot = int(np.count_nonzero(~refl & (ge == 0)))
-        z_refl = int(np.count_nonzero(refl & (ge == 0)))
-        if data.o2.kind in ("O2", "SO2"):
-            z_name = "SO(2)" if z_rot else "?"
-        elif z_refl:
-            z_name = f"D{z_rot}"
-        elif z_rot > 1:
-            z_name = f"Z{z_rot}"
+        kernel_refl = bool(np.any(refl & (ge == 0)))
+        if data.level == 1:
+            kernel = O2Desc("O2" if kernel_refl else "SO2")
         else:
-            z_name = "1"
+            kernel = O2Desc("D" if kernel_refl else "Z", int(np.count_nonzero(~refl & (ge == 0))))
+        return Goursat(data.o2, kernel, tuple(sorted(set(ge.tolist()))),
+                       tuple(sorted(set(ge[~refl & (t == 0)].tolist()))))
+
+    def _format(self, data: AmalgamData, goursat: Goursat) -> str:
+        if data.truncated_order(self.m_lo) == self.group_lo.order:
+            return "(G)"
+        k_proj, r_part = list(goursat.projection), list(goursat.fibre)
+        k_name = self.finite_class_name(k_proj)
+        if len(k_proj) == len(r_part):
+            return f"({data.o2.label()} x {k_name})"
+        # a proper fibre keeps the kernel off O(2), so an O(2)-type class's
+        # kernel is SO(2)
+        r_name = self.finite_class_name(r_part)
         l_name = self._quotient_name(k_proj, r_part)
-        return f"({data.o2.label()} ^{z_name} x_{l_name} ^{r_name} {k_name})"
+        return f"({data.o2.label()} ^{goursat.kernel.label()} x_{l_name} ^{r_name} {k_name})"
 
     def _quotient_name(self, k_proj: list[int], r_part: list[int]) -> str:
         q = len(k_proj) // len(r_part)

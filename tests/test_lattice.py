@@ -19,6 +19,7 @@ from revdeg.lattice import (
     AmalgamData,
     ClassLattice,
     InadmissibleLevel,
+    NotASubgroup,
     O2Desc,
     TruncationInstability,
     gamma_z2_classes,
@@ -137,7 +138,12 @@ def lift_before_split(lat, members, level):
 def assert_decided_as_before(lat, members, level):
     """_level_check, lift and lookup give lift_before_split's O(2)-part (and
     lift, for a subgroup, its membership rule), or its refusal with the same
-    message."""
+    message; a set without the identity they refuse as no subgroup."""
+    if not np.any(np.asarray(members) == 0):
+        for decide in (lat._level_check, lat.lift, lat.lookup):
+            with pytest.raises(NotASubgroup):
+                decide(members, level)
+        return
     try:
         want = lift_before_split(lat, members, level)
     except TruncationInstability as e:
@@ -490,6 +496,22 @@ def test_lookup_refuses_hit_above_fold_limit():
                                match="fold 16 too close to truncation level 32"):
                 lat.lookup(row, lat.m_lo)
             assert_decided_as_before(lat, row, lat.m_lo)
+
+
+def test_member_set_without_identity_is_refused():
+    # one reflection of D2 at level 16 has no rotation, so no fold: lookup
+    # gave it O(2)-part D0 and lift divided by zero; every entry point
+    # refuses it, and a set missing only the identity, before any arithmetic
+    lat = ClassLattice("dihedral", 2, 16)
+    known = (list(lat.labels), dict(lat._memo))
+    m = lat.m_lo
+    rot = [lat.encode(t, False, 0, m) for t in range(0, m, 4)]
+    for members in ([lat.encode(0, True, 0, m)], rot[1:], []):
+        for decide in (lat._level_check, lat.lift, lat.lookup, lat.ensure_handle):
+            with pytest.raises(NotASubgroup, match=f"member set at level {m} holds no identity"):
+                decide(members, m)
+    assert (lat.labels, lat._memo) == known
+    assert lat.lookup(rot, m) == (None, O2Desc("Z", 4))
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.sampled_from([1, 2, 7, 230]),
