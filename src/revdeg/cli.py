@@ -182,10 +182,11 @@ def cmd_figure_data(args) -> int:
 
 def cmd_oracle_stability(args) -> int:
     """Check every containment count of the example pipeline's working set
-    at both levels, scanned even where the Goursat pieces answer it
-    (ClassLattice.checked_n_count refuses a count that differs between the
-    levels, or that the pieces answer 0 and the scan does not); the Weyl
-    orders were checked so as each class was interned."""
+    (ClassLattice.checked_n_count): a pair the Goursat pieces admit at its
+    own two levels, one they answer 0 scanned at the printed levels M and
+    2M all the same, each refused if the two levels differ or the scan
+    is not 0; the Weyl orders were checked at each class's own two levels
+    as it was interned."""
     cfg = _load_config(args)
     engine = make_engine(cfg, ())
     nat = _default_component(engine)

@@ -299,11 +299,10 @@ class DegreeEngine:
         Below m_lo, a set holding every rotation of its level is refused
         (IncompleteLattice): there a full fold cannot be told from a finite
         one, and no stabilizer of a nonzero point of W_1 is either.  The set
-        is carried to m_lo (ClassLattice.at_working_level) and looked up in
-        the interned orbits there (ClassLattice.lookup), which refuses an
-        unstable truncation as lift would.  A hit is a row of an interned
-        orbit, a conjugate of H ∩ (D_M x Gamma x Z2) for a closed subgroup
-        H, so it is itself a subgroup, and its class's O(2)-part says
+        is carried to m_lo (ClassLattice.at_working_level) and looked up
+        there (ClassLattice.lookup), which refuses an unstable truncation as
+        lift would.  A hit has the canonical own-level data of an interned
+        class, which only a subgroup has, and lookup's O(2)-part says
         whether it is a cyclic fold; only a miss is checked with closure in
         g (the IncompleteLattice certificate) and interned at m_lo."""
         key = (level, members.astype(np.int32).tobytes())

@@ -14,8 +14,9 @@ half-step rotation twist (the normalizer of D_M in O(2) is D_2M).
 
 This module alone decides truncation levels: level_for_modes sizes the base
 level M (default_level is the fixed level of an engine given none), and
-ClassLattice.at_both_levels computes every Weyl order, containment count,
-product and fixed dimension at M and at 2M and refuses a mismatch.
+ClassLattice.at_both_levels compares a computation at a level L with the
+same at 2L and refuses a mismatch: products and fixed dimensions at L = M,
+Weyl orders and containment counts at the class's or pair's own pair_level.
 ClassLattice.fold maps a class to its preimage under the k-fold map of O(2),
 by index arithmetic on its members at its own level, and interns it at M.
 
@@ -28,33 +29,27 @@ one axis at 0 it lies on the grid of m_sample.
 One level map moves a class between levels, by index arithmetic: decode
 splits an index at a level into (t, refl, ge), the inverse of encode;
 truncate writes a class's own-level members at any level whose grid holds
-its angles (the sampling levels, the level 2k of exact_weyl), which
-representative returns, and at_working_level carries a sampled subgroup
-back up to M.
+its angles, which representative returns (once per class and level), and
+at_working_level carries a sampled subgroup back up to M.
 
-Each interned class keeps its full-group orbit once per level, as a sorted,
-read-only big-endian int32 (>i4) array with one row of members per
-conjugate; row 0 (the lex-min conjugate) is the class's representative at
-that level.  Big-endian bytes of non-negative ints order as the ints do, so
-the rows, viewed as one void scalar each (row_keys), are a sorted 1-D array,
-and the orbits are the class index: a member set is found by one binary
-search in each orbit of its level and length.  The walk that builds an orbit
-also gives the class's Weyl order at that level, by orbit-stabilizer, so no
-normalizer is formed for it.
-
-Every member set met by the engine goes through lookup, which answers a set
-it has found before from a memo (level, sorted member bytes) -> class id,
-searches the orbits for any other, and runs the level check (a set without
-the identity, a fold too close to the level, or mixed fibres under a full
-fold) only where lookup says it is needed.  lift writes a new class's representative at its own
-level.
+A class is keyed by its data made canonical: the lex-min row of its orbit
+under D_level x Gamma x Z2 at its own level, which holds every element of
+O(2) x Gamma x Z2 carrying one such data to another (for a dihedral fold f
+at axis 0 the normalizer D_2f of D_f; for a cyclic fold one reflection; for
+O(2)/SO(2) type, whose fibres O(2) fixes, none).  So two subgroups are
+conjugate iff their canonical data are equal.  lookup answers a set found
+before from a memo (level, sorted member bytes) -> class id, and any other
+by _level_check (a set without the identity, a fold too close to the level,
+or mixed fibres under a full fold), its canonical data and the class index.
 
 A containment count n(H, L) is 0, with no scan, when one of the four
 Goursat pieces of H (its O(2)-part, its kernel H ∩ (O(2) x 1), its
 Gamma x Z2 projection and its identity fibre H ∩ (1 x Gamma x Z2)), which
 are recorded when the class is interned, has no conjugate inside the same
 piece of L: then no truncation finds L's conjugates containing H either.
-Otherwise it is one mask over the rows of L's orbit at each level.
+Otherwise it is one mask over the rows of L's full-group orbit
+(conjugates_full) at each own level of the pair, walked once per class and
+level; a Weyl order is the orbit-stabilizer quotient of such walks.
 
 Products of classes count double cosets.  When a factor has a finite
 O(2)-part, only the double cosets whose intersection holds a reflection can
@@ -103,7 +98,8 @@ class InadmissibleLevel(ValueError):
 
 
 class NotASubgroup(ValueError):
-    """A member set without the identity, so no subgroup."""
+    """A member set that is no subgroup: it lacks the identity, or an angle
+    is off the grid of its fold."""
 
 
 @dataclass(frozen=True)
@@ -196,6 +192,12 @@ def default_level(n: int) -> int:
 MAX_GROUP_ORDER = 2 ** 21
 
 
+def pair_level(*o2s: O2Desc) -> int:
+    """The lower own level of a class or pair: 4·lcm of the folds (1 for
+    O(2)/SO(2) type), on whose grid they lie, each at most a quarter of it."""
+    return 4 * math.lcm(*(o2.fold or 1 for o2 in o2s))
+
+
 def trunc_group(gamma_z2: FiniteGroup, m: int) -> ProductGroup:
     """D_M x (Gamma x Z2); o2 index = idx // |Gamma x Z2| (rotations < M).
     D_M is multiplied by index arithmetic, so neither a |G|^2 nor a (2M)^2
@@ -211,19 +213,6 @@ def gamma_z2_classes(kind: str, n: int) -> tuple[FiniteGroup, list[SubgroupClass
     if kind == "dihedral":
         return gz, classes, [gamma_z2_subgroup_name(n, c.representative) for c in classes]
     return gz, classes, [c.name for c in classes]
-
-
-def row_keys(rows: np.ndarray) -> np.ndarray:
-    """The rows (the last axis) of a contiguous big-endian int32 array as a
-    1-D array of one void scalar each, which compare as the rows compare
-    lexicographically when their values are non-negative."""
-    return rows.view(f"V{4 * rows.shape[-1]}").ravel()
-
-
-def row_order(rows: np.ndarray) -> np.ndarray:
-    """The permutation that sorts the rows of a 2-D array of non-negative
-    int32 values lexicographically: one argsort of their row_keys."""
-    return np.argsort(row_keys(rows.astype(">i4", copy=False)))
 
 
 def grid_indices(num, den, level: int) -> np.ndarray:
@@ -243,9 +232,9 @@ class ClassLattice:
     """Working set of subgroup classes with the level-M / level-2M protocol,
     for Gamma = D_n (kind "dihedral") or Z_n (kind "cyclic").
 
-    Owns the truncated groups at both levels (and m_sample), interns classes
-    by full-group conjugacy, and caches Weyl orders, containment counts and
-    the order relation, each verified stable across the two levels.
+    Owns the truncated groups (built once per level), interns classes by
+    their canonical own-level data, and caches Weyl orders, containment
+    counts and the order relation, each verified stable across two levels.
     """
 
     def __init__(self, kind: str, n: int, base_level: int):
@@ -263,34 +252,33 @@ class ClassLattice:
             raise InadmissibleLevel(
                 f"base level {base_level}: the group at level {self.m_hi} would have "
                 f"{2 * self.m_hi * self.ng} elements, above {MAX_GROUP_ORDER}")
-        self.group_lo = trunc_group(self.gamma_z2, self.m_lo)
-        self.group_hi = trunc_group(self.gamma_z2, self.m_hi)
+        self._groups = {None: self.gamma_z2}
+        self.group_lo, self.group_hi = self.group_at(self.m_lo), self.group_at(self.m_hi)
         # the sampler's level at mode 1; m_lo under a --truncation it does not divide
         sample = level_for_modes(n, [0, 1])
         self.m_sample = sample if self.m_lo % sample == 0 else self.m_lo
-        self._groups = {None: self.gamma_z2, self.m_lo: self.group_lo, self.m_hi: self.group_hi}
-        if self.m_sample not in self._groups:
-            self._groups[self.m_sample] = trunc_group(self.gamma_z2, self.m_sample)
         self.classes: list[AmalgamData] = []
         self.labels: list[str] = []
+        # canonical own-level data -> class id: the class index; own-level
+        # data met before -> its canonical form
+        self._ids: dict[AmalgamData, int] = {}
+        self._canon: dict[AmalgamData, AmalgamData] = {}
         # (class id, level) -> the class's full-group orbit at level, as
-        # conjugates_full returns it; row 0 is the representative
+        # conjugates_full returns it, and its representative there
         self._orbits: dict[tuple[int, int], np.ndarray] = {}
+        self._reps: dict[tuple[int, int], np.ndarray] = {}
         # (class id, level) -> one reflection per conjugacy class of
         # reflections inside the representative
         self._refl_reps: dict[tuple[int, int], list[int]] = {}
         self._weyl: list[int | None] = []   # None marks infinite
         self._by_label: dict[str, int] = {}
-        # (level, subgroup order) -> the ids of the classes of that order, in
-        # interning order
-        self._by_order: dict[tuple[int, int], list[int]] = {}
         self._n_cache: dict[tuple[int, int], int] = {}
         # class id -> its Goursat pieces, and (piece of H, piece of L) ->
         # whether the first has a conjugate inside the second
         self._goursat: list[Goursat] = []
         self._fits: dict[tuple, bool] = {}
-        # (level, sorted big-endian int32 member bytes) -> the id of the
-        # class whose orbit at level holds them, for each set found before
+        # (level, sorted int32 member bytes) -> the id of the class holding
+        # them, for each set found before
         self._memo: dict[tuple[int, bytes], int] = {}
         self._mul_cache: dict[tuple[int, int], dict[int, int]] = {}
         # (class id, k) -> the id of fold(class id, k)
@@ -302,9 +290,9 @@ class ClassLattice:
     # -- element decoding ----------------------------------------------------
 
     def group_at(self, level: int | None) -> ProductGroup | FiniteGroup:
-        """The truncation at m_lo, m_hi or m_sample; Gamma x Z2 at None."""
+        """The truncation at level, built on first use; Gamma x Z2 at None."""
         if level not in self._groups:
-            raise InadmissibleLevel(f"unsupported level {level}")
+            self._groups[level] = trunc_group(self.gamma_z2, level)
         return self._groups[level]
 
     def encode(self, t, refl, ge, level: int):
@@ -321,11 +309,16 @@ class ClassLattice:
 
     def lift(self, members, level: int) -> AmalgamData:
         """The AmalgamData of a truncated subgroup, promoting folds that fill
-        D_M; an unstable truncation is refused by _level_check.  A fold is
-        turned so that its least reflection axis is at angle 0, then each
-        angle index t is written at its own level 2·fold (always whole)."""
-        o2 = self._level_check(members, level)
-        t, refl, ge = self.decode(members, level)
+        D_M; an unstable truncation is refused by _level_check, and a set
+        with an angle off the grid of its fold is no subgroup."""
+        data = self._at_own_level(level, *self._level_check(members, level))
+        if data is None:
+            raise NotASubgroup(f"member set at level {level} has an angle off its fold's grid")
+        return data
+
+    def _at_own_level(self, level: int, o2: O2Desc, t, refl, ge) -> AmalgamData | None:
+        """lift after _level_check: a fold is turned to put its least axis at
+        angle 0 and written at 2·fold, whole for a subgroup (else None)."""
         if o2.kind in ("O2", "SO2"):
             # whole fibres: each (refl, ge) once, at angle 0 of level 1
             fibres = np.bincount(self.encode(0, refl, ge, 1), minlength=2 * self.ng)
@@ -333,15 +326,28 @@ class ClassLattice:
         if refl.any():
             t = np.where(refl, (t - t[refl].min()) % level, t)
         own = 2 * o2.fold
-        members = self.encode(grid_indices(t, level, own), refl, ge, own)
-        return AmalgamData(o2, tuple(np.sort(members).tolist()))
+        t, off = np.divmod(t * own, level)
+        if off.any():
+            return None
+        return AmalgamData(o2, tuple(np.sort(self.encode(t, refl, ge, own)).tolist()))
 
-    def _level_check(self, members, level: int) -> O2Desc:
-        """The O(2)-part of a truncated subgroup at level.  Refuses a fold
-        too close to the level (_check_fold), then, for a fold that fills
-        D_M, fibres over Gamma x Z2 holding some but not all angles.  A
-        set without the identity (index 0) is no subgroup and is refused
-        first (NotASubgroup); one with no rotation at all would be fold 0."""
+    def _canonical(self, data: AmalgamData) -> AmalgamData:
+        """The class key: the lex-min row of data's orbit under D_level x
+        Gamma x Z2 at its own level (see the module docstring), walked once
+        per own-level form."""
+        if data not in self._canon:
+            rows = orbit_walk(self.group_at(data.level), data.members)
+            least = rows[np.lexsort(rows.T[::-1])[0]]
+            self._canon[data] = AmalgamData(data.o2, tuple(least.tolist()))
+        return self._canon[data]
+
+    def _level_check(self, members, level: int) -> tuple:
+        """The O(2)-part of a truncated subgroup at level, and its members
+        decoded there (t, refl, ge).  Refuses a fold too close to the level
+        (_check_fold), then, for a fold that fills D_M, fibres over
+        Gamma x Z2 holding some but not all angles.  A set without the
+        identity (index 0) is no subgroup and is refused first
+        (NotASubgroup); one with no rotation at all would be fold 0."""
         members = np.asarray(members, dtype=np.int64)
         if not (members == 0).any():
             raise NotASubgroup(f"member set at level {level} holds no identity")
@@ -351,13 +357,13 @@ class ClassLattice:
         if d < level:
             o2 = O2Desc("D", d) if has_refl else O2Desc("Z", d)
             self._check_fold(o2, level)
-            return o2
+            return o2, t, refl, ge
         for mask in (~refl, refl):
             # a fibre over ge holds every angle or finitely many
             counts = np.bincount(ge[mask], minlength=self.ng)
             if np.any((counts > 0) & (counts < level)):
                 raise TruncationInstability("mixed full/finite fibers; raise the base level")
-        return O2Desc("O2") if has_refl else O2Desc("SO2")
+        return O2Desc("O2") if has_refl else O2Desc("SO2"), t, refl, ge
 
     @staticmethod
     def _check_fold(o2: O2Desc, level: int) -> None:
@@ -396,7 +402,7 @@ class ClassLattice:
 
     def conjugates_full(self, members, level: int) -> tuple[np.ndarray, int]:
         """All conjugates of H (the members) under O(2) x Gamma x Z2, as the
-        sorted rows of a read-only big-endian int32 array, and the Weyl order
+        sorted-member rows of a read-only int32 array, and the Weyl order
         |N(H)|/|H| in the truncation G at level.
 
         The half twist t normalizes G and t^2 lies in G, so the full orbit is
@@ -410,8 +416,6 @@ class ClassLattice:
             rows = inner
         else:
             rows = np.concatenate([inner, self.half_twist(inner, level)])
-        rows = rows.astype(">i4")
-        rows = rows[row_order(rows)]
         rows.setflags(write=False)
         return rows, weyl
 
@@ -430,28 +434,29 @@ class ClassLattice:
 
     def ensure_handle(self, members, level: int) -> int:
         """Intern the class of a truncated subgroup; returns its class id."""
-        cid, _ = self.lookup(members, level)
+        cid, o2, data = self._find_class(members, level)
         if cid is not None:
             return cid
-        # new class: canonical representative = lex-min conjugate at each
-        # level; everything that can refuse runs before the lattice changes
-        walks = {level: self.conjugates_full(members, level)}
-        data = self.lift(walks[level][0][0], level)
-        other = self.m_hi if level == self.m_lo else self.m_lo
-        walks[other] = self.conjugates_full(self.truncate(data, other), other)
+        if data is None:
+            self.lift(members, level)  # refuses it: an angle is off its fold's grid
+        # new class: everything that can refuse runs before the lattice changes
         goursat = self._goursat_of(data)
         label = self._format(data, goursat)
         # a cyclic fold's Weyl group contains SO(2)/fold: infinite, and its
-        # truncated orders grow with the level
-        weyl = None if data.o2.kind == "Z" else self.at_both_levels(
-            lambda m: walks[m][1], f"Weyl order of {label}")
+        # truncated orders grow with the level; any other is the orbit-
+        # stabilizer quotient of the walks at the class's own levels
+        walks, weyl = {}, None
+        if o2.kind != "Z":
+            own = pair_level(o2)
+            walks = {m: self.conjugates_full(self._written_at(data, m), m) for m in (own, 2 * own)}
+            weyl = self.at_both_levels(lambda m: walks[m][1], f"Weyl order of {label}", own)
         cid = len(self.classes)
         self.classes.append(data)
+        self._ids[data] = cid
         self._goursat.append(goursat)
         self._weyl.append(weyl)
-        for lv, (rows, _) in walks.items():
-            self._orbits[(cid, lv)] = rows
-            self._by_order.setdefault((lv, rows.shape[1]), []).append(cid)
+        for m, (rows, _) in walks.items():
+            self._orbits[(cid, m)], self._reps[(cid, m)] = rows, rows[0]
         base, k = label, 2
         while label in self._by_label:
             label = f"{base}#{k}"  # distinct classes sharing printed Goursat data
@@ -491,23 +496,21 @@ class ClassLattice:
             self._folds[key] = self.ensure_handle(self.truncate(image, self.m_lo), self.m_lo)
         return self._folds[key]
 
-    def _rep_array(self, cid: int, level: int) -> np.ndarray:
-        """The representative at level: row 0 of the class's orbit."""
-        return self._orbits[(cid, level)][0]
-
     def representative(self, cid: int, level: int | None) -> np.ndarray:
         """A subgroup in class cid at any level, as sorted members: the
-        Gamma x Z2 projection of its data at None; _rep_array at m_lo and
-        m_hi (the lex-min conjugate, which is the data written there: its
-        least axis is at 0); at any other level its data written there
-        (_written_at), refused when an angle is off the level's grid."""
+        Gamma x Z2 projection of its data at None; else its data written
+        there (_written_at), as a read-only int32 array kept once per class
+        and level, refused when an angle is off the level's grid."""
         data = self.classes[cid]
         if level is None:
             return np.flatnonzero(np.bincount(np.asarray(data.members) % self.ng,
                                               minlength=self.ng))
-        if level in (self.m_lo, self.m_hi):
-            return self._rep_array(cid, level)
-        return self._written_at(data, level)
+        key = (cid, level)
+        if key not in self._reps:
+            rep = self._written_at(data, level).astype(np.int32)
+            rep.setflags(write=False)
+            self._reps[key] = rep
+        return self._reps[key]
 
     def at_working_level(self, members, level: int | None) -> np.ndarray:
         """A subgroup of group_at(level) carried to m_lo, order kept: O(2) x
@@ -555,7 +558,7 @@ class ClassLattice:
             w = len(set(normalizer(k, r)) & set(normalizer(k, proj))) // len(r)
             return 2 * w if kind == "SO2" else w
         members = data.members
-        return len(normalizer(trunc_group(k, data.level), members)) // len(members)
+        return len(normalizer(self.group_at(data.level), members)) // len(members)
 
     def exact_n_count(self, i: int, j: int) -> int:
         """n(S, L) for S = class i, L = class j: the number of conjugates of L
@@ -587,17 +590,18 @@ class ClassLattice:
         if s.o2.kind != "D" or l.o2.fold % s.o2.fold:
             return 0
         h = set(self.truncate(s, l.level))
-        conjs = subgroup_conjugates(trunc_group(k, l.level), l.members)
+        conjs = subgroup_conjugates(self.group_at(l.level), l.members)
         return sum(1 for c in conjs if h <= set(c))
 
-    def at_both_levels(self, at, what: str):
-        """at(M), once at(2M) is found equal to it: the one comparison of the
-        two truncation levels.  A mismatch raises TruncationInstability
-        naming what differs."""
-        lo, hi = at(self.m_lo), at(self.m_hi)
+    def at_both_levels(self, at, what: str, level: int | None = None):
+        """at(L), once at(2L) is found equal to it, L = level or M: the one
+        comparison of two truncation levels.  A mismatch raises
+        TruncationInstability naming what differs."""
+        level = level or self.m_lo
+        lo, hi = at(level), at(2 * level)
         if lo != hi:
             raise TruncationInstability(
-                f"{what} differs between levels {self.m_lo} and {self.m_hi}: {lo} vs {hi}")
+                f"{what} differs between levels {level} and {2 * level}: {lo} vs {hi}")
         return lo
 
     def weyl(self, cid: int) -> int | None:
@@ -610,27 +614,28 @@ class ClassLattice:
         """Number of conjugates of class j's representative containing class
         i's: 0 when a Goursat piece of class i has no conjugate inside that
         of class j (_pieces_fit), as the scan would find at every level,
-        else the scan at both levels (_scanned_n_count)."""
+        else the scan at the pair's own levels L = pair_level and 2L (the
+        pieces fit only where fold i divides fold j or j is of O(2) type)."""
         key = (i, j)
         if key not in self._n_cache:
-            self._n_cache[key] = self._scanned_n_count(i, j) if self._pieces_fit(i, j) else 0
+            fit = self._pieces_fit(i, j)
+            level = pair_level(self.classes[i].o2, self.classes[j].o2)
+            self._n_cache[key] = self._scanned_n_count(i, j, level) if fit else 0
         return self._n_cache[key]
 
     def checked_n_count(self, i: int, j: int) -> int:
-        """n_count, scanned at both levels even where the Goursat pieces
-        answer it: a count they answer 0 that the scan finds nonzero is
-        refused (TruncationInstability), as a count that differs between
-        the levels is."""
+        """n_count, with a pair the Goursat pieces answer 0 scanned at m_lo
+        and m_hi all the same, and refused (TruncationInstability) if not 0."""
         count = self.n_count(i, j)
-        if not self._pieces_fit(i, j) and (scanned := self._scanned_n_count(i, j)):
+        if not self._pieces_fit(i, j) and (scanned := self._scanned_n_count(i, j, self.m_lo)):
             raise TruncationInstability(
                 f"n({self.labels[i]},{self.labels[j]}) is 0 by its Goursat pieces "
                 f"but {scanned} at both levels")
         return count
 
-    def _scanned_n_count(self, i: int, j: int) -> int:
+    def _scanned_n_count(self, i: int, j: int, level: int) -> int:
         return self.at_both_levels(lambda m: self._n_count_at(i, j, m),
-                                   f"n({self.labels[i]},{self.labels[j]})")
+                                   f"n({self.labels[i]},{self.labels[j]})", level)
 
     def _pieces_fit(self, i: int, j: int) -> bool:
         """Whether each Goursat piece of class i has a conjugate inside the
@@ -649,12 +654,17 @@ class ClassLattice:
         return True
 
     def _n_count_at(self, i: int, j: int, level: int) -> int:
-        """n_count at one level: the conjugates of class j, as rows of member
-        indices, whose members include every member of class i's rep.  By
-        Lagrange none does when |rep i| does not divide |rep j|."""
-        h, rows = self._rep_array(i, level), self._orbits[(j, level)]
-        if rows.shape[1] % len(h):
+        """n_count at one level: the conjugates of class j (conjugates_full,
+        walked once per class and level), as rows of member indices, whose
+        members include every member of class i's rep.  By Lagrange none
+        does when |rep i| does not divide |rep j|, and no walk is needed."""
+        h = self.representative(i, level)
+        if self.order_of(j, level) % len(h):
             return 0
+        if (j, level) not in self._orbits:
+            self._orbits[(j, level)] = self.conjugates_full(self.representative(j, level),
+                                                            level)[0]
+        rows = self._orbits[(j, level)]
         in_h = np.zeros(self.group_at(level).order, dtype=bool)
         in_h[h] = True
         return int(np.count_nonzero(in_h[rows].sum(axis=1) == len(h)))
@@ -708,7 +718,7 @@ class ClassLattice:
         _reflection_conjugators are visited.
         """
         g = self.group_at(level)
-        h, k = self._rep_array(i, level), self._rep_array(j, level)
+        h, k = self.representative(i, level), self.representative(j, level)
         for c in (i, j):
             self._check_fold(self.classes[c].o2, level)
         kinds = {self.classes[i].o2.kind, self.classes[j].o2.kind}
@@ -772,7 +782,7 @@ class ClassLattice:
         key = (cid, level)
         if key not in self._refl_reps:
             g = self.group_at(level)
-            rep = self._rep_array(cid, level)
+            rep = self.representative(cid, level)
             refl = rep[self.decode(rep, level)[1]]
             todo = np.zeros(g.order, dtype=bool)
             todo[refl] = True
@@ -784,44 +794,32 @@ class ClassLattice:
         return self._refl_reps[key]
 
     def lookup(self, members, level: int) -> tuple[int | None, O2Desc]:
-        """The id of the interned class whose orbit at level holds the
-        members (any container of ints, in any order), None if there is
-        none, and the members' O(2)-part; an unstable truncation is refused
-        as lift refuses it.
-
-        The class is found first (_find_class).  A miss runs _level_check.
-        A hit refuses exactly when the class is a finite fold above
-        level // 4 (_check_fold): rows at the level the class was interned
-        at passed lift, rows truncate built at the other level have whole
-        fibres, and both refusals are invariant under conjugation."""
-        cid = self._find_class(members, level)
-        if cid is None:
-            return None, self._level_check(members, level)
-        o2 = self.classes[cid].o2
-        self._check_fold(o2, level)
+        """The id of the interned class holding the members (any container
+        of ints, any order) at m_lo or m_hi, or None, and their O(2)-part;
+        an unstable truncation is refused as lift refuses it."""
+        cid, o2, _ = self._find_class(members, level)
         return cid, o2
 
-    def _find_class(self, members, level: int) -> int | None:
-        """Id of the interned class whose orbit at level holds the members,
-        by the orbits alone (lookup adds the level check).  A member set
-        found before is answered from the memo, as classes never change once
-        interned; any other by one binary search of the sorted members in
-        the orbit of each class of their order, in interning order, where
-        the first orbit that holds them decides and is kept in the memo."""
+    def _find_class(self, members, level: int) -> tuple[int | None, O2Desc, AmalgamData | None]:
+        """lookup, and on a miss the members' canonical data (None for a set
+        off its fold's grid, no subgroup).  A set found before passed
+        _level_check at this level, so the memo answers it; any other is
+        checked, canonicalised and found in the class index."""
         if level not in (self.m_lo, self.m_hi):
             raise InadmissibleLevel(f"unsupported level {level}")
-        query = np.sort(np.asarray(members, dtype=np.int32)).astype(">i4")
-        memo = (level, query.tobytes())
+        memo = (level, np.sort(np.asarray(members, dtype=np.int32)).tobytes())
         if memo in self._memo:
-            return self._memo[memo]
-        key = row_keys(query)
-        for cid in self._by_order.get((level, len(query)), ()):
-            keys = row_keys(self._orbits[(cid, level)])
-            i = keys.searchsorted(key)[0]
-            if i < len(keys) and keys[i] == key[0]:
-                self._memo[memo] = cid
-                return cid
-        return None
+            cid = self._memo[memo]
+            return cid, self.classes[cid].o2, None
+        o2, *decoded = self._level_check(members, level)
+        data = self._at_own_level(level, o2, *decoded)
+        if data is None:
+            return None, o2, None
+        data = self._canonical(data)
+        cid = self._ids.get(data)
+        if cid is not None:
+            self._memo[memo] = cid
+        return cid, o2, data
 
     # -- printable labels ------------------------------------------------------
 

@@ -5,6 +5,9 @@ run reaches them.
 - mark_product: the product of two classes of O(2) x Gamma x Z2 by the
   Burnside-ring multiplication recurrence over exact Weyl orders and
   containment counts, with no truncation level and no double coset.
+- full_orbit, two_level_n_count: a class's conjugates under the full group
+  walked at a truncation level, and a containment count scanned over them
+  at the base levels M and 2M, whatever the classes' own levels.
 - finite_product, brute_orbit_product: the product of two subgroup classes
   of a finite group in its Burnside ring, by double-coset counting and by a
   direct orbit partition of G/H x G/K (Balanov-Krawcewicz-Steinlein,
@@ -89,6 +92,29 @@ def mark_product(lattice, i: int, j: int) -> dict[int, int]:
         if coeff:
             out[l] = coeff
     return out
+
+
+@functools.cache
+def full_orbit(lattice, cid: int, level: int) -> np.ndarray:
+    """The conjugates of class cid under O(2) x Gamma x Z2 at level, as the
+    rows of its representative's full-group walk (conjugates_full); cached
+    per lattice, so the lattice keeps no orbit of a test's."""
+    return lattice.conjugates_full(lattice.representative(cid, level), level)[0]
+
+
+def two_level_n_count(lattice, i: int, j: int) -> int:
+    """n(i, j) scanned at m_lo and at m_hi: the conjugates of class j there
+    holding every member of class i's representative, asserted equal at the
+    two levels."""
+    counts = []
+    for level in (lattice.m_lo, lattice.m_hi):
+        in_h = np.zeros(lattice.group_at(level).order, dtype=bool)
+        h = lattice.representative(i, level)
+        in_h[h] = True
+        rows = full_orbit(lattice, j, level)
+        counts.append(int(np.count_nonzero(in_h[rows].sum(axis=1) == len(h))))
+    assert counts[0] == counts[1], (lattice.labels[i], lattice.labels[j], counts)
+    return counts[0]
 
 
 def finite_product(g: FiniteGroup, classes: list[SubgroupClass],

@@ -35,6 +35,7 @@ from oracles import (
     cutoff_certificate,
     d_sign_oracle,
     finite_product,
+    full_orbit,
     octagon_published_curvature,
     octagon_published_gradient,
     phi_integral_inv,
@@ -262,7 +263,7 @@ def test_criterion_3b_omega_honest(engine8, natural):
 def _level_weyl(lat, cid, level):
     """The Weyl order of class cid in the truncation at level, from the
     orbit walk of its representative."""
-    return lat.conjugates_full(lat._rep_array(cid, level), level)[1]
+    return lat.conjugates_full(lat.representative(cid, level), level)[1]
 
 
 def test_truncation_free_witness(engine8, natural):
@@ -331,8 +332,8 @@ def test_criterion_6_truncation_stability(engine8, natural):
         for j in ids:
             counts = []
             for level in (lat.m_lo, lat.m_hi):
-                h = set(lat._rep_array(i, level).tolist())
-                conjs = lat._orbits[(j, level)].tolist()
+                h = set(lat.representative(i, level).tolist())
+                conjs = full_orbit(lat, j, level).tolist()
                 counts.append(sum(1 for c in conjs if h <= set(c)))
             if counts[0] != counts[1]:
                 diffs.append((lat.labels[i], lat.labels[j], counts))

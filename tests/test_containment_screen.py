@@ -5,15 +5,18 @@ O(2)-part, the kernel H ∩ (O(2) x 1), the Gamma x Z2 projection and the
 identity fibre H ∩ (1 x Gamma x Z2)) has no conjugate inside the same piece
 of L.  The pieces are checked against the representative at m_lo, their
 O(2) rule against the scan, and every pair the screen answers against the
-scan at both levels and the truncation-free exact_n_count.  lookup answers
-a member set it has found before from a memo; it must give what the orbits
-give, and refuse what they refuse."""
+scan at both levels and the truncation-free exact_n_count; every count,
+screened or scanned at the pair's own levels, equals the scan at the base
+levels M and 2M.  lookup answers a member set it has found before from a
+memo; it must give the class of every row of a class's full-group orbit,
+and refuse what the level check refuses."""
 
 import functools
 
 import numpy as np
 import pytest
 
+from oracles import full_orbit, two_level_n_count
 from revdeg.degrees import DegreeEngine
 from revdeg.lattice import (
     AmalgamData,
@@ -60,7 +63,7 @@ def pieces_at_working_level(lat: ClassLattice, cid: int) -> tuple:
     m_lo, member by member: the kernel is SO(2)/O(2) when it holds every
     rotation there."""
     m = lat.m_lo
-    t, refl, ge = lat.decode(lat._rep_array(cid, m), m)
+    t, refl, ge = lat.decode(lat.representative(cid, m), m)
     rot, o2 = int(np.count_nonzero(~refl & (ge == 0))), lat.classes[cid].o2
     has_refl = bool(np.any(refl & (ge == 0)))
     if rot == m:
@@ -104,7 +107,7 @@ def test_o2_rule_is_the_scanned_containment():
 
 @pytest.mark.parametrize("gamma_index", range(len(GAMMAS)), ids=lambda i: str(GAMMAS[i]))
 def test_screened_counts_are_zero(gamma_index):
-    # every pair the screen answers scans 0 at both levels, and 0 exactly
+    # every pair the screen answers scans 0 at m_lo and m_hi, and 0 exactly
     # where both Weyl groups are finite; pairs of the amalgamated O(2)-type
     # classes are among them
     lat = screened_lattice(gamma_index)
@@ -117,12 +120,28 @@ def test_screened_counts_are_zero(gamma_index):
                 continue
             screened += 1
             with_amalgam += bool({i, j} & amalgams)
-            assert lat._n_count_at(i, j, lat.m_lo) == lat._n_count_at(i, j, lat.m_hi) == 0
+            assert two_level_n_count(lat, i, j) == 0
             if lat.finite_weyl(i) and lat.finite_weyl(j):
                 assert lat.exact_n_count(i, j) == 0
             assert lat.n_count(i, j) == lat.checked_n_count(i, j) == 0
     assert with_amalgam or not index_two_pairs(*GAMMAS[gamma_index])
     assert screened
+
+
+@pytest.mark.parametrize("gamma_index", range(len(GAMMAS)), ids=lambda i: str(GAMMAS[i]))
+def test_n_count_equals_the_two_level_scan(gamma_index):
+    # every pair, screened or scanned at its own levels 4·lcm(folds) and
+    # twice that, counts as the scan of the full-group orbits at m_lo and
+    # m_hi; pairs of each kind are met
+    lat = screened_lattice(gamma_index)
+    ids = range(len(lat.classes))
+    seen = set()
+    for i in ids:
+        for j in ids:
+            count = lat.n_count(i, j)
+            assert count == two_level_n_count(lat, i, j), (lat.labels[i], lat.labels[j])
+            seen.add((lat._pieces_fit(i, j), count > 0))
+    assert seen == {(False, False), (True, False), (True, True)}
 
 
 @pytest.mark.parametrize("gamma_index", range(len(GAMMAS)), ids=lambda i: str(GAMMAS[i]))
@@ -154,36 +173,40 @@ def test_checked_n_count_refuses_a_screened_pair_that_scans_nonzero(monkeypatch)
 
 
 def test_lookup_memo_answers_as_the_orbits():
-    # orbit rows, as a list, a tuple, an unsorted int64 array and a
-    # big-endian int32 row, each twice: the memo gives the class of the
-    # orbit, and no other level is searched
+    # full-group orbit rows, as a list, a tuple, an unsorted int64 array
+    # and a big-endian int32 row, each twice: the memo gives the class of
+    # the orbit, and no other level is searched
     lat = screened_lattice(GAMMAS.index(("dihedral", 2)))
     rng = np.random.default_rng(0)
     for cid in range(len(lat.classes)):
         for level in (lat.m_lo, lat.m_hi):
-            rows = lat._orbits[(cid, level)]
+            rows = full_orbit(lat, cid, level)
             for row in rows[rng.permutation(len(rows))[:3]]:
                 shuffled = rng.permutation(row.astype(np.int64))
-                for members in (shuffled.tolist(), tuple(shuffled.tolist()), shuffled, row):
+                for members in (shuffled.tolist(), tuple(shuffled.tolist()), shuffled,
+                                row.astype(">i4")):
                     for _ in range(2):
                         assert lat.lookup(members, level) == (cid, lat.classes[cid].o2)
-                        assert lat._find_class(members, level) == cid
-                assert lat._memo[(level, np.sort(shuffled).astype(">i4").tobytes())] == cid
+                assert lat._memo[(level, np.sort(shuffled).astype(np.int32).tobytes())] == cid
                 for other in (lat.m_sample // 2, 4 * lat.m_lo):
                     with pytest.raises(InadmissibleLevel):
                         lat.lookup(row, other)
 
 
 def test_lookup_memo_refuses_a_hit_above_the_fold_limit_on_every_visit():
-    # Z16 interned at level 64 (fold 16 = 64 // 4): its level-32 rows are
-    # found, kept in the memo, and refused by _check_fold each time
+    # Z16 interned at level 64 (fold 16 = 64 // 4): its level-32 truncation
+    # is refused by the level check each time and never kept in the memo,
+    # while its level-64 one is found and kept
     lat = ClassLattice("dihedral", 8, 32)
     cid = lat.ensure_handle([lat.encode(4 * t, False, 0, lat.m_hi) for t in range(16)], lat.m_hi)
-    row = lat._orbits[(cid, lat.m_lo)][0]
+    row = lat.representative(cid, lat.m_lo)
     for _ in range(3):
         with pytest.raises(TruncationInstability, match="fold 16 too close to truncation level 32"):
             lat.lookup(row, lat.m_lo)
-    assert lat._memo == {(lat.m_lo, row.tobytes()): cid}
+    assert lat._memo == {}
+    hi = lat.representative(cid, lat.m_hi)
+    assert lat.lookup(hi, lat.m_hi) == (cid, O2Desc("Z", 16))
+    assert lat._memo == {(lat.m_hi, hi.tobytes()): cid}
 
 
 def test_lookup_memo_keeps_no_refused_or_missed_set():

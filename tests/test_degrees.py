@@ -14,7 +14,7 @@ from oracles import d_sign_oracle
 from revdeg import burnside as br
 from revdeg.chars import as_int
 from revdeg.degrees import STAB_TOL, DegreeEngine, IncompleteLattice, _stabilizer_errors
-from revdeg.lattice import TruncationInstability
+from revdeg.lattice import TruncationInstability, pair_level
 from revdeg.spectra import LinearizationSpec, spectral_summary
 
 # the honest seven-term mode-1 basic degree of the octagonal example
@@ -79,10 +79,13 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 
 def test_a_run_retains_no_matrices_and_no_row_keys():
     # after the analysis nothing of size |G|·d² is left, and the lattice
-    # keeps no per-row array beside its orbits, which are the class index.
-    # Live memory was 4.1 MiB when the engine kept every component's
-    # matrices (1.1 MiB) and a bytes key per orbit row (1.4 MiB), 1.65 MiB
-    # with a 16-byte fingerprint index entry per row, and 1.4 MiB with none
+    # keeps no per-row array: only full-group orbits, each at its class's
+    # own levels 4·fold and 8·fold or at a pair's 4·lcm(folds) and twice
+    # that (fold 1 for O(2)/SO(2) type), and one representative per class
+    # and level.  Live memory was 4.1 MiB when the engine kept every
+    # component's matrices (1.1 MiB) and a bytes key per orbit row
+    # (1.4 MiB), 1.65 MiB with a 16-byte fingerprint index entry per row,
+    # 1.4 MiB with none, and 1.1 MiB once the orbits at m_lo and m_hi went
     tracemalloc.start()
     try:
         eng = DegreeEngine("dihedral", 8, base_level=64)
@@ -91,12 +94,18 @@ def test_a_run_retains_no_matrices_and_no_row_keys():
         live = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert live <= 2.5 * 2 ** 20
+    assert live <= 1.5 * 2 ** 20
     lat = eng.lattice
     arrays = [name for name, v in vars(lat).items()
               if isinstance(v, np.ndarray) or (isinstance(v, dict) and any(
                   isinstance(a, np.ndarray) for a in v.values()))]
-    assert arrays == ["_orbits"]
+    assert arrays == ["_orbits", "_reps"]
+    o2s = [data.o2 for data in lat.classes]
+    own = {m for o2 in o2s for m in (pair_level(o2), 2 * pair_level(o2))}
+    for cid, level in lat._orbits:
+        pairs = {pair_level(o2s[cid], o2) for o2 in o2s}
+        assert level in pairs | {2 * m for m in pairs}
+        assert level in own or level not in (lat.m_lo, lat.m_hi)
 
 
 def test_mode0_maximal_types(engine8, natural):
@@ -262,7 +271,8 @@ def test_stabilizer_memo_keeps_ids_labels_and_classes(monkeypatch, kind, n, base
     assert lat.classes == lat_ref.classes
     for level in (lat.m_lo, lat.m_hi):
         for cid in range(len(lat.classes)):
-            assert np.array_equal(lat._rep_array(cid, level), lat_ref._rep_array(cid, level))
+            assert np.array_equal(lat.representative(cid, level),
+                                  lat_ref.representative(cid, level))
 
 
 def test_unclosed_stabilizer_raises_on_every_visit(monkeypatch):
@@ -394,10 +404,10 @@ def test_exact_generic_stabilizers_equal_seeded_draws(kind, n, base_level):
 
 
 def test_lookup_hit_still_refuses(monkeypatch):
-    # Z16 (every fourth rotation) interned at level 64 puts its level-32
-    # truncation, too close to level 32, into its orbits; a stabilizer
-    # sampled at mode 1 equal to that row is refused on the lookup hit,
-    # every time, and is not memoized.  D8's m_sample is its m_lo, 32:
+    # Z16 (every fourth rotation) interned at level 64: its level-32
+    # truncation is too close to level 32; a stabilizer sampled at mode 1
+    # equal to that row is refused by the lookup, every time, and is not
+    # memoized.  D8's m_sample is its m_lo, 32:
     # below m_lo such a row would hold every rotation of m_sample, which
     # the sampler refuses before any lookup
     eng = DegreeEngine("dihedral", 8, base_level=32)
@@ -406,7 +416,7 @@ def test_lookup_hit_still_refuses(monkeypatch):
     z16_lo = np.array([lat.encode(2 * t, False, 0, lat.m_lo) for t in range(16)])
     cid = lat.ensure_handle(
         tuple(lat.encode(4 * t, False, 0, lat.m_hi) for t in range(16)), lat.m_hi)
-    assert lat._find_class(z16_lo, lat.m_lo) == cid
+    assert lat.truncate(lat.classes[cid], lat.m_lo) == tuple(z16_lo.tolist())
     monkeypatch.setattr(DegreeEngine, "_stabilizer", lambda self, mats, p: z16_lo)
     for _ in range(2):
         with pytest.raises(TruncationInstability):
@@ -420,7 +430,7 @@ def fixed_dim_reference(eng, k, l, cid, level):
     lat = eng.lattice
     chi = eng.table.irreps[eng.minus[l]].char
     total = 0.0
-    for idx in lat._rep_array(cid, level).tolist():
+    for idx in lat.representative(cid, level).tolist():
         o2, ge = divmod(idx, lat.ng)
         rot = 1.0 if k == 0 else (0.0 if o2 >= level else 2 * np.cos(2 * np.pi * k * o2 / level))
         total += rot * chi[ge]

@@ -99,9 +99,9 @@ KEPT_UNREFERENCED = {
     "degrees.DegreeEngine.component_count": "bench/workloads.py calls it",
     "lattice.ClassLattice.is_conjugate_full": "a target of the benchmark tracer",
     "lattice.ClassLattice.exact_weyl":
-        "the truncation-free Weyl order, the working value of ROADMAP item 6",
+        "the truncation-free Weyl order, the reference the tests and oracles check against",
     "lattice.ClassLattice.exact_n_count":
-        "the truncation-free containment count, the working value of ROADMAP item 6",
+        "the truncation-free containment count, the reference the tests and oracles check against",
 }
 
 

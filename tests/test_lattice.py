@@ -9,11 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conjugacy import is_conjugate
+from oracles import full_orbit
 from revdeg.degrees import DegreeEngine
 from revdeg.groups import (
     closure,
     conjugate_members,
     normalizer,
+    orbit_walk,
 )
 from revdeg.lattice import (
     AmalgamData,
@@ -24,7 +26,7 @@ from revdeg.lattice import (
     TruncationInstability,
     gamma_z2_classes,
     level_for_modes,
-    row_order,
+    pair_level,
     trunc_group,
 )
 from revdeg.spectra import LinearizationSpec
@@ -152,7 +154,7 @@ def assert_decided_as_before(lat, members, level):
                 decide(members, level)
             assert str(got.value) == str(e)
     else:
-        assert lat._level_check(members, level) == want[0]
+        assert lat._level_check(members, level)[0] == want[0]
         assert lat.lookup(members, level)[1] == want[0]
         if closure(lat.group_at(level), members) == tuple(sorted(int(x) for x in members)):
             got = lat.lift(members, level)
@@ -360,9 +362,9 @@ def test_orbit_lookup_matches_conjugacy(engine8, natural):
     rng = np.random.default_rng(11)
     for level in (lat.m_lo, lat.m_hi):
         g = lat.group_at(level)
-        reps = [tuple(lat._rep_array(cid, level).tolist()) for cid in range(n_classes)]
+        reps = [tuple(lat.representative(cid, level).tolist()) for cid in range(n_classes)]
         for cid, rep in enumerate(reps):
-            assert lat._find_class(rep, level) == cid
+            assert lat.lookup(rep, level)[0] == cid
             for x in rng.integers(0, g.order, size=4):
                 conj = conjugate_members(g, int(x), rep)
                 assert lat.ensure_handle(conj, level) == cid
@@ -376,15 +378,15 @@ def test_orbit_lookup_matches_conjugacy(engine8, natural):
 
 def test_ensure_handle_refuses_before_lookup():
     # Z16 (every fourth rotation) is fine at level 64 but too close to
-    # level 32; interned at 64, its level-32 truncation is in the orbit
-    # index and must still be refused, as must the same group uninterned
+    # level 32; interned at 64, its level-32 truncation must still be
+    # refused, as must the same group uninterned
     lat = ClassLattice("dihedral", 8, 32)
     z16_lo = tuple(lat.encode(2 * t, False, 0, lat.m_lo) for t in range(16))
     with pytest.raises(TruncationInstability):
         lat.ensure_handle(z16_lo, lat.m_lo)
     cid = lat.ensure_handle(
         tuple(lat.encode(4 * t, False, 0, lat.m_hi) for t in range(16)), lat.m_hi)
-    assert lat._find_class(z16_lo, lat.m_lo) == cid
+    assert lat.truncate(lat.classes[cid], lat.m_lo) == z16_lo
     n_classes = len(lat.classes)
     with pytest.raises(TruncationInstability):
         lat.ensure_handle(z16_lo, lat.m_lo)
@@ -468,30 +470,30 @@ def test_level_check_and_lookup_decide_as_lift_did(gamma_index, level, seed, coa
 
 
 def test_every_orbit_row_decided_as_before(engine8, natural):
-    # every row the index holds, at the level its class was interned at and
-    # at the other level, where truncate built it
+    # every row of every class's full-group orbit at m_lo and m_hi, where
+    # truncate writes its data, is found in the class
     engine8.basic_degree(0, natural)
     engine8.basic_degree(1, natural)
     lat = engine8.lattice
     for cid in range(len(lat.classes)):
         for level in (lat.m_lo, lat.m_hi):
-            for row in lat._orbits[(cid, level)]:
-                assert lat._find_class(row, level) is not None
+            for row in full_orbit(lat, cid, level):
                 assert_decided_as_before(lat, row, level)
+                assert lat.lookup(row, level)[0] == cid
 
 
 def test_lookup_refuses_hit_above_fold_limit():
-    # Z16 and D16 interned at level 64 (fold 16 = 64 // 4) put their level-32
-    # rows into the orbits; fold 16 is above 32 // 4, so lookup refuses
-    # every one of them, with lift's message
+    # Z16 and D16 interned at level 64 (fold 16 = 64 // 4): fold 16 is
+    # above 32 // 4, so lookup refuses every row of their level-32 orbits,
+    # with lift's message
     lat = ClassLattice("dihedral", 8, 32)
     for gens in ([lat.encode(4, False, 0, lat.m_hi)],
                  [lat.encode(4, False, 0, lat.m_hi), lat.encode(0, True, 0, lat.m_hi)]):
         cid = lat.ensure_handle(closure(lat.group_hi, gens), lat.m_hi)
         assert lat.classes[cid].o2.fold == 16
-        assert lat.lookup(lat._rep_array(cid, lat.m_hi), lat.m_hi) == (cid, lat.classes[cid].o2)
-        for row in lat._orbits[(cid, lat.m_lo)]:
-            assert lat._find_class(row, lat.m_lo) == cid
+        hi = lat.representative(cid, lat.m_hi)
+        assert lat.lookup(hi, lat.m_hi) == (cid, lat.classes[cid].o2)
+        for row in full_orbit(lat, cid, lat.m_lo):
             with pytest.raises(TruncationInstability,
                                match="fold 16 too close to truncation level 32"):
                 lat.lookup(row, lat.m_lo)
@@ -514,15 +516,6 @@ def test_member_set_without_identity_is_refused():
     assert lat.lookup(rot, m) == (None, O2Desc("Z", 4))
 
 
-@given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.sampled_from([1, 2, 7, 230]),
-       st.sampled_from([2, 256, 70000, 2**31 - 1]))
-@settings(max_examples=100, deadline=None)
-def test_row_order_is_lexsort_order(draw, n_rows, width, bound):
-    # rows with repeats (bound 2) and values of one to four significant bytes
-    rows = np.random.default_rng(draw).integers(0, bound, size=(n_rows, width), dtype=np.int32)
-    assert np.array_equal(rows[row_order(rows)], rows[np.lexsort(rows.T[::-1])])
-
-
 def test_n_count_mask_matches_member_sets(engine8, natural):
     engine8.basic_degree(0, natural)
     engine8.basic_degree(1, natural)
@@ -530,9 +523,9 @@ def test_n_count_mask_matches_member_sets(engine8, natural):
     ids = range(len(lat.classes))
     for level in (lat.m_lo, lat.m_hi):
         for i in ids:
-            h = set(lat._rep_array(i, level).tolist())
+            h = set(lat.representative(i, level).tolist())
             for j in ids:
-                by_sets = sum(1 for c in lat._orbits[(j, level)].tolist() if h <= set(c))
+                by_sets = sum(1 for c in full_orbit(lat, j, level).tolist() if h <= set(c))
                 assert lat._n_count_at(i, j, level) == by_sets
 
 
@@ -548,11 +541,11 @@ def test_n_count_lagrange_short_cut_matches_full_scan():
     skipped = 0
     for level in (lat.m_lo, lat.m_hi):
         for i in ids:
-            h = lat._rep_array(i, level)
+            h = lat.representative(i, level)
             in_h = np.zeros(lat.group_at(level).order, dtype=bool)
             in_h[h] = True
             for j in ids:
-                rows = lat._orbits[(j, level)]
+                rows = full_orbit(lat, j, level)
                 full = int(np.count_nonzero(in_h[rows].sum(axis=1) == len(h)))
                 assert lat._n_count_at(i, j, level) == full
                 skipped += rows.shape[1] % len(h) != 0
@@ -560,26 +553,27 @@ def test_n_count_lagrange_short_cut_matches_full_scan():
 
 
 def assert_orbit_store(lat, rng):
-    """Each class's orbit at each level is one sorted, read-only big-endian
-    int32 array of distinct sorted rows, row 0 the representative, and
-    _find_class maps every row to the class, whatever the container, dtype
-    or member order, and the representative shifted by one (which lacks the
-    identity) to no class."""
+    """Each orbit the lattice keeps is a read-only int32 array of distinct
+    sorted rows, whose least row is the class's representative at that
+    level; at m_lo and m_hi lookup maps every row of a class's full-group
+    orbit to the class, whatever the container, dtype or member order, and
+    refuses the representative shifted by one, which lacks the identity."""
+    for (cid, level), rows in lat._orbits.items():
+        assert rows.dtype == np.int32 and not rows.flags.writeable
+        assert rows.shape[1] == lat.order_of(cid, level)
+        assert np.all(np.diff(rows, axis=1) > 0)
+        as_tuples = sorted(map(tuple, rows.tolist()))
+        assert len(set(as_tuples)) == len(as_tuples)
+        assert as_tuples[0] == tuple(lat.representative(cid, level).tolist())
     for cid in range(len(lat.classes)):
         for level in (lat.m_lo, lat.m_hi):
-            rows = lat._orbits[(cid, level)]
-            assert rows.dtype == np.dtype(">i4") and not rows.flags.writeable
-            assert rows.shape[1] == lat.order_of(cid, level)
-            assert np.all(np.diff(rows, axis=1) > 0)
-            as_tuples = [tuple(r) for r in rows.tolist()]
-            assert as_tuples == sorted(set(as_tuples))
-            assert as_tuples[0] == tuple(lat._rep_array(cid, level).tolist())
-            for row in as_tuples:
+            for row in full_orbit(lat, cid, level).tolist():
                 shuffled = rng.permutation(row)
                 for members in (tuple(shuffled.tolist()), shuffled.tolist(),
                                 shuffled.astype(np.int64), shuffled.astype(np.int32)):
-                    assert lat._find_class(members, level) == cid
-            assert lat._find_class(lat._rep_array(cid, level) + 1, level) is None
+                    assert lat.lookup(members, level)[0] == cid
+            with pytest.raises(NotASubgroup):
+                lat.lookup(lat.representative(cid, level) + 1, level)
 
 
 @given(st.integers(0, len(GAMMAS) - 1), st.sampled_from([8, 16]), SUBGROUP_SEEDS,
@@ -606,15 +600,19 @@ def weyl_reference(lat, cid, level):
     the reference for the Weyl order that conjugates_full reads from the
     orbit size."""
     g = lat.group_at(level)
-    rep = tuple(lat._rep_array(cid, level).tolist())
+    rep = tuple(lat.representative(cid, level).tolist())
     return len(normalizer(g, rep)) // len(rep)
 
 
 def assert_weyl_orders(lat):
-    for cid in range(len(lat.classes)):
-        for level in (lat.m_lo, lat.m_hi):
-            weyl = lat.conjugates_full(lat._rep_array(cid, level), level)[1]
+    # at m_lo, m_hi and the class's own levels, where it is the interned one
+    for cid, data in enumerate(lat.classes):
+        own = pair_level(data.o2)
+        for level in (lat.m_lo, lat.m_hi, own, 2 * own):
+            weyl = lat.conjugates_full(lat.representative(cid, level), level)[1]
             assert weyl == weyl_reference(lat, cid, level)
+        if data.o2.kind != "Z":
+            assert lat.weyl(cid) == weyl_reference(lat, cid, own)
 
 
 @given(st.integers(0, len(GAMMAS) - 1), st.sampled_from([8, 16]), SUBGROUP_SEEDS,
@@ -700,10 +698,10 @@ def test_representative_at_every_level_is_a_subgroup_in_its_class(kind, n):
             rep = lat.representative(cid, level)
             assert closure(trunc_group(lat.gamma_z2, level), rep) == tuple(rep.tolist())
             if level == lat.m_hi:
-                assert lat._find_class(rep, level) == cid
+                assert lat.lookup(rep, level)[0] == cid
             else:
                 assert lat.m_lo % level == 0
-                assert lat._find_class(lat.at_working_level(rep, level), lat.m_lo) == cid
+                assert lat.lookup(lat.at_working_level(rep, level), lat.m_lo)[0] == cid
         checked += 1
     assert checked
 
@@ -758,7 +756,53 @@ def test_lift_inverts_truncate_on_own_level_data(gamma_index):
         for level in levels:
             assert lat.lift(lat.truncate(data, level), level) == data
         for level in (lat.m_lo, lat.m_hi):
-            assert lat.truncate(data, level) == tuple(lat._orbits[(cid, level)][0].tolist())
+            least = min(map(tuple, full_orbit(lat, cid, level).tolist()))
+            assert lat.truncate(data, level) == least
         x = lat.representative(cid, lat.m_lo)
         again = lat.truncate(lat.lift(x, lat.m_lo), lat.m_lo)
         assert lat.lookup(again, lat.m_lo) == (cid, data.o2)
+
+
+@pytest.mark.parametrize("gamma_index", range(len(GAMMAS)), ids=lambda i: str(GAMMAS[i]))
+def test_class_data_is_the_least_row_of_its_own_level_orbit(gamma_index):
+    # each class's data is the lex-min row of its orbit under D_level x
+    # Gamma x Z2 at its own level, and a finite Weyl order is that walk's
+    # orbit-stabilizer quotient, SO(2)/O(2) types (level 1) included
+    lat = own_level_lattice(gamma_index)
+    for cid, data in enumerate(lat.classes):
+        g = trunc_group(lat.gamma_z2, data.level)
+        rows = orbit_walk(g, data.members)
+        assert data.members == min(map(tuple, rows.tolist()))
+        assert lat._ids[data] == cid
+        if data.o2.kind != "Z":
+            assert lat.weyl(cid) == g.order // (len(rows) * len(data.members))
+
+
+@given(st.integers(0, len(GAMMAS) - 1), SUBGROUP_SEEDS, SUBGROUP_SEEDS, st.booleans(),
+       st.sampled_from(["conjugate", "other"]), st.integers(0, 2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_equal_keys_iff_conjugate_in_the_full_group(gamma_index, seed_a, seed_b, coarse, form,
+                                                     draw):
+    # two subgroups at m_lo, the second a conjugate of the first (with a
+    # half twist or not) or drawn on its own: their canonical own-level data
+    # are equal exactly when the full-group walk (conjugates_full) finds
+    # them conjugate, and lookup puts them in one class exactly then
+    lat = own_level_lattice(gamma_index)
+    m = lat.m_lo
+    rng = np.random.default_rng(draw)
+    a = random_subgroup(lat, m, seed_a, coarse)
+    if form == "conjugate":
+        b = conjugate_members(lat.group_lo, int(rng.integers(lat.group_lo.order)), a)
+        if rng.random() < 0.5:
+            b = lat.half_twist(b, m)
+    else:
+        b = random_subgroup(lat, m, seed_b, coarse)
+    try:
+        keys = [lat._canonical(lat.lift(x, m)) for x in (a, b)]
+    except TruncationInstability:
+        return
+    conjugate = lat.is_conjugate_full(a, b, m)
+    assert (keys[0] == keys[1]) == conjugate
+    found = [lat.lookup(x, m)[0] for x in (a, b)]
+    if found[0] is not None:
+        assert (found[0] == found[1]) == conjugate

@@ -160,25 +160,30 @@ def test_cli_runs_odd_n_at_its_default_level(tmp_path, kind, n, irrep):
 def lattice_state(lat):
     return (list(lat.classes), list(lat.labels), list(lat._weyl),
             {key: rows.tobytes() for key, rows in lat._orbits.items()},
-            {key: list(ids) for key, ids in lat._by_order.items()},
-            list(lat.escape_log))
+            dict(lat._ids), list(lat.escape_log))
 
 
-def test_weyl_order_that_changes_with_the_level_is_refused():
-    # D4 with trivial Gamma x Z2 part at level 20: 20/4 is odd, so D_20 holds
-    # no D8 over it and its truncated Weyl order is 4; at 40 it is 8, as in
-    # O(2).  The refusal leaves the lattice as it was, and it goes on working
+def test_weyl_order_that_changes_with_the_level_is_refused(monkeypatch):
+    # D4 with trivial Gamma x Z2 part at level 20: 20/4 is odd, so D_20
+    # holds no D8 over it and its truncated Weyl order there is 4, against
+    # 8 in O(2).  Its Weyl order is taken at its own levels 16 and 32 and
+    # is 8; a walk that gave another order at 32 is refused, the refusal
+    # leaves the lattice as it was, and it goes on working
     lat = ClassLattice("dihedral", 1, 20)
     m = lat.m_lo
     d4 = closure(lat.group_lo, [lat.encode(5, False, 0, m), lat.encode(0, True, 0, m)])
+    assert lat.conjugates_full(d4, m)[1] == 4
     before = lattice_state(lat)
+    walk = ClassLattice.conjugates_full
+    monkeypatch.setattr(ClassLattice, "conjugates_full", lambda self, members, level: (
+        walk(self, members, level)[0], walk(self, members, level)[1] + (level == 32)))
     for _ in range(2):
         with pytest.raises(TruncationInstability, match=r"^Weyl order of \(D4 x Z1\) differs "
-                                                        r"between levels 20 and 40: 4 vs 8$"):
+                                                        r"between levels 16 and 32: 8 vs 9$"):
             lat.ensure_handle(d4, m)
         assert lattice_state(lat) == before
-    d2 = closure(lat.group_lo, [lat.encode(10, False, 0, m), lat.encode(0, True, 0, m)])
-    cid = lat.ensure_handle(d2, m)
+    monkeypatch.undo()
+    cid = lat.ensure_handle(d4, m)
     assert cid == len(before[0])
     assert lat.weyl(cid) == lat.exact_weyl(cid) == 8
 

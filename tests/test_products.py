@@ -47,13 +47,13 @@ def oracle_product(lat, i, j):
     results = []
     for level in (lat.m_lo, lat.m_hi):
         g = lat.group_at(level)
-        h, k = (tuple(lat._rep_array(c, level).tolist()) for c in (i, j))
+        h, k = (tuple(lat.representative(c, level).tolist()) for c in (i, j))
         coeffs = {}
         for x in double_cosets(g, h, k):
             inter = tuple(sorted(set(h) & set(conjugate_members(g, x, k).tolist())))
             if is_cyclic_fold(lat, inter, level):
                 continue
-            cid = lat._find_class(inter, level)
+            cid = lat.lookup(inter, level)[0]
             if cid is None:
                 cid = lat.ensure_handle(inter, level)
                 lat.escape_log.append(f"extended working set: {lat.labels[cid]}")
@@ -73,7 +73,7 @@ def assert_same_lattice(a, b):
     assert a._mul_cache == b._mul_cache
     for level in (a.m_lo, a.m_hi):
         for cid in range(len(a.classes)):
-            assert np.array_equal(a._rep_array(cid, level), b._rep_array(cid, level))
+            assert np.array_equal(a.representative(cid, level), b.representative(cid, level))
 
 
 def test_oracle_skips_exactly_cyclic_folds():
@@ -179,7 +179,7 @@ def test_quotient_cosets_are_the_truncation_enumeration(kind, n):
     ids = {c for l in range(eng.component_count()) for k in range(3)
            for c, _ in eng.basic_degree(k, l).coeffs}
     for c in [c for c in ids if lat.classes[c].o2.kind == "O2"]:
-        rep = lat._rep_array(c, lat.m_lo)
+        rep = lat.representative(c, lat.m_lo)
         ids.add(lat.ensure_handle(rep[rep < lat.m_lo * lat.ng], lat.m_lo))
     ids = sorted(ids)
     seen = set()
@@ -192,7 +192,7 @@ def test_quotient_cosets_are_the_truncation_enumeration(kind, n):
             finite = bool(kinds & {"D", "Z"})
             for level in (lat.m_lo, lat.m_hi):
                 g = lat.group_at(level)
-                h, k = lat._rep_array(i, level), lat._rep_array(j, level)
+                h, k = lat.representative(i, level), lat.representative(j, level)
                 xs = lat._quotient_cosets(h, k, level).tolist()
                 meeting = None
                 if finite:

@@ -39,7 +39,7 @@ def test_sampling_below_the_working_level_matches_the_working_level(kind, n):
     assert a.classes == b.classes
     for level in (a.m_lo, a.m_hi):
         for cid in range(len(a.classes)):
-            assert np.array_equal(a._rep_array(cid, level), b._rep_array(cid, level))
+            assert np.array_equal(a.representative(cid, level), b.representative(cid, level))
 
 
 def test_sampler_sees_no_more_matrices_than_its_group(monkeypatch):
@@ -76,7 +76,7 @@ def test_probe_representatives_are_conjugates_on_the_sampling_grid(kind, n):
         eng.isotropy_classes(1, l)
     probed = 0
     for cid in range(len(lat.classes)):
-        rep_lo = lat._rep_array(cid, lat.m_lo)
+        rep_lo = lat.representative(cid, lat.m_lo)
         proj = lat.representative(cid, None)
         assert proj.tolist() == sorted({int(x) % lat.ng for x in rep_lo})
         if not lat.finite_weyl(cid) or not any(
@@ -84,7 +84,7 @@ def test_probe_representatives_are_conjugates_on_the_sampling_grid(kind, n):
             continue
         rep = lat.representative(cid, lat.m_sample)
         assert (rep // lat.ng == lat.m_sample).any()
-        assert lat._find_class(lat.at_working_level(rep, lat.m_sample), lat.m_lo) == cid
+        assert lat.lookup(lat.at_working_level(rep, lat.m_sample), lat.m_lo)[0] == cid
         probed += 1
     assert probed
 
@@ -107,7 +107,7 @@ def test_a_level_override_samples_at_the_working_level():
     lat = eng.lattice
     assert lat.m_sample == lat.m_lo == 36
     assert lat.group_at(lat.m_sample) is lat.group_lo
-    assert np.array_equal(lat.representative(0, lat.m_sample), lat._rep_array(0, lat.m_lo))
+    assert np.array_equal(lat.representative(0, lat.m_sample), lat.representative(0, lat.m_lo))
 
 
 def fraction_fold(lat: ClassLattice, cid: int, k: int):
@@ -129,7 +129,7 @@ def fraction_fold(lat: ClassLattice, cid: int, k: int):
                 raise InadmissibleLevel(
                     f"level {lat.m_lo} not divisible by fold denominator {q.denominator}")
             members.append(lat.encode(int(q * lat.m_lo), r, g, lat.m_lo))
-        return lat._find_class(members, lat.m_lo)
+        return lat.lookup(members, lat.m_lo)[0]
     except (InadmissibleLevel, TruncationInstability) as e:
         return f"{type(e).__name__}: {e}"
 
